@@ -11,8 +11,11 @@ plot <profile.csv>       render a profile CSV as a plain SVG polyline
 
 Numeric CSV output carries 12 significant digits; pipelines are
 deterministic for a fixed seed and grid (fixed reduction order), so two
-runs with the same flags produce byte-identical artifacts.  The --jobs
-flag (or CONC_TOOLKIT_JOBS) bounds suite-level parallelism.
+runs with the same flags produce byte-identical artifacts.  verify runs
+its suites in up to min(--jobs, CPU count, number of suites) worker
+processes, in-process for one (CONC_TOOLKIT_JOBS overrides --jobs), and
+writes byte-identical reports for any jobs value.  Bad input exits 2 with
+one "error:" line; exit 1 means only that a suite failed.
 """
 
 from __future__ import annotations
@@ -122,7 +125,8 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None, help="directory for JSON reports")
     v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="parallel suite workers (CONC_TOOLKIT_JOBS overrides)")
+                   help="worker processes, at most one per CPU and per suite; "
+                        "1 runs in-process (CONC_TOOLKIT_JOBS overrides)")
 
     pl = sub.add_parser("plot", help="render a profile CSV as SVG")
     pl.add_argument("csv")
@@ -138,6 +142,11 @@ def _cmd_measure(args) -> int:
               f"logconcave = {mu.logconcave}, kappa = {mu.kappa:.6g})")
         return 0
     if args.subcommand == "derive":
+        needs = {"density-ratio": ("phi", "cap"), "translate": ("t",)}
+        missing = " and ".join(f"--{k}" for k in needs.get(args.mode, ())
+                               if getattr(args, k) is None)
+        if missing:
+            raise ToolkitError(f"--mode {args.mode} requires {missing}")
         mu1 = Measure1D.load(args.inp)
         if args.mode == "density-ratio":
             phi = np.loadtxt(args.phi, delimiter=",")
@@ -212,9 +221,12 @@ def _cmd_verify(args) -> int:
     if unknown:
         print(f"unknown suites: {unknown}", file=sys.stderr)
         return 2
-    # the environment variable overrides the flag
-    jobs = int(os.environ.get("CONC_TOOLKIT_JOBS", args.jobs))
-    reports = run_suites(ids, seed=args.seed, jobs=max(1, jobs))
+    try:  # the environment variable overrides the flag
+        jobs = int(os.environ.get("CONC_TOOLKIT_JOBS", args.jobs))
+    except ValueError as exc:
+        raise ToolkitError(
+            f"CONC_TOOLKIT_JOBS must be a positive integer ({exc})") from None
+    reports = run_suites(ids, seed=args.seed, jobs=jobs)
     all_ok = True
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"

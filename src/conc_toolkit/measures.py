@@ -28,7 +28,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, ToolkitError, ValidationError
 
 __all__ = [
     "Measure1D",
@@ -41,6 +41,21 @@ __all__ = [
 ]
 
 _CONVEXITY_TOL = 1e-9
+
+
+def _read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
+    """The JSON object in ``path``, which must hold every one of ``keys``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ToolkitError(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    missing = [k for k in keys if not isinstance(data, dict) or k not in data]
+    if missing:
+        raise ValidationError(f"{path} lacks the key(s) {', '.join(missing)}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -389,8 +404,7 @@ class Measure1D:
 
     @classmethod
     def load(cls, path: str) -> "Measure1D":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(_read_json(path, ("grid", "potential")))
 
 
 def is_symmetric(mu: Measure1D, tol: float = 1e-9) -> bool:
@@ -585,8 +599,7 @@ class DiscreteSpace:
 
     @classmethod
     def load(cls, path: str) -> "DiscreteSpace":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = _read_json(path, ("dist", "weights"))
         return build_discrete_space(np.asarray(data["dist"], dtype=float),
                                     np.asarray(data["weights"], dtype=float))
 

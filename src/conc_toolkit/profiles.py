@@ -58,6 +58,9 @@ __all__ = [
 LOG2 = math.log(2.0)
 _KINDS = ("iso", "conc", "bound-alpha", "bound-gamma")
 _EXACTNESS = ("exact", "half-line-upper-bound", "candidate-lower-bound")
+# worst tails at or below this are weight-sum accumulation noise on an
+# exactly-full extension: both finite-space routes report them as +inf
+_TAIL_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -233,9 +236,7 @@ def _conc_profile_discrete(space: DiscreteSpace, size_cap: int = 22) -> Profile:
             np.bitwise_or(unions[:block], balls[j], out=unions[block : 2 * block])
         ext_mass = wsum[unions[admissible]]
         worst_tail = float(np.max(1.0 - ext_mass))
-        # tails below the weight-sum tolerance are accumulation noise on
-        # an exactly-full extension
-        values[k] = math.inf if worst_tail <= 1e-12 else -math.log(worst_tail)
+        values[k] = math.inf if worst_tail <= _TAIL_FLOOR else -math.log(worst_tail)
     return Profile(kind="conc", inputs=bps, values=values,
                    exactness="exact", step=True)
 
@@ -270,7 +271,7 @@ def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int,
         for keep in subsets:
             ext = within[keep].any(axis=0)
             worst = max(worst, 1.0 - w[ext].sum())
-        values[k] = math.inf if worst <= 0.0 else -math.log(worst)
+        values[k] = math.inf if worst <= _TAIL_FLOOR else -math.log(worst)
     return Profile(kind="conc", inputs=bps, values=values,
                    exactness="candidate-lower-bound", step=True)
 
@@ -500,7 +501,7 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
         ratios = profile.values[mask] / ref_vals[mask]
         k = int(np.argmin(ratios))
         return ConstantEntry(
-            constant_id=constant_id or f"D_Iso_{p:g}" if p else "D_Iso",
+            constant_id=constant_id or (f"D_Iso_{p:g}" if p else "D_Iso"),
             value=float(ratios[k]),
             direction="upper",
             method=f"grid infimum of profile/reference ({quality})",

@@ -9,15 +9,18 @@ universal constants).
 
 Suites are deterministic given a seed: per-instance generators are spawned
 from a single seed sequence, so reports are byte-identical across runs and
-independent of the worker count.
+independent of how ``run_suites`` spreads the suites over worker processes
+(up to min(jobs, CPU count, number of suites); in-process for one).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 import numpy as np
@@ -183,17 +186,7 @@ def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
 # suite implementations
 # ---------------------------------------------------------------------------
 
-def _map_instances(fn: Callable[[int], dict], trials: int, jobs: int,
-                   ) -> list[dict]:
-    """Run per-instance work, optionally on a thread pool; results are
-    merged by instance index so the report is scheduling-independent."""
-    if jobs <= 1:
-        return [fn(i) for i in range(trials)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, range(trials)))
-
-
-def _suite_going_down_exact(config, seed, jobs=1):
+def _suite_going_down_exact(config, seed):
     trials = config["trials"]
     n_max = config["n_max"]
     seeds = np.random.SeedSequence(seed).spawn(trials)
@@ -222,13 +215,13 @@ def _suite_going_down_exact(config, seed, jobs=1):
         return {"n": n, "cap": cap, "r1": r1, "violations": bad,
                 "worst_margin": None if math.isinf(worst) else worst}
 
-    instances = _map_instances(one, trials, jobs)
+    instances = [one(i) for i in range(trials)]
     violations = sum(i["violations"] for i in instances)
     summary = {"violations": violations, "trials": trials}
     return instances, summary, violations == 0
 
 
-def _suite_w1_fm_exact(config, seed, jobs=1):
+def _suite_w1_fm_exact(config, seed):
     trials = config["trials"]
     n_max = config["n_max"]
     seeds = np.random.SeedSequence(seed).spawn(trials)
@@ -246,7 +239,7 @@ def _suite_w1_fm_exact(config, seed, jobs=1):
         return {"n": n, "one_over_d_1": inv1, "one_over_d_2": inv2,
                 "w1": w1, "slack": -gap, "violations": int(gap > 1e-9)}
 
-    instances = _map_instances(one, trials, jobs)
+    instances = [one(i) for i in range(trials)]
     violations = sum(i["violations"] for i in instances)
     summary = {"violations": violations, "trials": trials}
     return instances, summary, violations == 0
@@ -695,17 +688,10 @@ _SUITE_FUNCS: dict[str, Callable] = {
 SUITE_IDS = tuple(_SUITE_FUNCS)
 
 
-_INSTANCE_PARALLEL = {"going-down-exact", "w1-fm-exact"}
-
-
 def run_suite(suite_id: str, config: dict[str, Any] | None = None,
-              *, seed: int = 0, jobs: int = 1) -> SuiteReport:
-    """Run one registered suite deterministically for the given seed.
-
-    ``jobs`` parallelizes independent instances where the suite supports
-    it; results are merged by instance index, so reports do not depend on
-    the worker count.
-    """
+              *, seed: int = 0) -> SuiteReport:
+    """Run one registered suite in this process, deterministically for the
+    given seed."""
     if suite_id not in _SUITE_FUNCS:
         raise DomainError(f"unknown suite {suite_id!r}; known: {SUITE_IDS}")
     merged = dict(SUITE_DEFAULTS[suite_id])
@@ -714,23 +700,21 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
         if unknown:
             raise DomainError(f"unknown config keys for {suite_id}: {unknown}")
         merged.update(config)
-    if suite_id in _INSTANCE_PARALLEL:
-        instances, summary, passed = _SUITE_FUNCS[suite_id](merged, seed,
-                                                            jobs=jobs)
-    else:
-        instances, summary, passed = _SUITE_FUNCS[suite_id](merged, seed)
+    instances, summary, passed = _SUITE_FUNCS[suite_id](merged, seed)
     return SuiteReport(suite_id=suite_id, seed=seed, config=merged,
                        instances=instances, summary=summary, passed=passed)
 
 
 def run_suites(suite_ids: list[str], *, seed: int = 0,
                jobs: int = 1) -> list[SuiteReport]:
-    """Run several suites, parallel across suites (and across instances
-    when only one suite is requested); reports merge in input order."""
-    if len(suite_ids) == 1:
-        return [run_suite(suite_ids[0], seed=seed, jobs=jobs)]
-    if jobs <= 1:
+    """Run suites with their default configs in min(jobs, CPU count,
+    number of suites) worker processes, or one after another in this
+    process when that is one; reports come back in input order and are
+    byte-identical for any ``jobs``, as each suite seeds itself."""
+    if jobs < 1:
+        raise DomainError(f"jobs must be a positive integer, got {jobs}")
+    workers = min(jobs, os.cpu_count() or 1, len(suite_ids))
+    if workers <= 1:
         return [run_suite(sid, seed=seed) for sid in suite_ids]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(run_suite, sid, seed=seed) for sid in suite_ids]
-        return [f.result() for f in futures]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(partial(run_suite, seed=seed), suite_ids))

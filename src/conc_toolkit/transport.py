@@ -45,17 +45,36 @@ __all__ = [
 _MAX_LP_POINTS = 400
 
 
-def _solve_lp(c, *, a_eq=None, b_eq=None, a_ub=None, b_ub=None, bounds=None):
-    """HiGHS solve with a presolve-off retry; default tolerances already
-    give vertex-exact solutions (duality gaps ~1e-16 on these problems),
-    while tightened ones make presolve misjudge near-zero marginals."""
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-                  bounds=bounds, method="highs")
-    if not res.success:
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, A_ub=a_ub, b_ub=b_ub,
-                      bounds=bounds, method="highs",
-                      options={"presolve": False})
-    return res
+# presolve misjudges near-zero marginals now and then
+_LP_RETRY = {"presolve": False,
+             "primal_feasibility_tolerance": 1e-10,
+             "dual_feasibility_tolerance": 1e-10}
+
+
+def _solve_lp(c, *, what: str, reject=lambda res: None, **constraints):
+    """HiGHS solve of min c.x under ``constraints`` (linprog keywords).
+    Default options give vertex-exact solutions (duality gaps ~1e-16 here);
+    a failed solve, or one ``reject(res)`` names a reason against, is
+    retried once with ``_LP_RETRY`` before ValidationError."""
+    for options in (None, _LP_RETRY):
+        res = linprog(c, method="highs", options=options, **constraints)
+        problem = reject(res) if res.success else res.message
+        if problem is None:
+            return res
+    raise ValidationError(f"{what} failed: {problem}")
+
+
+def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
+    over the ordered pairs i != j."""
+    ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
+    m = ii.size
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([np.ones(m), -np.ones(m)]),
+         (np.concatenate([np.arange(m), np.arange(m)]),
+          np.concatenate([ii, jj]))),
+        shape=(m, space.n))
+    return a_ub, space.dist[ii, jj]
 
 
 # ---------------------------------------------------------------------------
@@ -135,27 +154,23 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
     col_sums = sparse.kron(ones.reshape(1, n), eye, format="csr")
     a_eq = sparse.vstack([row_sums, col_sums], format="csr")
     b_eq = np.concatenate([nu, mu])
-    attempts = (None,
-                {"presolve": False,
-                 "primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
-    last = "no attempt succeeded"
-    for opts in attempts:
-        res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-                      method="highs", options=opts)
-        if not res.success:
-            last = res.message
-            continue
+
+    def residual(res) -> float:
         plan = res.x.reshape(n, n)
-        resid = max(np.abs(plan.sum(axis=1) - nu).max(),
-                    np.abs(plan.sum(axis=0) - mu).max())
-        if resid <= 1e-9:
-            rows, cols = np.nonzero(plan > 1e-15)
-            return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
-                                 cost=float(res.fun),
-                                 marginal_residual=float(resid), n=n)
-        last = f"plan violates marginals ({resid:.3g})"
-    raise ValidationError(f"transport LP failed: {last}")
+        return max(np.abs(plan.sum(axis=1) - nu).max(),
+                   np.abs(plan.sum(axis=0) - mu).max())
+
+    def off_marginals(res) -> str | None:
+        resid = residual(res)
+        return f"plan violates marginals ({resid:.3g})" if resid > 1e-9 else None
+
+    res = _solve_lp(c, what="transport LP", reject=off_marginals,
+                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
+    plan = res.x.reshape(n, n)
+    rows, cols = np.nonzero(plan > 1e-15)
+    return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
+                         cost=float(res.fun),
+                         marginal_residual=float(residual(res)), n=n)
 
 
 def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
@@ -166,19 +181,11 @@ def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
     _check_marginals(space, nu, mu)
     n = space.n
     primal = wc_discrete_lp(space, nu, mu).cost
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    m = ii.size
-    a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m)]),
-         (np.concatenate([np.arange(m), np.arange(m)]),
-          np.concatenate([ii, jj]))),
-        shape=(m, n))
-    b_ub = space.dist[ii, jj]
+    a_ub, b_ub = _lipschitz_rows(space)
     bounds = [(None, None)] * n
     bounds[0] = (0.0, 0.0)  # potentials are shift-invariant; pin one
-    res = _solve_lp(mu - nu, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    if not res.success:
-        raise ValidationError(f"dual LP failed: {res.message}")
+    res = _solve_lp(mu - nu, what="dual LP", A_ub=a_ub, b_ub=b_ub,
+                    bounds=bounds)
     return KRDualResult(primal=primal, dual=float(-res.fun), potential=res.x)
 
 
@@ -197,6 +204,20 @@ def _merged_nodes(mu: Measure1D, nu: Measure1D, extra: int = 4096) -> np.ndarray
     return np.unique(np.concatenate((mu.grid, nu.grid, fill)))
 
 
+def _refine_sign_crossings(xs: np.ndarray, evaluate,
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and values of ``evaluate`` on ``xs`` with the linear root of
+    every sign change inserted, so the kinks of |evaluate| land on nodes."""
+    vals = evaluate(xs)
+    cross = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
+    if cross.size:
+        x_c = xs[cross] - vals[cross] * (xs[cross + 1] - xs[cross]) / (
+            vals[cross + 1] - vals[cross])
+        xs = np.unique(np.concatenate((xs, x_c)))
+        vals = evaluate(xs)
+    return xs, vals
+
+
 def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     """W_1 between 1-D measures as the area between their CDFs."""
     if not isinstance(mu, Measure1D) or not isinstance(nu, Measure1D):
@@ -204,15 +225,8 @@ def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     xs = _merged_nodes(mu, nu)
     if xs.size < 2:
         raise ValidationError("incompatible grids: empty merged window")
-    diff = np.asarray(mu.cdf(xs)) - np.asarray(nu.cdf(xs))
-    # refine sign changes so the |.| kinks land on nodes
-    s = diff[:-1] * diff[1:]
-    cross = np.nonzero(s < 0)[0]
-    if cross.size:
-        x_c = xs[cross] - diff[cross] * (xs[cross + 1] - xs[cross]) / (
-            diff[cross + 1] - diff[cross])
-        xs = np.unique(np.concatenate((xs, x_c)))
-        diff = np.asarray(mu.cdf(xs)) - np.asarray(nu.cdf(xs))
+    xs, diff = _refine_sign_crossings(
+        xs, lambda x: np.asarray(mu.cdf(x)) - np.asarray(nu.cdf(x)))
     return float(np.trapezoid(np.abs(diff), xs))
 
 
@@ -296,17 +310,9 @@ def _kl_1d(nu: Measure1D, mu: Measure1D, outside_tol: float = 1e-10) -> float:
 
 
 def _tv_1d(nu: Measure1D, mu: Measure1D) -> float:
-    xs = _merged_nodes(mu, nu)
-    d_nu = np.asarray(nu.density(xs))
-    d_mu = np.asarray(mu.density(xs))
-    diff = d_nu - d_mu
-    s = diff[:-1] * diff[1:]
-    cross = np.nonzero(s < 0)[0]
-    if cross.size:
-        x_c = xs[cross] - diff[cross] * (xs[cross + 1] - xs[cross]) / (
-            diff[cross + 1] - diff[cross])
-        xs = np.unique(np.concatenate((xs, x_c)))
-        diff = np.asarray(nu.density(xs)) - np.asarray(mu.density(xs))
+    xs, diff = _refine_sign_crossings(
+        _merged_nodes(mu, nu),
+        lambda x: np.asarray(nu.density(x)) - np.asarray(mu.density(x)))
     return float(0.5 * np.trapezoid(np.abs(diff), xs))
 
 
@@ -550,9 +556,8 @@ class Psi1Bound:
 
 
 def _lip_constant(space: DiscreteSpace, g: np.ndarray) -> float:
-    n = space.n
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    return float(np.max(np.abs(g[ii] - g[jj]) / space.dist[ii, jj]))
+    a_ub, b_ub = _lipschitz_rows(space)
+    return float(np.max(np.abs(a_ub @ g) / b_ub))
 
 
 def _log_mean_exp(g: np.ndarray, w: np.ndarray) -> float:
@@ -634,6 +639,10 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(k, v.size - 1)])
 
 
+# variable bounds of f_i for the sign pattern entry +1, 0 or -1
+_SIGN_BOUNDS = {1: (0.0, None), 0: (0.0, 0.0), -1: (None, 0.0)}
+
+
 def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]:
     """max over 1-Lipschitz f with a zero median of int |f| dmu, by
     enumeration of sign patterns in {+, 0, -}^n.
@@ -645,15 +654,7 @@ def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]
     """
     n = space.n
     w = space.weights
-    d = space.dist
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    m = ii.size
-    a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m)]),
-         (np.concatenate([np.arange(m), np.arange(m)]),
-          np.concatenate([ii, jj]))),
-        shape=(m, n))
-    b_ub = d[ii, jj]
+    a_ub, b_ub = _lipschitz_rows(space)
     best = 0.0
     best_f = np.zeros(n)
     best_pattern: tuple = tuple([0] * n)
@@ -668,27 +669,16 @@ def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]
             continue
         # a zero is only worth pinning when its mass is needed on both
         # sides; otherwise the pattern that frees it dominates this one
-        zeros = np.nonzero(sig == 0)[0]
-        if zeros.size:
-            dominated = False
-            for z in zeros:
-                if (minus_side - w[z] >= 0.5 - 1e-12
-                        or plus_side - w[z] >= 0.5 - 1e-12):
-                    dominated = True
-                    break
-            if dominated:
-                continue
-        bounds = []
-        for sgn in sig:
-            if sgn > 0:
-                bounds.append((0.0, None))
-            elif sgn < 0:
-                bounds.append((None, 0.0))
-            else:
-                bounds.append((0.0, 0.0))
+        w_zero = w[sig == 0]
+        if np.any((minus_side - w_zero >= 0.5 - 1e-12)
+                  | (plus_side - w_zero >= 0.5 - 1e-12)):
+            continue
+        bounds = [_SIGN_BOUNDS[sgn] for sgn in pattern]
         c = -(sig * w)
-        res = _solve_lp(c, a_ub=a_ub, b_ub=b_ub, bounds=bounds)
-        if not res.success:
+        try:
+            res = _solve_lp(c, what="sign-pattern LP", A_ub=a_ub, b_ub=b_ub,
+                            bounds=bounds)
+        except ValidationError:
             continue
         val = float(-res.fun)
         if val > best:
@@ -708,13 +698,8 @@ def _abs_deviation_1d(mu: Measure1D, nodes: np.ndarray, values: np.ndarray,
     steps = np.diff(dense)
     node_w = np.concatenate(([0.0], 0.5 * steps)) + np.concatenate((0.5 * steps, [0.0]))
     med = weighted_median(f_dense, weights * node_w)
-    g = f_dense - med
-    cross = np.nonzero(g[:-1] * g[1:] < 0)[0]
-    if cross.size:
-        x_c = dense[cross] - g[cross] * (dense[cross + 1] - dense[cross]) / (
-            g[cross + 1] - g[cross])
-        dense = np.unique(np.concatenate((dense, x_c)))
-        g = np.interp(dense, nodes, values) - med
+    dense, g = _refine_sign_crossings(
+        dense, lambda x: np.interp(x, nodes, values) - med)
     mu_r = _resample_1d(mu, dense)
     return mu_r.integrate_nodes(np.abs(g))
 

@@ -122,3 +122,42 @@ def test_plot_round_trip(tmp_path):
     rc = dispatch(["plot", str(csv), "--out", str(svg)])
     assert rc == 0
     assert svg.read_text().startswith("<svg")
+
+
+def _assert_bad_input(capsys, argv):
+    """Bad input exits 2 with one ``error:`` line, not a traceback."""
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_jobs_value_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("CONC_TOOLKIT_JOBS", "abc")
+    _assert_bad_input(capsys, ["verify", "going-down-exact"])
+    monkeypatch.setenv("CONC_TOOLKIT_JOBS", "0")
+    _assert_bad_input(capsys, ["verify", "going-down-exact"])
+    monkeypatch.delenv("CONC_TOOLKIT_JOBS")
+    _assert_bad_input(capsys, ["verify", "going-down-exact", "--jobs", "0"])
+
+
+def test_missing_measure_file_exits_2(tmp_path, capsys):
+    _assert_bad_input(capsys, ["profile", "iso", "--measure",
+                               str(tmp_path / "missing.json"),
+                               "--out", str(tmp_path / "iso.csv")])
+
+
+def test_measure_without_potential_exits_2(tmp_path, capsys):
+    m_path = tmp_path / "m.json"
+    m_path.write_text(json.dumps({"grid": [0.0, 1.0, 2.0]}))
+    _assert_bad_input(capsys, ["profile", "iso", "--measure", str(m_path),
+                               "--out", str(tmp_path / "iso.csv")])
+
+
+def test_derive_translate_without_t_exits_2(tmp_path, capsys):
+    m1 = tmp_path / "m1.json"
+    dispatch(["measure", "build", "--preset", "gamma_p", "--p", "2",
+              "--out", str(m1)])
+    capsys.readouterr()
+    _assert_bad_input(capsys, ["measure", "derive", "--in", str(m1),
+                               "--mode", "translate",
+                               "--out", str(tmp_path / "m2.json")])

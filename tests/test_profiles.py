@@ -25,6 +25,7 @@ from conc_toolkit.profiles import (
     profile_to_csv,
     profile_to_svg,
 )
+from conc_toolkit.suites import _random_space
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +131,18 @@ class TestConcProfileDiscrete:
         sampled = conc_profile(s, exact=False, seed=11)
         finite = np.isfinite(exact.values)
         assert np.all(sampled.values[finite] >= exact.values[finite] - 1e-12)
+
+    def test_sampled_and_exact_share_the_tail_noise_floor(self):
+        # the sampled sets are admissible, so their worst tail never beats
+        # the exact one; a tail the exact route rounds to zero (+inf) must
+        # not come back from the sampled route as a finite ~1e-16 tail
+        for seed in range(16):
+            space = _random_space(np.random.default_rng(seed), 5)
+            exact = conc_profile(space)
+            sampled = conc_profile(space, exact=False, seed=seed)
+            assert np.all(np.exp(-sampled.values)
+                          <= np.exp(-exact.values) + 1e-12)
+            assert np.all(np.isinf(sampled.values[np.isinf(exact.values)]))
 
 
 class TestIsoToConc:
@@ -280,6 +293,13 @@ class TestFitConstant:
         prof = iso_profile_1d(gamma1)
         entry = fit_constant(prof, "p-exp-iso", p=1.0, reference=prof)
         assert entry.value == pytest.approx(1.0, abs=1e-12)
+
+    def test_p_exp_iso_keeps_the_given_id(self):
+        vs = np.geomspace(1e-3, 0.5, 9)
+        prof = Profile(kind="iso", inputs=vs, values=vs)
+        ids = [fit_constant(prof, "p-exp-iso", reference=prof, **kw).constant_id
+               for kw in ({"constant_id": "D_Iso_1"}, {"p": 2.0}, {})]
+        assert ids == ["D_Iso_1", "D_Iso_2", "D_Iso"]
 
     def test_gamma2_ratio_against_sqrt_log(self, gamma2):
         vs = np.geomspace(1e-6, 0.5, 513)

@@ -110,3 +110,39 @@ def test_run_suites_parallel_matches_serial():
     parallel = run_suites(ids, seed=2, jobs=2)
     for a, b in zip(serial, parallel):
         assert a.to_json() == b.to_json()
+
+
+def test_run_suites_worker_count(monkeypatch):
+    """At most one worker process per suite and per CPU; one worker runs
+    in-process without a pool."""
+    from conc_toolkit import suites
+
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ids):
+            return [fn(sid) for sid in ids]
+
+    monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(suites, "run_suite", lambda sid, seed: (sid, seed))
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 8)
+    ids = ["te-equiv-shape", "hierarchy-gamma-p"]
+    assert run_suites(ids, seed=4, jobs=64) == [(sid, 4) for sid in ids]
+    assert asked == [2]
+    monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
+    run_suites(list(SUITE_IDS), jobs=64)
+    assert asked == [2, 3]
+    assert run_suites(ids, seed=4, jobs=1) == [(sid, 4) for sid in ids]
+    assert run_suites(ids[:1], jobs=64) == [(ids[0], 0)]
+    assert asked == [2, 3]
+    with pytest.raises(DomainError, match="jobs"):
+        run_suites(ids, jobs=0)

@@ -102,6 +102,38 @@ class TestDiscreteLP:
         with pytest.raises(ValidationError, match="infeasible"):
             wc_discrete_lp(s, np.array([0.5, 0.6]), np.array([0.5, 0.5]))
 
+    def test_off_marginal_plan_is_retried_then_rejected(self, monkeypatch):
+        from conc_toolkit import transport
+
+        rng = np.random.default_rng(2)
+        s = random_space(rng, 4)
+        nu = random_probability(rng, 4)
+        real = transport.linprog
+        options = []
+
+        def halved_first(c, **kw):
+            # the first attempt returns a plan with half the mass
+            res = real(c, **kw)
+            options.append(kw["options"])
+            if len(options) == 1:
+                res.x = 0.5 * res.x
+            return res
+
+        monkeypatch.setattr(transport, "linprog", halved_first)
+        plan = wc_discrete_lp(s, nu, s.weights)
+        assert options == [None, transport._LP_RETRY]
+        assert plan.marginal_residual <= 1e-9
+        assert plan.cost == pytest.approx(w1_discrete(s, nu, s.weights), abs=1e-12)
+
+        def halved(c, **kw):
+            res = real(c, **kw)
+            res.x = 0.5 * res.x
+            return res
+
+        monkeypatch.setattr(transport, "linprog", halved)
+        with pytest.raises(ValidationError, match="violates marginals"):
+            wc_discrete_lp(s, nu, s.weights)
+
     def test_plan_csv(self, tmp_path):
         s = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                  np.array([0.5, 0.5]))
