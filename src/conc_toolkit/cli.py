@@ -14,8 +14,13 @@ deterministic for a fixed seed and grid (fixed reduction order), so two
 runs with the same flags produce byte-identical artifacts.  verify runs
 its suites in up to min(--jobs, CPU count, number of suites) worker
 processes, in-process for one (CONC_TOOLKIT_JOBS overrides --jobs), and
-writes byte-identical reports for any jobs value.  Bad input exits 2 with
-one "error:" line; exit 1 means only that a suite failed.
+writes byte-identical reports for any jobs value.  Bad input, including a
+file that cannot be read or written, exits 2 with one "error:" line; exit 1
+means only that a suite failed.
+
+Every vectorized evaluator behind these commands keeps one array
+contract: a scalar argument gives a float, an array-like argument an
+array of the same shape.
 """
 
 from __future__ import annotations
@@ -149,7 +154,10 @@ def _cmd_measure(args) -> int:
             raise ToolkitError(f"--mode {args.mode} requires {missing}")
         mu1 = Measure1D.load(args.inp)
         if args.mode == "density-ratio":
-            phi = np.loadtxt(args.phi, delimiter=",")
+            try:
+                phi = np.loadtxt(args.phi, delimiter=",")
+            except (OSError, ValueError) as exc:
+                raise ToolkitError(f"cannot read --phi {args.phi}: {exc}") from None
             mu2 = derive_measure(mu1, "density-ratio", phi=phi, cap=args.cap)
         elif args.mode == "restrict":
             mu2 = derive_measure(mu1, "restrict", a=args.lo, b=args.hi)
@@ -266,6 +274,10 @@ def dispatch(argv: list[str] | None = None) -> int:
             return _cmd_plot(args)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a file named on the command line
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     parser.print_usage()
     return 2

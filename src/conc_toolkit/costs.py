@@ -39,6 +39,13 @@ __all__ = [
 _BRANCH_OFFSET_TOL = 1e-12
 
 
+def _shaped(x: np.ndarray, out) -> float | np.ndarray:
+    """The array contract of every vectorized evaluator: ``out`` as a
+    float for 0-d input ``x``, else as an array of ``x``'s shape."""
+    out = np.asarray(out, dtype=float).reshape(np.shape(x))
+    return float(out) if out.ndim == 0 else out
+
+
 def dual_exponent(p: float) -> float:
     """q = p / (p - 1), with the p = 1 -> q = oo convention."""
     if p < 1.0:
@@ -84,7 +91,7 @@ def phi_p_eval(spec: CostSpec, x):
             0.5 * x * x,
             np.power(np.maximum(x, 1.0), p) / p + 0.5 - 1.0 / p,
         )
-    return float(out) if out.ndim == 0 else out
+    return _shaped(x, out)
 
 
 def phi_star_eval(spec: CostSpec, lam):
@@ -106,7 +113,7 @@ def phi_star_eval(spec: CostSpec, lam):
             0.5 * lam * lam,
             np.power(np.maximum(lam, 1.0), q) / q + 0.5 - 1.0 / q,
         )
-    return float(out) if out.ndim == 0 else out
+    return _shaped(lam, out)
 
 
 def phi_inverse(spec: CostSpec, y):
@@ -124,7 +131,7 @@ def phi_inverse(spec: CostSpec, y):
             np.sqrt(2.0 * y),
             np.power(p * np.maximum(y - 0.5 + 1.0 / p, 0.0), 1.0 / p),
         )
-    return float(out) if out.ndim == 0 else out
+    return _shaped(y, out)
 
 
 def phi_star_inverse(spec: CostSpec, y):
@@ -145,7 +152,7 @@ def phi_star_inverse(spec: CostSpec, y):
             np.sqrt(2.0 * y),
             np.power(q * np.maximum(y - 0.5 + 1.0 / q, 0.0), 1.0 / q),
         )
-    return float(out) if out.ndim == 0 else out
+    return _shaped(y, out)
 
 
 def conjugate_window(spec: CostSpec, lam_max: float) -> float:

@@ -231,7 +231,7 @@ def logsob_constant_1d(mu: Measure1D, *, lam_grid: np.ndarray | None = None,
     lo, hi = mu.support
     centers = mu.quantile(np.linspace(0.1, 0.9, n_bumps))
     width = 0.25 * (hi - lo)
-    for c in np.atleast_1d(centers):
+    for c in centers:
         vals = np.maximum(1.0 - np.abs(mu.grid - c) / width, 0.0) + 1e-3
         r = _generic_ratio(mu, vals)
         if r < best:
@@ -294,7 +294,7 @@ def functional_inequality_eval(mu: Measure1D, f: GridFunction, form: str,
             star = ratio.copy()  # phi_star_1(t) = t
         else:
             p = 1.0 if math.isinf(q) else q / (q - 1.0)
-            star = np.asarray(phi_star_eval(CostSpec(p), ratio))
+            star = phi_star_eval(CostSpec(p), ratio)
         f_sq = f.values**2
         contributions = np.where((weights * f_sq) > 0, star, 0.0)
         if np.any(np.isinf(contributions)):

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
+from scipy.special import logsumexp
 
-from .costs import legendre_numeric
+from .costs import _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, _cell_partial_mass
 from .profiles import LOG2, invert_monotone
@@ -80,14 +81,15 @@ class LaplaceBound:
     def phi_inv_at(self, y: float) -> float:
         return invert_monotone(self.phi_x, self.phi_vals, y)
 
-    def phi_star_at(self, lam) -> np.ndarray:
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        _, out = legendre_numeric(self.phi_x, self.phi_vals, lam)
-        return out if out.size > 1 else float(out[0])
+    def phi_star_at(self, lam) -> float | np.ndarray:
+        lam = np.asarray(lam, dtype=float)
+        _, out = legendre_numeric(self.phi_x, self.phi_vals, lam.ravel())
+        return _shaped(lam, out)
 
-    def rhs_log(self, lam) -> np.ndarray:
+    def rhs_log(self, lam) -> float | np.ndarray:
         """log of the admissible Laplace bound at lam."""
-        return lam * self.eps + self.phi_star_at(lam) + self.delta
+        lam = np.asarray(lam, dtype=float)
+        return _shaped(lam, lam * self.eps + self.phi_star_at(lam) + self.delta)
 
     def to_json_dict(self) -> dict:
         return {"phi_grid": [self.phi_x.tolist(), self.phi_vals.tolist()],
@@ -121,10 +123,11 @@ class ConcBound:
     def phi_inv_at(self, y: float) -> float:
         return invert_monotone(self.phi_x, self.phi_vals, y)
 
-    def alpha_at(self, r) -> np.ndarray:
+    def alpha_at(self, r) -> float | np.ndarray:
         """The concentration lower bound Phi((D' r - z')_+) - delta'."""
-        arg = np.maximum(self.rate * np.asarray(r, dtype=float) - self.offset, 0.0)
-        return self.phi_at(arg) - self.log_slack
+        r = np.asarray(r, dtype=float)
+        arg = np.maximum(self.rate * r - self.offset, 0.0)
+        return _shaped(r, self.phi_at(arg) - self.log_slack)
 
     def with_slack(self, offset_new: float, log_slack_new: float,
                    r_max: float | None = None) -> "ConcBound":
@@ -181,33 +184,26 @@ class ConcBound:
 # log-Laplace transform
 # ---------------------------------------------------------------------------
 
-def _logsumexp(a: np.ndarray) -> float:
-    m = np.max(a)
-    if not math.isfinite(m):
-        return float(m)
-    return float(m + math.log(np.sum(np.exp(a - m))))
-
-
-def log_laplace(mu, f: np.ndarray, lam):
+def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
     """L(lam) = log int exp(lam f) dmu.
 
     ``mu`` is a Measure1D (f = node values; exact for the grid model) or a
     weight vector (f = point values).  lam may be a scalar or array.
     L(0) = 0 identically and L is convex in lam.
     """
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
+    lam = np.asarray(lam, dtype=float)
     f = np.asarray(f, dtype=float)
     if not np.all(np.isfinite(f)):
         raise ValidationError("integrand values must be finite")
     if isinstance(mu, Measure1D):
-        out = np.array([mu.log_mgf_nodes(f, la) for la in lam_arr])
+        out = [mu.log_mgf_nodes(f, la) for la in lam.ravel()]
     else:
         w = np.asarray(mu, dtype=float)
         if w.shape != f.shape:
             raise ValidationError("weights and values must be equal length")
-        logw = np.log(np.maximum(w, 1e-300))
-        out = np.array([_logsumexp(la * f + logw) for la in lam_arr])
-    return out if out.size > 1 else float(out[0])
+        logw = np.log(np.maximum(w, 1e-300)).ravel()
+        out = logsumexp(lam.reshape(-1, 1) * f.ravel() + logw, axis=1)
+    return _shaped(lam, out)
 
 
 @dataclass(frozen=True)

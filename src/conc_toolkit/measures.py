@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from .costs import _shaped
 from .errors import DomainError, ToolkitError, ValidationError
 
 __all__ = [
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 _CONVEXITY_TOL = 1e-9
+# slack of the metric axioms and of the weight sign in a DiscreteSpace
+_SPACE_TOL = 1e-9
 
 
 def _read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
@@ -149,7 +152,8 @@ class Measure1D:
     grid, potential:
         Strictly increasing node positions and potential values.
     log_z:
-        log of the normalization integral of exp(-V).
+        log of the normalization integral of exp(-V).  This and the two
+        certificates below are derived, never init arguments.
     kappa:
         Semi-convexity certificate: max(0, -inf V'') over interior nodes.
     logconcave:
@@ -160,9 +164,9 @@ class Measure1D:
 
     grid: np.ndarray
     potential: np.ndarray
-    log_z: float = field(default=math.nan)
-    kappa: float = field(default=0.0)
-    logconcave: bool = field(default=False)
+    log_z: float = field(init=False)
+    kappa: float = field(init=False)
+    logconcave: bool = field(init=False)
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -188,9 +192,7 @@ class Measure1D:
         if not math.isfinite(z_u) or z_u <= 0.0:
             raise ValidationError("non-integrable potential: mass diverges on grid")
         # z_u = exp(v_shift) * int exp(-V) dx
-        log_z = math.log(z_u) - v_shift
-        if math.isnan(self.log_z):
-            object.__setattr__(self, "log_z", log_z)
+        object.__setattr__(self, "log_z", math.log(z_u) - v_shift)
 
         cell_mass = cell_mass_u / z_u
         cdf_nodes = np.concatenate(([0.0], np.cumsum(cell_mass)))
@@ -204,8 +206,8 @@ class Measure1D:
         object.__setattr__(self, "cdf_nodes", cdf_nodes)
         object.__setattr__(self, "sf_nodes", sf_nodes)
 
-        # Certificates are always derived from the tabulated potential,
-        # never trusted from input or serialized state.
+        # Certificates, like log_z, are always derived from the tabulated
+        # potential, never trusted from input or serialized state.
         second = self.second_differences()
         kappa = float(max(0.0, -second.min())) if second.size else 0.0
         scale = 1.0 + float(np.abs(pot).max())
@@ -248,28 +250,28 @@ class Measure1D:
         idx = np.searchsorted(self.grid, x, side="right") - 1
         return np.clip(idx, 0, self.grid.size - 2)
 
-    def cdf(self, x) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+    def cdf(self, x) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
         i = self._locate(x)
         t = np.clip(x - self.grid[i], 0.0, self._widths[i])
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
         out = self.cdf_nodes[i] + part / self._z_shifted
         out = np.where(x <= self.grid[0], 0.0, np.where(x >= self.grid[-1], 1.0, out))
-        return out if out.size > 1 else float(out[0])
+        return _shaped(x, out)
 
-    def sf(self, x) -> np.ndarray:
+    def sf(self, x) -> float | np.ndarray:
         """Survival 1 - F(x), accumulated from the right tail."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         i = self._locate(x)
         t = np.clip(x - self.grid[i], 0.0, self._widths[i])
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
         out = self.sf_nodes[i] - part / self._z_shifted
         out = np.where(x <= self.grid[0], 1.0, np.where(x >= self.grid[-1], 0.0, out))
-        return out if out.size > 1 else float(out[0])
+        return _shaped(x, out)
 
-    def quantile(self, u) -> np.ndarray:
+    def quantile(self, u) -> float | np.ndarray:
         """Left-tail quantile: x with F(x) = u (accurate for small u)."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
+        u = np.asarray(u, dtype=float)
         if np.any((u < 0) | (u > 1)):
             raise DomainError("quantile argument must lie in [0, 1]")
         i = np.clip(np.searchsorted(self.cdf_nodes, u, side="right") - 1, 0, self.grid.size - 2)
@@ -278,11 +280,11 @@ class Measure1D:
         t = _solve_mass_forward(self._shifted_potential[i], self._slopes[i], rem)
         out = self.grid[i] + np.minimum(t, self._widths[i])
         out = np.where(u >= 1.0, self.grid[-1], out)
-        return out if out.size > 1 else float(out[0])
+        return _shaped(u, out)
 
-    def quantile_upper(self, tail) -> np.ndarray:
+    def quantile_upper(self, tail) -> float | np.ndarray:
         """Right-tail quantile: x with 1 - F(x) = tail (accurate for small tail)."""
-        tail = np.atleast_1d(np.asarray(tail, dtype=float))
+        tail = np.asarray(tail, dtype=float)
         if np.any((tail < 0) | (tail > 1)):
             raise DomainError("tail mass must lie in [0, 1]")
         # sf_nodes is decreasing; locate cell whose right node has sf <= tail.
@@ -295,10 +297,10 @@ class Measure1D:
         tau = _solve_mass_backward(self._shifted_potential[hi], self._slopes[i], rem)
         out = self.grid[hi] - np.minimum(tau, self._widths[i])
         out = np.where(tail >= 1.0, self.grid[0], out)
-        return out if out.size > 1 else float(out[0])
+        return _shaped(tail, out)
 
     def median(self) -> float:
-        return float(self.quantile(0.5))
+        return self.quantile(0.5)
 
     # -- cell-exact integrals ------------------------------------------------
 
@@ -566,7 +568,12 @@ def check_semi_convexity(mu: Measure1D, kappa: float) -> tuple[bool, float, floa
 
 @dataclass(frozen=True)
 class DiscreteSpace:
-    """Finite metric-measure space: symmetric distance matrix + weights."""
+    """Finite metric-measure space: symmetric distance matrix + weights.
+
+    Construction rejects metric-axiom violations, naming the offending
+    pair or triple, and weights that are negative or do not sum to 1;
+    negative weights within 1e-9 of zero are clipped to 0.
+    """
 
     dist: np.ndarray
     weights: np.ndarray
@@ -574,8 +581,35 @@ class DiscreteSpace:
     def __post_init__(self) -> None:
         d = np.asarray(self.dist, dtype=float)
         w = np.asarray(self.weights, dtype=float)
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise ValidationError("distance matrix must be square")
+        n = d.shape[0]
+        if w.shape != (n,):
+            raise ValidationError("weights length must match the point count")
+        if not np.allclose(d, d.T, atol=_SPACE_TOL, rtol=0.0):
+            raise ValidationError("distance matrix must be symmetric")
+        if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
+            raise ValidationError("dist(i, i) must be 0")
+        off = d + np.eye(n) * 1.0
+        if np.any(off <= 0.0):
+            i, j = np.argwhere(off <= 0)[0]
+            raise ValidationError(f"dist({i}, {j}) must be positive for i != j")
+        if np.any(w < -_SPACE_TOL):
+            i = int(np.argmin(w))
+            raise ValidationError(f"negative weight at point {i}")
+        if abs(w.sum() - 1.0) > 1e-9:
+            raise ValidationError(f"weights sum to {w.sum():.12g}, expected 1")
+        # Triangle inequality d[i,j] <= d[i,k] + d[k,j], one k at a time so
+        # no n^3 temporary is built.
+        for k in range(n):
+            slack = d - (d[:, k][:, None] + d[k, :][None, :])
+            if np.any(slack > _SPACE_TOL):
+                i, j = np.argwhere(slack > _SPACE_TOL)[0]
+                raise ValidationError(
+                    f"triangle inequality violated by triple ({i}, {k}, {j}): "
+                    f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")
         object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", np.maximum(w, 0.0))
 
     @property
     def n(self) -> int:
@@ -600,45 +634,12 @@ class DiscreteSpace:
     @classmethod
     def load(cls, path: str) -> "DiscreteSpace":
         data = _read_json(path, ("dist", "weights"))
-        return build_discrete_space(np.asarray(data["dist"], dtype=float),
-                                    np.asarray(data["weights"], dtype=float))
+        return cls(dist=data["dist"], weights=data["weights"])
 
 
-def build_discrete_space(dist: np.ndarray, weights: np.ndarray,
-                         *, tol: float = 1e-9) -> DiscreteSpace:
-    """Validate and build a finite metric-measure space.
-
-    Rejects metric-axiom violations, naming the offending pair or triple.
-    """
-    d = np.asarray(dist, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValidationError("distance matrix must be square")
-    n = d.shape[0]
-    if w.shape != (n,):
-        raise ValidationError("weights length must match the point count")
-    if not np.allclose(d, d.T, atol=tol, rtol=0.0):
-        raise ValidationError("distance matrix must be symmetric")
-    if np.any(np.abs(np.diag(d)) > tol):
-        raise ValidationError("dist(i, i) must be 0")
-    off = d + np.eye(n) * 1.0
-    if np.any(off <= 0.0):
-        i, j = np.argwhere(off <= 0)[0]
-        raise ValidationError(f"dist({i}, {j}) must be positive for i != j")
-    if np.any(w < -tol):
-        i = int(np.argmin(w))
-        raise ValidationError(f"negative weight at point {i}")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"weights sum to {w.sum():.12g}, expected 1")
-    # Triangle inequality: d[i,j] <= d[i,k] + d[k,j] for all triples.
-    for k in range(n):
-        slack = d - (d[:, k][:, None] + d[k, :][None, :])
-        if np.any(slack > tol):
-            i, j = np.argwhere(slack > tol)[0]
-            raise ValidationError(
-                f"triangle inequality violated by triple ({i}, {k}, {j}): "
-                f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")
-    return DiscreteSpace(dist=d, weights=np.maximum(w, 0.0))
+def build_discrete_space(dist: np.ndarray, weights: np.ndarray) -> DiscreteSpace:
+    """A finite metric-measure space; DiscreteSpace validates it."""
+    return DiscreteSpace(dist=dist, weights=weights)
 
 
 def atomize_1d(mu: Measure1D, m: int) -> tuple[np.ndarray, np.ndarray]:

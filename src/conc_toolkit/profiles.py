@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import _shaped
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, is_symmetric
 from .reports import ConstantEntry
@@ -98,17 +99,17 @@ class Profile:
 
     # -- evaluation ----------------------------------------------------------
 
-    def at(self, x) -> np.ndarray:
+    def at(self, x) -> float | np.ndarray:
         """Evaluate the profile at x (linear interpolation, or step lookup
         for step profiles: value on the interval (d_{k-1}, d_k] containing x)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
         if self.step:
             idx = np.searchsorted(self.inputs, x, side="left")
             out = np.where(idx >= self.inputs.size, np.inf,
                            self.values[np.minimum(idx, self.inputs.size - 1)])
         else:
             out = np.interp(x, self.inputs, self.values)
-        return out if out.size > 1 else float(out[0])
+        return _shaped(x, out)
 
     def inverse_at(self, y) -> float:
         """Leftmost input where the (nondecreasing) profile reaches y."""
@@ -164,7 +165,7 @@ def iso_profile_1d(mu: Measure1D, v_grid: np.ndarray | None = None) -> Profile:
     x_right = mu.quantile_upper(vs)
     vals = np.minimum(mu.density(x_left), mu.density(x_right))
     exact = "exact" if mu.logconcave else "half-line-upper-bound"
-    return Profile(kind="iso", inputs=vs, values=np.asarray(vals), exactness=exact)
+    return Profile(kind="iso", inputs=vs, values=vals, exactness=exact)
 
 
 def _conc_profile_1d(mu: Measure1D, r_grid: np.ndarray | None,
@@ -255,22 +256,18 @@ def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int,
         keep = rng.random(n) < rng.uniform(0.3, 1.0)
         if w[keep].sum() >= 0.5:
             subsets.append(keep)
+    # plus the heaviest points, taken until their mass reaches 1/2
     order = np.argsort(w)[::-1]
     greedy = np.zeros(n, dtype=bool)
-    acc = 0.0
-    for i in order:
-        greedy[i] = True
-        acc += w[i]
-        if acc >= 0.5:
-            break
+    greedy[order[:np.searchsorted(np.cumsum(w[order]), 0.5) + 1]] = True
     subsets.append(greedy)
+    members = np.array(subsets, dtype=float)
     values = np.empty(bps.size)
     for k, rad in enumerate(radii):
-        within = d <= rad * (1 + 1e-12) + 1e-15
-        worst = 0.0
-        for keep in subsets:
-            ext = within[keep].any(axis=0)
-            worst = max(worst, 1.0 - w[ext].sum())
+        within = (d <= rad * (1 + 1e-12) + 1e-15).astype(float)
+        # a point is in A_r when the ball of some member holds it
+        ext = (members @ within > 0.0).astype(float)
+        worst = max(0.0, float(np.max(1.0 - ext @ w)))
         values[k] = math.inf if worst <= _TAIL_FLOOR else -math.log(worst)
     return Profile(kind="conc", inputs=bps, values=values,
                    exactness="candidate-lower-bound", step=True)
@@ -325,7 +322,6 @@ def _cumulative_reciprocal(gamma: Profile, hi: float) -> tuple[np.ndarray, np.nd
         raise DomainError("gamma table does not reach the requested endpoint")
     grid = _refined_window(gamma.inputs, LOG2, min(hi, float(gamma.inputs[-1])))
     g = gamma.at(grid)
-    g = np.atleast_1d(g)
     if np.any(g <= 0.0):
         bad = grid[np.argmax(g <= 0.0)]
         raise DomainError(f"gamma hits zero in the window at x = {bad:.6g}")
@@ -496,7 +492,7 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
     if template == "p-exp-iso":
         if reference is None:
             raise DomainError("p-exp-iso template requires a reference profile")
-        ref_vals = np.atleast_1d(reference.at(profile.inputs))
+        ref_vals = reference.at(profile.inputs)
         mask = ref_vals > 0
         ratios = profile.values[mask] / ref_vals[mask]
         k = int(np.argmin(ratios))
@@ -512,7 +508,7 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
     if template == "ratio":
         if reference is None:
             raise DomainError("ratio template requires a reference profile")
-        ref_vals = np.atleast_1d(reference.at(profile.inputs))
+        ref_vals = reference.at(profile.inputs)
         mask = (ref_vals > 0) & np.isfinite(profile.values)
         ratios = profile.values[mask] / ref_vals[mask]
         kmin, kmax = int(np.argmin(ratios)), int(np.argmax(ratios))
@@ -546,12 +542,16 @@ def profile_from_csv(path: str, kind: str = "conc", step: bool = False) -> Profi
         header = fh.readline()
         if not header.startswith("input"):
             raise ValidationError("not a profile CSV (missing header)")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) < 2:
                 continue
-            xs.append(float(parts[0]))
-            vs.append(float(parts[1]))
+            try:
+                xs.append(float(parts[0]))
+                vs.append(float(parts[1]))
+            except ValueError:
+                raise ValidationError(
+                    f"{path}: line {lineno} is not a numeric row") from None
             if len(parts) > 2:
                 exactness = parts[2]
     return Profile(kind=kind, inputs=np.asarray(xs), values=np.asarray(vs),

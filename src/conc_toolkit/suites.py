@@ -50,6 +50,7 @@ from .profiles import (
     conc_profile,
     conc_to_iso_form,
     fit_constant,
+    invert_monotone,
     iso_profile_1d,
     iso_stability_transform,
 )
@@ -123,11 +124,6 @@ def _density_ratio_pair(rng: np.random.Generator, n: int,
     with np.errstate(divide="ignore"):
         cap = float(np.max(np.log(mu2 / space.weights)))
     return space, mu2, cap
-
-
-def _step_value_at(profile: Profile, r: float) -> float:
-    """Left-continuous step evaluation (value on the interval containing r)."""
-    return float(np.atleast_1d(profile.at(r))[0])
 
 
 def _gamma_shape_of(mu: Measure1D, v_min: float = 1e-7, n: int = 6145) -> Profile:
@@ -205,8 +201,8 @@ def _suite_going_down_exact(config, seed):
         worst = math.inf
         bad = 0
         for r in rs:
-            lhs = _step_value_at(k2, r + r1)
-            rhs = _step_value_at(k1, r) - cap
+            lhs = k2.at(r + r1)
+            rhs = k1.at(r) - cap
             margin = lhs - rhs
             if margin < -1e-9:
                 bad += 1
@@ -312,14 +308,13 @@ def _suite_iso_stability_shape(config, seed):
             # theorem gate against the perturbed measure's exact profile
             iso2 = iso_profile_1d(mu2, v_fit)
             xs = np.log(1.0 / v_fit)
-            shape = np.minimum(v_fit * np.atleast_1d(gamma2.at(xs)),
-                               0.25 * float(gamma2.at(math.log(4.0))))
+            shape = np.minimum(v_fit * gamma2.at(xs),
+                               0.25 * gamma2.at(math.log(4.0)))
             c_fit = float(np.min(iso2.values / shape))
             fits.append(c_fit)
             # dependence check from the transform itself
             common = gamma2.inputs[(gamma2.inputs > LOG2 + 0.05)]
-            c_dep = float(np.min(np.atleast_1d(gamma2.at(common))
-                                 / np.atleast_1d(gamma1.at(common))))
+            c_dep = float(np.min(gamma2.at(common) / gamma1.at(common)))
             shape_degradation.append((cap, c_dep))
             instances.append({"p": p, "cap": cap, "c_shape_fit": c_fit,
                               "c_dependence": c_dep,
@@ -349,15 +344,14 @@ def _suite_logsob_stability(config, seed):
         _, cb = herbst_laplace(rho1)
         rs = np.linspace(0.0, cb.phi_x[-1] / cb.rate * 0.9, 2049)
         alpha1 = Profile(kind="bound-alpha", inputs=rs,
-                         values=np.maximum(np.atleast_1d(cb.alpha_at(rs)), 0.0))
+                         values=np.maximum(cb.alpha_at(rs), 0.0))
         alpha2 = conc_going_down(alpha1, cap)
         gamma2, feasible = conc_to_iso_form(alpha2)
         rho2 = logsob_constant_1d(mu2).value
         c_fit = rho2 * (1.0 + cap) / rho1
         shape_ref = math.sqrt(rho1 / (1.0 + cap))
         xs = gamma2.inputs[(gamma2.inputs > 2.0) & (gamma2.inputs < 12.0)]
-        shape_ratio = float(np.min(np.atleast_1d(gamma2.at(xs))
-                                   / (shape_ref * np.sqrt(xs))))
+        shape_ratio = float(np.min(gamma2.at(xs) / (shape_ref * np.sqrt(xs))))
         fits.append(c_fit)
         instances.append({"kind": "tilt", "cap": cap, "rho2_upper": rho2,
                           "c_fit": c_fit, "chain_feasible": feasible,
@@ -514,7 +508,7 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
     delta = float(rng.uniform(0.0, 0.7))
     base = LaplaceBound(phi_x=xs, phi_vals=phi_vals, rate=1.0, eps=eps,
                         delta=delta)
-    rhs = np.atleast_1d(base.rhs_log(lam_grid))
+    rhs = base.rhs_log(lam_grid)
 
     def sup_vals(d: float) -> np.ndarray:
         out, _, _ = laplace_sup_discrete(space, mu, lam_grid * d,
@@ -553,8 +547,6 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
                 slope = (phi_vals[-1] - phi_vals[-2]) / (xs[-1] - xs[-2])
                 phi_inv_cache[key] = xs[-1] + (y - phi_vals[-1]) / slope
             else:
-                from .profiles import invert_monotone
-
                 phi_inv_cache[key] = invert_monotone(xs, phi_vals, y)
         return phi_inv_cache[key]
 
@@ -605,7 +597,7 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
     if lam_extra.size:
         sup_x, _, arg_x = laplace_sup_discrete(space, mu, lam_extra * rate,
                                                vertices=verts)
-        rhs_x = np.atleast_1d(base.rhs_log(lam_extra))
+        rhs_x = base.rhs_log(lam_extra)
         laplace_margin = max(laplace_margin, float(np.max(sup_x - rhs_x)))
         for k in np.nonzero(sup_x > rhs_x)[0]:
             nu = gibbs_tilt_discrete(mu, arg_x[k], lam_extra[k] * rate)

@@ -19,10 +19,11 @@ from itertools import product
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .measures import DiscreteSpace, Measure1D
+from .measures import DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
 
 __all__ = [
@@ -226,7 +227,7 @@ def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     if xs.size < 2:
         raise ValidationError("incompatible grids: empty merged window")
     xs, diff = _refine_sign_crossings(
-        xs, lambda x: np.asarray(mu.cdf(x)) - np.asarray(nu.cdf(x)))
+        xs, lambda x: mu.cdf(x) - nu.cdf(x))
     return float(np.trapezoid(np.abs(diff), xs))
 
 
@@ -312,7 +313,7 @@ def _kl_1d(nu: Measure1D, mu: Measure1D, outside_tol: float = 1e-10) -> float:
 def _tv_1d(nu: Measure1D, mu: Measure1D) -> float:
     xs, diff = _refine_sign_crossings(
         _merged_nodes(mu, nu),
-        lambda x: np.asarray(nu.density(x)) - np.asarray(mu.density(x)))
+        lambda x: nu.density(x) - mu.density(x))
     return float(0.5 * np.trapezoid(np.abs(diff), xs))
 
 
@@ -398,8 +399,6 @@ def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
 
 
 def witnesses_1d(mu: Measure1D) -> list[Measure1D]:
-    from .measures import derive_measure
-
     out: list[Measure1D] = []
     for t in (0.25, 0.5, 1.0, 2.0):
         out.append(derive_measure(mu, "translate", t=t))
@@ -502,12 +501,8 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
     best_w = None
     used = 0
     for idx, nu in enumerate(family):
-        if isinstance(source, DiscreteSpace):
-            w1 = _w1_of(source, base, nu)
-            h = _h_of(source, base, nu)
-        else:
-            w1 = _w1_of(source, source, nu)
-            h = _h_of(source, source, nu)
+        w1 = _w1_of(source, base, nu)
+        h = _h_of(source, base, nu)
         if w1 <= 1e-12 or not math.isfinite(h):
             continue
         used += 1
@@ -518,15 +513,12 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
         elif mode == "TE(s,p)":
             if s is None:
                 raise DomainError("TE(s,p) requires s")
-            w_s = _ws_of(source, base if isinstance(source, DiscreteSpace) else source,
-                         nu, s)
+            w_s = _ws_of(source, base, nu, s)
             if w_s <= 1e-12:
                 continue
             val = h ** (1.0 / p) / w_s
         elif mode == "TE(phi_p,1)":
-            val = _largest_scale_bisect(
-                source, base if isinstance(source, DiscreteSpace) else source,
-                nu, spec, h)
+            val = _largest_scale_bisect(source, base, nu, spec, h)
         else:
             raise DomainError(f"unknown TE mode {mode!r}")
         if val < best:
@@ -560,16 +552,11 @@ def _lip_constant(space: DiscreteSpace, g: np.ndarray) -> float:
     return float(np.max(np.abs(a_ub @ g) / b_ub))
 
 
-def _log_mean_exp(g: np.ndarray, w: np.ndarray) -> float:
-    m = g.max()
-    return float(m + math.log(np.dot(w, np.exp(g - m))))
-
-
 def _psi1_value(space: DiscreteSpace, nu, mu, g: np.ndarray) -> float:
     lip = _lip_constant(space, g)
     if lip <= 1e-14:
         return 0.0
-    return abs(_log_mean_exp(g, nu) - _log_mean_exp(g, mu)) / lip
+    return float(abs(logsumexp(g, b=nu) - logsumexp(g, b=mu)) / lip)
 
 
 def psi1_metric_bound(space: DiscreteSpace, nu, mu,
@@ -694,7 +681,7 @@ def _abs_deviation_1d(mu: Measure1D, nodes: np.ndarray, values: np.ndarray,
     f_dense = np.interp(dense, nodes, values)
     # grid estimate of the median of f; the integral is flat to first
     # order in the median, so grid accuracy suffices
-    weights = np.asarray(mu.density(dense))
+    weights = mu.density(dense)
     steps = np.diff(dense)
     node_w = np.concatenate(([0.0], 0.5 * steps)) + np.concatenate((0.5 * steps, [0.0]))
     med = weighted_median(f_dense, weights * node_w)

@@ -189,7 +189,7 @@ def test_criterion_11_transformed_shape_closed_form():
                 xs = gamma2.inputs[gamma2.inputs >= LOG2 + 0.05]
                 closed = (c / p) * xs / ((xs + cap) ** (1.0 / p)
                                          - LOG2 ** (1.0 / p))
-                err = float(np.max(np.abs(np.atleast_1d(gamma2.at(xs)) - closed)))
+                err = float(np.max(np.abs(gamma2.at(xs) - closed)))
                 worst = max(worst, err)
     _report("criterion 11 (transformed shape vs closed form, (p,D,c) grid)",
             worst <= 1e-6, f"worst={worst:.2e}")
@@ -200,7 +200,7 @@ def test_criterion_12_conc_laplace_round_trip():
     lb = conc_to_laplace(cb, tau=0.5)
     g2 = build_measure_1d(preset="gamma_p", p=2.0, n_points=8192)
     lams = np.linspace(0.0, 4.0, 33)
-    rhs = np.atleast_1d(lb.rhs_log(lams))
+    rhs = lb.rhs_log(lams)
     violations = 0
     # exact vertex mode on a 7-atom discretization
     pos, w = atomize_1d(g2, 7)

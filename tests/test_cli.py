@@ -161,3 +161,44 @@ def test_derive_translate_without_t_exits_2(tmp_path, capsys):
     _assert_bad_input(capsys, ["measure", "derive", "--in", str(m1),
                                "--mode", "translate",
                                "--out", str(tmp_path / "m2.json")])
+
+
+def test_plot_missing_csv_exits_2(tmp_path, capsys):
+    _assert_bad_input(capsys, ["plot", str(tmp_path / "missing.csv"),
+                               "--out", str(tmp_path / "x.svg")])
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    _assert_bad_input(capsys, ["profile", "iso", "--preset", "gamma_p",
+                               "--p", "1", "--grid-points", "65",
+                               "--out", str(tmp_path / "nodir" / "x.csv")])
+
+
+def _density_ratio_args(tmp_path, phi_path):
+    m1 = tmp_path / "m1.json"
+    dispatch(["measure", "build", "--preset", "gamma_p", "--p", "2",
+              "--grid-points", "65", "--out", str(m1)])
+    return ["measure", "derive", "--in", str(m1), "--mode", "density-ratio",
+            "--phi", str(phi_path), "--cap", "1",
+            "--out", str(tmp_path / "m2.json")]
+
+
+def test_derive_missing_phi_file_exits_2(tmp_path, capsys):
+    args = _density_ratio_args(tmp_path, tmp_path / "nofile.csv")
+    capsys.readouterr()
+    _assert_bad_input(capsys, args)
+
+
+def test_derive_non_numeric_phi_exits_2(tmp_path, capsys):
+    phi = tmp_path / "phi.csv"
+    phi.write_text("a,b\n")
+    args = _density_ratio_args(tmp_path, phi)
+    capsys.readouterr()
+    _assert_bad_input(capsys, args)
+
+
+def test_plot_non_numeric_profile_value_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_text("input,value,exactness\n0.1,0.2,exact\n0.2,abc,exact\n")
+    _assert_bad_input(capsys, ["plot", str(csv_path),
+                               "--out", str(tmp_path / "x.svg")])

@@ -152,7 +152,7 @@ class TestHerbst:
         _, cb = herbst_laplace(0.5)
         rs = np.array([0.5, 2.0, 4.0])
         expected = 0.5 * np.maximum(rs - math.sqrt(2 * LOG2), 0.0) ** 2
-        np.testing.assert_allclose(np.atleast_1d(cb.alpha_at(rs)), expected,
+        np.testing.assert_allclose(cb.alpha_at(rs), expected,
                                    atol=1e-6)
 
     def test_boundary_zero(self):
@@ -162,7 +162,7 @@ class TestHerbst:
     def test_laplace_side_is_quadratic(self):
         lb, _ = herbst_laplace(0.5)
         lam = np.array([0.3, 1.0, 2.5])
-        np.testing.assert_allclose(np.atleast_1d(lb.phi_star_at(lam)),
+        np.testing.assert_allclose(lb.phi_star_at(lam),
                                    lam**2 / (4 * 0.5), rtol=1e-5)
 
 
@@ -224,7 +224,7 @@ class TestRoundTrip:
         lams = np.linspace(0.0, 4.0, 17)
         sup_vals, flag, _ = laplace_sup_discrete(space, w, lams * lb.rate)
         assert flag == "exact"
-        rhs = np.atleast_1d(lb.rhs_log(lams))
+        rhs = lb.rhs_log(lams)
         assert np.all(sup_vals <= rhs + 1e-9)
 
     def test_exponential_family_round_trip(self):
@@ -240,7 +240,7 @@ class TestRoundTrip:
         lams = np.linspace(0.0, 3.0, 13)
         sup_vals, flag, _ = laplace_sup_discrete(space, w, lams * lb.rate)
         assert flag == "exact"
-        rhs = np.atleast_1d(lb.rhs_log(lams))
+        rhs = lb.rhs_log(lams)
         assert np.all(sup_vals <= rhs + 1e-9)
 
     def test_log_mgf_of_kr_potential_is_subquadratic(self):
@@ -269,6 +269,6 @@ class TestRoundTrip:
         cb2 = cb.with_slack(0.5, 0.25)
         assert 0 < cb2.rate <= 1.0
         rs = np.linspace(0, 20, 301)
-        old = np.maximum(np.atleast_1d(cb.alpha_at(rs)), LOG2)
-        new = np.atleast_1d(cb2.alpha_at(rs))
+        old = np.maximum(cb.alpha_at(rs), LOG2)
+        new = cb2.alpha_at(rs)
         assert np.all(new <= old + 1e-9)

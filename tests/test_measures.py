@@ -5,6 +5,8 @@ import pytest
 
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
+    DiscreteSpace,
+    Measure1D,
     atomize_1d,
     build_discrete_space,
     build_measure_1d,
@@ -28,6 +30,18 @@ def gamma2():
 def test_gamma1_normalization_closed_form(gamma1):
     # int exp(-|x|) dx = 2
     assert gamma1.log_z == pytest.approx(math.log(2.0), abs=1e-12)
+
+
+def test_normalizer_and_certificates_are_derived(gamma2):
+    for name in ("log_z", "kappa", "logconcave"):
+        with pytest.raises(TypeError):
+            Measure1D(gamma2.grid, gamma2.potential, **{name: 0.0})
+    # the density of the stored normalizer integrates to 1, as cdf says
+    mu = Measure1D(gamma2.grid, gamma2.potential)
+    assert mu.log_z == gamma2.log_z
+    assert mu.integrate_nodes(np.ones(mu.grid.size)) == pytest.approx(1.0, abs=1e-12)
+    total = np.trapezoid(mu.density(mu.grid), mu.grid)
+    assert total == pytest.approx(mu.cdf(mu.grid[-1]), rel=1e-5)
 
 
 def test_gamma2_normalization_closed_form(gamma2):
@@ -204,6 +218,14 @@ class TestDiscreteSpace:
         d = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValidationError, match="sum"):
             build_discrete_space(d, np.array([0.7, 0.5]))
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValidationError, match="symmetric"):
+            DiscreteSpace(dist=[[0.0, 1.0], [3.0, 0.0]], weights=[0.5, 0.5])
+        with pytest.raises(ValidationError, match="sum"):
+            DiscreteSpace(dist=[[0.0, 1.0], [1.0, 0.0]], weights=[0.9, 0.9])
+        s = DiscreteSpace(dist=[[0.0, 1.0], [1.0, 0.0]], weights=[1.0 + 1e-10, -1e-10])
+        assert s.weights.tolist() == [1.0 + 1e-10, 0.0]
 
 
 def test_atomize_preserves_mean(gamma2):

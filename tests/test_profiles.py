@@ -145,6 +145,35 @@ class TestConcProfileDiscrete:
             assert np.all(np.isinf(sampled.values[np.isinf(exact.values)]))
 
 
+    # (value, run length) of conc_profile(_random_space(rng(s), n),
+    # exact=False, seed=s) as computed by the per-subset Python loop the
+    # vectorized sampled route replaced
+    SAMPLED_RUNS = {
+        (1, 5): [(0.7309318322816277, 4), (1.6169908383512215, 5),
+                 (math.inf, 1)],
+        (2, 7): [(0.6946053589865359, 4), (0.8217084833212347, 3),
+                 (0.8506172900497315, 3), (1.3643246969507283, 6),
+                 (math.inf, 5)],
+        (3, 9): [(0.6934479588014729, 1), (0.7032734768912337, 1),
+                 (0.7056483418627136, 2), (0.726833375536208, 5),
+                 (0.8538075858472769, 4), (1.0335197884975917, 5),
+                 (1.5139116897698934, 7), (2.6587169444906418, 6),
+                 (math.inf, 5)],
+    }
+
+    @pytest.mark.parametrize("seed,n", sorted(SAMPLED_RUNS))
+    def test_sampled_route_values_are_unchanged(self, seed, n):
+        space = _random_space(np.random.default_rng(seed), n)
+        prof = conc_profile(space, exact=False, seed=seed)
+        vals, runs = zip(*self.SAMPLED_RUNS[(seed, n)])
+        want = np.repeat(vals, runs)
+        assert prof.values.shape == want.shape
+        assert np.array_equal(np.isinf(prof.values), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(prof.values[finite], want[finite],
+                                   rtol=1e-12, atol=0)
+
+
 class TestIsoToConc:
     def test_constant_gamma(self):
         xs = np.linspace(LOG2, 10.0, 513)
@@ -260,7 +289,7 @@ class TestConcToIsoForm:
         gamma, feasible = conc_to_iso_form(alpha)
         assert feasible
         xs = gamma.inputs[gamma.inputs > 1.0]
-        np.testing.assert_allclose(np.atleast_1d(gamma.at(xs)),
+        np.testing.assert_allclose(gamma.at(xs),
                                    xs / (xs - LOG2), rtol=1e-9)
 
     def test_exponential_alpha(self):
@@ -268,7 +297,7 @@ class TestConcToIsoForm:
         alpha = Profile(kind="bound-alpha", inputs=rs, values=LOG2 * np.exp(rs))
         gamma, _ = conc_to_iso_form(alpha)
         xs = gamma.inputs[gamma.inputs > 1.0]
-        np.testing.assert_allclose(np.atleast_1d(gamma.at(xs)),
+        np.testing.assert_allclose(gamma.at(xs),
                                    xs / np.log(xs / LOG2), rtol=1e-9)
 
     def test_linear_alpha_infeasible_quadratic_growth(self):
