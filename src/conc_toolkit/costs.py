@@ -108,11 +108,10 @@ def phi_star_eval(spec: CostSpec, lam):
     elif math.isinf(q):
         out = np.where(lam <= 1.0, 0.5 * lam * lam, np.inf)
     else:
-        out = np.where(
-            lam <= 1.0,
-            0.5 * lam * lam,
-            np.power(np.maximum(lam, 1.0), q) / q + 0.5 - 1.0 / q,
-        )
+        out = np.array(0.5 * lam * lam)
+        above = lam > 1.0
+        with np.errstate(over="ignore"):  # lam^q overflows to the true +oo
+            out[above] = np.power(lam[above], q) / q + 0.5 - 1.0 / q
     return _shaped(lam, out)
 
 

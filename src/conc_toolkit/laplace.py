@@ -436,13 +436,9 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
         verts = np.asarray(cand)
         flag = "lower"
     logw = np.log(np.maximum(mu, 1e-300))
-    vals = np.empty(lam_arr.size)
-    arg_f = np.empty((lam_arr.size, n))
-    for k, la in enumerate(lam_arr):
-        scores = la * verts + logw[None, :]
-        m = scores.max(axis=1, keepdims=True)
-        ls = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
-        j = int(np.argmax(ls))
-        vals[k] = ls[j]
-        arg_f[k] = verts[j]
-    return vals, flag, arg_f
+    # (lam, vertex, point) scores; max-shifted log-sum-exp over the points
+    scores = lam_arr[:, None, None] * verts[None] + logw
+    m = scores.max(axis=2, keepdims=True)
+    ls = m[..., 0] + np.log(np.exp(scores - m).sum(axis=2))
+    j = np.argmax(ls, axis=1)
+    return ls[np.arange(lam_arr.size), j], flag, verts[j]

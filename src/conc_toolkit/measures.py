@@ -61,6 +61,14 @@ def _read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
     return data
 
 
+def _float_array(value, field_name: str) -> np.ndarray:
+    """``value`` as a float array, or ValidationError naming the field."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field_name} must hold numbers only ({exc})") from None
+
+
 # ---------------------------------------------------------------------------
 # exp-of-linear cell primitives
 # ---------------------------------------------------------------------------
@@ -170,8 +178,8 @@ class Measure1D:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        pot = np.asarray(self.potential, dtype=float)
+        grid = _float_array(self.grid, "grid")
+        pot = _float_array(self.potential, "potential")
         if grid.ndim != 1 or grid.size < 3:
             raise ValidationError("grid must be 1-D with at least 3 points")
         if pot.shape != grid.shape:
@@ -398,11 +406,8 @@ class Measure1D:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "Measure1D":
-        return cls(
-            grid=np.asarray(data["grid"], dtype=float),
-            potential=np.asarray(data["potential"], dtype=float),
-            provenance=dict(data.get("provenance", {})),
-        )
+        return cls(grid=data["grid"], potential=data["potential"],
+                   provenance=dict(data.get("provenance", {})))
 
     @classmethod
     def load(cls, path: str) -> "Measure1D":
@@ -579,8 +584,8 @@ class DiscreteSpace:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.dist, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        d = _float_array(self.dist, "dist")
+        w = _float_array(self.weights, "weights")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
         n = d.shape[0]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "TransportPlan",
     "KRDualResult",
     "wc_discrete_lp",
+    "transport_costs",
     "kr_dual",
     "w1_discrete",
     "w1_1d",
@@ -116,62 +118,93 @@ class KRDualResult:
         return abs(self.primal - self.dual)
 
 
-def _check_marginals(space: DiscreteSpace, nu: np.ndarray, mu: np.ndarray) -> None:
+def _check_marginals(space: DiscreteSpace, nus: np.ndarray, mu: np.ndarray) -> None:
+    """``nus`` is one length-n weight vector per row, each to be coupled
+    with ``mu``."""
     n = space.n
-    if nu.shape != (n,) or mu.shape != (n,):
+    if nus.ndim != 2 or nus.shape[1:] != (n,) or mu.shape != (n,):
         raise ValidationError("marginals must be length-n vectors on the space")
-    if np.any(nu < -1e-12) or np.any(mu < -1e-12):
+    if np.any(nus < -1e-12) or np.any(mu < -1e-12):
         raise ValidationError("marginals must be nonnegative")
-    if abs(nu.sum() - mu.sum()) > 1e-9:
+    gaps = np.abs(nus.sum(axis=1) - mu.sum())
+    if np.any(gaps > 1e-9):
+        k = int(np.argmax(gaps))
         raise ValidationError(
-            f"infeasible marginals: sums differ ({nu.sum():.12g} vs {mu.sum():.12g})")
+            f"infeasible marginals: sums differ ({nus[k].sum():.12g} vs {mu.sum():.12g})")
 
 
 def _clean_marginal(w: np.ndarray) -> np.ndarray:
     """Zero out sub-1e-12 entries (they destabilize the LP presolve) and
-    renormalize; the induced cost perturbation is far below the 1e-9
-    marginal tolerance."""
+    renormalize each row; the induced cost perturbation is far below the
+    1e-9 marginal tolerance."""
     out = np.where(w < 1e-12, 0.0, w)
-    s = out.sum()
-    return out / s if s > 0 else out
+    s = out.sum(axis=-1, keepdims=True)
+    return np.divide(out, s, out=out, where=s > 0)
+
+
+@lru_cache(maxsize=16)
+def _marginal_rows(n: int) -> sparse.csr_matrix:
+    """Row-sum then column-sum rows of an n x n plan flattened row-major."""
+    ones = np.ones((1, n))
+    eye = sparse.eye(n, format="csr")
+    return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)],
+                         format="csr")
+
+
+def _transport_lps(space: DiscreteSpace, nus, mu, costs,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K transportation LPs on one space, coupling ``nus[k]`` with ``mu``
+    under cost matrix ``costs[k]``, solved as one block-diagonal LP: the
+    blocks share no variable, so the joint optimum is optimal in every
+    block.  Returns the plans (K, n, n), their costs <c_k, x_k> and their
+    marginal residuals."""
+    nus = np.asarray(nus, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    _check_marginals(space, nus, mu)
+    n = space.n
+    k = nus.shape[0]
+    if costs.shape != (k, n, n):
+        raise ValidationError("need one n x n cost matrix per marginal")
+    if n > _MAX_LP_POINTS:
+        raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
+    nus = _clean_marginal(nus) * mu.sum()
+    mu = _clean_marginal(mu) * mu.sum()
+    a_eq = sparse.kron(sparse.eye(k), _marginal_rows(n), format="csr")
+    b_eq = np.concatenate([np.concatenate([nu, mu]) for nu in nus])
+
+    def residuals(res) -> np.ndarray:
+        plans = res.x.reshape(k, n, n)
+        return np.maximum(np.abs(plans.sum(axis=2) - nus).max(axis=1),
+                          np.abs(plans.sum(axis=1) - mu).max(axis=1))
+
+    def off_marginals(res) -> str | None:
+        worst = float(residuals(res).max())
+        return f"plan violates marginals ({worst:.3g})" if worst > 1e-9 else None
+
+    res = _solve_lp(costs.ravel(), what="transport LP", reject=off_marginals,
+                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
+    plans = res.x.reshape(k, n, n)
+    return plans, (costs * plans).sum(axis=(1, 2)), residuals(res)
+
+
+def transport_costs(space: DiscreteSpace, nus, mu, costs) -> np.ndarray:
+    """Optimal costs (K,) of coupling each ``nus[k]`` with ``mu`` under
+    cost matrix ``costs[k]``, all K in one LP solve."""
+    return _transport_lps(space, nus, mu, costs)[1]
 
 
 def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
                    ) -> TransportPlan:
     """Exact optimum of the transportation LP for an arbitrary cost matrix
     (defaults to the metric itself, i.e. W_1)."""
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    _check_marginals(space, nu, mu)
-    nu = _clean_marginal(nu) * mu.sum()
-    mu = _clean_marginal(mu) * mu.sum()
-    n = space.n
-    if n > _MAX_LP_POINTS:
-        raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
-    c = (space.dist if cost is None else np.asarray(cost, dtype=float)).ravel()
-    ones = np.ones(n)
-    eye = sparse.eye(n, format="csr")
-    row_sums = sparse.kron(eye, ones.reshape(1, n), format="csr")
-    col_sums = sparse.kron(ones.reshape(1, n), eye, format="csr")
-    a_eq = sparse.vstack([row_sums, col_sums], format="csr")
-    b_eq = np.concatenate([nu, mu])
-
-    def residual(res) -> float:
-        plan = res.x.reshape(n, n)
-        return max(np.abs(plan.sum(axis=1) - nu).max(),
-                   np.abs(plan.sum(axis=0) - mu).max())
-
-    def off_marginals(res) -> str | None:
-        resid = residual(res)
-        return f"plan violates marginals ({resid:.3g})" if resid > 1e-9 else None
-
-    res = _solve_lp(c, what="transport LP", reject=off_marginals,
-                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
-    plan = res.x.reshape(n, n)
+    c = space.dist if cost is None else cost
+    plans, costs, resid = _transport_lps(space, [nu], mu, [c])
+    plan = plans[0]
     rows, cols = np.nonzero(plan > 1e-15)
     return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
-                         cost=float(res.fun),
-                         marginal_residual=float(residual(res)), n=n)
+                         cost=float(costs[0]), marginal_residual=float(resid[0]),
+                         n=space.n)
 
 
 def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
@@ -179,7 +212,6 @@ def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
     int f dnu - int f dmu over potentials with f(i) - f(j) <= d(i, j)."""
     nu = np.asarray(nu, dtype=float)
     mu = np.asarray(mu, dtype=float)
-    _check_marginals(space, nu, mu)
     n = space.n
     primal = wc_discrete_lp(space, nu, mu).cost
     a_ub, b_ub = _lipschitz_rows(space)
@@ -414,10 +446,12 @@ def witnesses_1d(mu: Measure1D) -> list[Measure1D]:
 # transport-entropy constant estimates
 # ---------------------------------------------------------------------------
 
-def _w1_of(source, mu, nu) -> float:
+def _w1_all(source, mu, family) -> np.ndarray:
+    """W_1(nu, mu) for every nu in ``family`` (one LP solve on a finite
+    space)."""
     if isinstance(source, DiscreteSpace):
-        return w1_discrete(source, nu, mu)
-    return w1_1d(mu, nu)
+        return transport_costs(source, family, mu, [source.dist] * len(family))
+    return np.array([w1_1d(mu, nu) for nu in family])
 
 
 def _h_of(source, mu, nu) -> float:
@@ -426,41 +460,54 @@ def _h_of(source, mu, nu) -> float:
     return _kl_1d(nu, mu)
 
 
-def _ws_of(source, mu, nu, s: float) -> float:
+def _ws_all(source, mu, family, s: float) -> np.ndarray:
     if isinstance(source, DiscreteSpace):
         cost = source.dist**s
-        return wc_discrete_lp(source, nu, mu, cost=cost).cost ** (1.0 / s)
-    return ws_1d(mu, nu, s)
+        return transport_costs(source, family, mu, [cost] * len(family)) ** (1.0 / s)
+    return np.array([ws_1d(mu, nu, s) for nu in family])
 
 
-def _wc_phi_of(source, mu, nu, spec: CostSpec, scale: float) -> float:
+def _wc_phi_all(source, mu, family, spec: CostSpec, scales) -> np.ndarray:
+    """W_{phi_p(D_k d)}(nu_k, mu) for every witness nu_k and its scale D_k."""
     if isinstance(source, DiscreteSpace):
-        cost = phi_p_eval(spec, scale * source.dist)
-        return wc_discrete_lp(source, nu, mu, cost=cost).cost
-    return wc_monotone_1d(mu, nu, spec, scale)
+        costs = [phi_p_eval(spec, scale * source.dist) for scale in scales]
+        return transport_costs(source, family, mu, costs)
+    return np.array([wc_monotone_1d(mu, nu, spec, scale)
+                     for nu, scale in zip(family, scales)])
 
 
-def _largest_scale_bisect(source, mu, nu, spec: CostSpec, entropy: float,
-                          tol: float = 1e-4) -> float:
-    """Largest D with W_{phi_p(D d)}(nu, mu) <= H(nu|mu), by bisection.
+def _largest_scales(source, mu, family, spec: CostSpec, entropy: np.ndarray,
+                    tol: float = 1e-4) -> np.ndarray:
+    """Largest D_k with W_{phi_p(D_k d)}(nu_k, mu) <= entropy[k] for every
+    witness nu_k, by bisection on all witnesses at once (one LP solve per
+    step on a finite space); +oo where D = 2^59 is still feasible.
 
-    The cost is nondecreasing in D, so the feasible set is an interval.
+    Each cost is nondecreasing in D, so each feasible set is an interval.
     """
-    hi = 1.0
+    def cost_at(idx: np.ndarray, scales: np.ndarray) -> np.ndarray:
+        return _wc_phi_all(source, mu, [family[i] for i in idx], spec, scales)
+
+    lo = np.zeros(len(family))
+    hi = np.ones(len(family))
+    growing = np.ones(len(family), dtype=bool)  # hi is still feasible
     for _ in range(60):
-        if _wc_phi_of(source, mu, nu, spec, hi) > entropy:
+        idx = np.nonzero(growing)[0]
+        if idx.size == 0:
             break
-        hi *= 2.0
-    else:
-        return math.inf
-    lo = 0.0
-    while hi - lo > tol * (1.0 + hi):
-        mid = 0.5 * (lo + hi)
-        if _wc_phi_of(source, mu, nu, spec, mid) <= entropy:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        over = cost_at(idx, hi[idx]) > entropy[idx]
+        growing[idx[over]] = False
+        hi[idx[~over]] *= 2.0
+    while True:
+        idx = np.nonzero(~growing & (hi - lo > tol * (1.0 + hi)))[0]
+        if idx.size == 0:
+            return np.where(growing, math.inf, lo)
+        mid = 0.5 * (lo[idx] + hi[idx])
+        feasible = cost_at(idx, mid) <= entropy[idx]
+        lo[idx[feasible]] = mid[feasible]
+        hi[idx[~feasible]] = mid[~feasible]
+
+
+_TE_MODES = ("wTE(1,p)", "TE(1,phi_p)", "TE(s,p)", "TE(phi_p,1)")
 
 
 def te_constant_estimate(source, mode: str, *, p: float = 1.0,
@@ -480,7 +527,8 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
     The reported value is the min over the witness family of the
     per-witness admissible constant; the true best constant is an
     infimum over all measures, so this is an upper bound (direction
-    metadata says so).
+    metadata says so).  On a finite space each transport quantity is
+    solved for the whole family in one LP.
     """
     spec = CostSpec(p)
     if isinstance(source, DiscreteSpace):
@@ -496,41 +544,44 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
         raise ValidationError("source must be a DiscreteSpace or Measure1D")
     if not family:
         raise DomainError("witness family is empty")
+    if mode not in _TE_MODES:
+        raise DomainError(f"unknown TE mode {mode!r}")
+    if mode == "TE(s,p)" and s is None:
+        raise DomainError("TE(s,p) requires s")
 
+    w1 = _w1_all(source, base, family).tolist()
+    h = [_h_of(source, base, nu) for nu in family]
+    used = [i for i in range(len(family)) if w1[i] > 1e-12 and math.isfinite(h[i])]
+    if not used:
+        raise DomainError("all witnesses degenerate (W_1 = 0 or H = +oo)")
+    if mode == "TE(s,p)":
+        w_s = _ws_all(source, base, [family[i] for i in used], s)
+    elif mode == "TE(phi_p,1)":
+        scales = _largest_scales(source, base, [family[i] for i in used], spec,
+                                 np.array([h[i] for i in used]))
     best = math.inf
     best_w = None
-    used = 0
-    for idx, nu in enumerate(family):
-        w1 = _w1_of(source, base, nu)
-        h = _h_of(source, base, nu)
-        if w1 <= 1e-12 or not math.isfinite(h):
-            continue
-        used += 1
+    for k, idx in enumerate(used):
         if mode == "wTE(1,p)":
-            val = (h ** (1.0 / p) + 1.0) / w1
+            val = (h[idx] ** (1.0 / p) + 1.0) / w1[idx]
         elif mode == "TE(1,phi_p)":
-            val = phi_inverse(spec, h) / w1
+            val = phi_inverse(spec, h[idx]) / w1[idx]
         elif mode == "TE(s,p)":
-            if s is None:
-                raise DomainError("TE(s,p) requires s")
-            w_s = _ws_of(source, base, nu, s)
-            if w_s <= 1e-12:
+            if w_s[k] <= 1e-12:
                 continue
-            val = h ** (1.0 / p) / w_s
-        elif mode == "TE(phi_p,1)":
-            val = _largest_scale_bisect(source, base, nu, spec, h)
+            val = h[idx] ** (1.0 / p) / w_s[k]
         else:
-            raise DomainError(f"unknown TE mode {mode!r}")
+            val = scales[k]
         if val < best:
             best = val
-            best_w = {"witness_index": idx, "W1": w1, "H": h}
-    if used == 0 or best_w is None:
+            best_w = {"witness_index": idx, "W1": w1[idx], "H": h[idx]}
+    if best_w is None:
         raise DomainError("all witnesses degenerate (W_1 = 0 or H = +oo)")
     return ConstantEntry(
         constant_id=f"D_{mode}",
         value=float(best),
         direction="upper",
-        method=f"min over {used} witness measures of the per-witness "
+        method=f"min over {len(used)} witness measures of the per-witness "
                f"admissible constant for {mode}",
         witnesses=best_w,
     )
@@ -626,51 +677,48 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(k, v.size - 1)])
 
 
-# variable bounds of f_i for the sign pattern entry +1, 0 or -1
-_SIGN_BOUNDS = {1: (0.0, None), 0: (0.0, 0.0), -1: (None, 0.0)}
-
-
-def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]:
-    """max over 1-Lipschitz f with a zero median of int |f| dmu, by
-    enumeration of sign patterns in {+, 0, -}^n.
+def _sign_patterns(w: np.ndarray) -> np.ndarray:
+    """The sign patterns in {+, 0, -}^n worth an LP, in lexicographic order
+    (+ before 0 before -), one per row.
 
     A pattern is admissible when each weak side (its sign plus the zeros)
     carries mass >= 1/2; zeros are pinned to f_i = 0 so an atom's mass can
     serve both sides of the median, which a two-sign merge cannot express.
     The f -> -f symmetry halves the enumeration.
     """
+    sig = np.array(list(product((1, 0, -1), repeat=w.size)))
+    mirrored = sig[np.arange(len(sig)), np.argmax(sig != 0, axis=1)] == -1
+    plus = np.where(sig >= 0, w, 0.0).sum(axis=1, keepdims=True)
+    minus = np.where(sig <= 0, w, 0.0).sum(axis=1, keepdims=True)
+    thr = 0.5 - 1e-12
+    # a zero is only worth pinning when its mass is needed on both sides;
+    # otherwise the pattern that frees it dominates this one
+    dominated = np.any((sig == 0) & ((minus - w >= thr) | (plus - w >= thr)), axis=1)
+    admissible = (plus[:, 0] >= thr) & (minus[:, 0] >= thr)
+    return sig[admissible & ~mirrored & ~dominated]
+
+
+def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]:
+    """max over 1-Lipschitz f with a zero median of int |f| dmu: one LP per
+    sign pattern of ``_sign_patterns``, all solved as one block-diagonal LP;
+    the first pattern attaining the maximum wins."""
     n = space.n
     w = space.weights
+    sig = _sign_patterns(w)
+    k = len(sig)
     a_ub, b_ub = _lipschitz_rows(space)
-    best = 0.0
-    best_f = np.zeros(n)
-    best_pattern: tuple = tuple([0] * n)
-    for pattern in product((1, 0, -1), repeat=n):
-        sig = np.array(pattern)
-        nonzero = sig[sig != 0]
-        if nonzero.size and nonzero[0] == -1:
-            continue  # mirror of an already-enumerated pattern
-        plus_side = w[(sig >= 0)].sum()
-        minus_side = w[(sig <= 0)].sum()
-        if plus_side < 0.5 - 1e-12 or minus_side < 0.5 - 1e-12:
-            continue
-        # a zero is only worth pinning when its mass is needed on both
-        # sides; otherwise the pattern that frees it dominates this one
-        w_zero = w[sig == 0]
-        if np.any((minus_side - w_zero >= 0.5 - 1e-12)
-                  | (plus_side - w_zero >= 0.5 - 1e-12)):
-            continue
-        bounds = [_SIGN_BOUNDS[sgn] for sgn in pattern]
-        c = -(sig * w)
-        try:
-            res = _solve_lp(c, what="sign-pattern LP", A_ub=a_ub, b_ub=b_ub,
-                            bounds=bounds)
-        except ValidationError:
-            continue
-        val = float(-res.fun)
-        if val > best:
-            best, best_f, best_pattern = val, res.x, pattern
-    return best, best_f, best_pattern
+    gain = sig * w
+    bounds = np.stack([np.where(sig < 0, -np.inf, 0.0).ravel(),
+                       np.where(sig > 0, np.inf, 0.0).ravel()], axis=1)
+    res = _solve_lp(-gain.ravel(), what="sign-pattern LP",
+                    A_ub=sparse.kron(sparse.eye(k), a_ub, format="csr"),
+                    b_ub=np.tile(b_ub, k), bounds=bounds)
+    f = res.x.reshape(k, n)
+    vals = (gain * f).sum(axis=1)
+    j = int(np.argmax(vals))
+    if vals[j] > 0.0:
+        return float(vals[j]), f[j], tuple(sig[j].tolist())
+    return 0.0, np.zeros(n), tuple([0] * n)
 
 
 def _abs_deviation_1d(mu: Measure1D, nodes: np.ndarray, values: np.ndarray,

@@ -153,6 +153,15 @@ def test_measure_without_potential_exits_2(tmp_path, capsys):
                                "--out", str(tmp_path / "iso.csv")])
 
 
+def test_measure_with_non_numeric_grid_exits_2(tmp_path, capsys):
+    m_path = tmp_path / "bad.json"
+    m_path.write_text(json.dumps({"grid": ["a", "b", "c"], "potential": [0, 1, 2]}))
+    assert dispatch(["profile", "iso", "--measure", str(m_path),
+                     "--out", str(tmp_path / "iso.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid ") and err.count("\n") == 1
+
+
 def test_derive_translate_without_t_exits_2(tmp_path, capsys):
     m1 = tmp_path / "m1.json"
     dispatch(["measure", "build", "--preset", "gamma_p", "--p", "2",

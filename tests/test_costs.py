@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,16 @@ def test_phi_star_scaling_property(p, big_c, lam):
     if math.isinf(rhs):
         return
     assert lhs <= rhs + 1e-12 * (1.0 + abs(rhs))
+
+
+def test_phi_star_overflow_is_silent():
+    # q = 10001: lam^q overflows to the true +oo, which is no warning matter
+    spec = CostSpec(1.0001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi_star_eval(spec, 2.0) == math.inf
+        out = phi_star_eval(spec, [0.5, 1.0, 2.0])
+    assert out[0] == 0.125 and out[1] == 0.5 and out[2] == math.inf
 
 
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0])

@@ -1,0 +1,154 @@
+"""Batched and skipped LPs against the one-LP-at-a-time routes they replace.
+
+Spaces are drawn like the suites draw them (``suites._random_space``) with
+n <= 6; the LP stays the cross-check oracle on the test side.
+"""
+
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from conc_toolkit import transport
+from conc_toolkit.costs import CostSpec, phi_p_eval
+from conc_toolkit.errors import ValidationError
+from conc_toolkit.laplace import laplace_sup_discrete, mean_zero_lipschitz_vertices
+from conc_toolkit.suites import _random_probability, _random_space
+from conc_toolkit.transport import (
+    first_moment_constant,
+    kr_dual,
+    transport_costs,
+    wc_discrete_lp,
+)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+sizes = st.integers(min_value=2, max_value=6)
+
+
+def _space_and_family(seed, n):
+    """A random space, and witnesses: random measures and point masses."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    family = [_random_probability(rng, n) for _ in range(3)]
+    family += [np.eye(n)[j] for j in range(n)]
+    return rng, space, family
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n=sizes)
+def test_batched_transport_costs_equal_single_lps(seed, n):
+    rng, space, family = _space_and_family(seed, n)
+    scale = float(rng.uniform(0.2, 3.0))
+    cost_mats = [space.dist, space.dist**2.0,
+                 phi_p_eval(CostSpec(1.5), scale * space.dist)]
+    nus = [nu for nu in family for _ in cost_mats]
+    costs = [c for _ in family for c in cost_mats]
+    batched = transport_costs(space, nus, space.weights, costs)
+    single = [wc_discrete_lp(space, nu, space.weights, cost=c).cost
+              for nu, c in zip(nus, costs)]
+    assert batched.shape == (len(nus),)
+    np.testing.assert_allclose(batched, single, rtol=1e-12, atol=1e-15)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n=sizes)
+def test_w1_lp_equals_kr_dual_and_vertex_maximum(seed, n):
+    _, space, family = _space_and_family(seed, n)
+    mu = space.weights
+    verts = mean_zero_lipschitz_vertices(space, mu)
+    for nu in family:
+        kr = kr_dual(space, nu, mu)
+        vertex_max = float(np.max(verts @ (nu - mu)))
+        assert kr.primal == pytest.approx(kr.dual, abs=1e-9)
+        assert kr.primal == pytest.approx(vertex_max, abs=1e-9)
+        assert kr.dual == pytest.approx(vertex_max, abs=1e-9)
+
+
+def _first_moment_per_pattern(space):
+    """One LP per admissible sign pattern, strict first-wins maximum."""
+    n, w = space.n, space.weights
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    a_ub = np.zeros((len(pairs), n))
+    for row, (i, j) in enumerate(pairs):
+        a_ub[row, i], a_ub[row, j] = 1.0, -1.0
+    b_ub = np.array([space.dist[i, j] for i, j in pairs])
+    sign_bounds = {1: (0.0, None), 0: (0.0, 0.0), -1: (None, 0.0)}
+    best = 0.0
+    for pattern in product((1, 0, -1), repeat=n):
+        sig = np.array(pattern)
+        nonzero = sig[sig != 0]
+        if nonzero.size and nonzero[0] == -1:
+            continue
+        plus, minus = w[sig >= 0].sum(), w[sig <= 0].sum()
+        if plus < 0.5 - 1e-12 or minus < 0.5 - 1e-12:
+            continue
+        w_zero = w[sig == 0]
+        if np.any((minus - w_zero >= 0.5 - 1e-12) | (plus - w_zero >= 0.5 - 1e-12)):
+            continue
+        res = linprog(-(sig * w), A_ub=a_ub, b_ub=b_ub, method="highs",
+                      bounds=[sign_bounds[s] for s in pattern])
+        assert res.success
+        best = max(best, -res.fun)
+    return best
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds, n=sizes)
+def test_batched_first_moment_equals_per_pattern_loop(seed, n):
+    space = _random_space(np.random.default_rng(seed), n)
+    entry = first_moment_constant(space)
+    value = entry.witnesses["one_over_d"]
+    assert value == pytest.approx(_first_moment_per_pattern(space),
+                                  rel=1e-12, abs=1e-15)
+    f = np.asarray(entry.witnesses["f"])
+    assert np.max(f[:, None] - f[None, :] - space.dist) <= 1e-9
+    assert np.dot(np.abs(f), space.weights) == pytest.approx(value, rel=1e-9)
+
+
+def test_failed_pattern_batch_raises(monkeypatch):
+    """A sign-pattern LP that fails its retry must not leave a silent hole
+    in the exact enumeration."""
+    real = transport.linprog
+
+    def failing_pattern_lp(c, **kw):
+        res = real(c, **kw)
+        if "A_ub" in kw:  # the sign-pattern LP; transport LPs use A_eq
+            res.success, res.message = False, "forced failure"
+        return res
+
+    space = _random_space(np.random.default_rng(3), 5)
+    monkeypatch.setattr(transport, "linprog", failing_pattern_lp)
+    with pytest.raises(ValidationError, match="sign-pattern LP failed"):
+        first_moment_constant(space)
+
+
+def _laplace_sup_per_lambda(mu, lams, verts):
+    """The max-shifted log-sum-exp over the vertices, one lambda at a time."""
+    logw = np.log(np.maximum(mu, 1e-300))
+    vals, arg_f = [], []
+    for lam in lams:
+        scores = lam * verts + logw[None, :]
+        m = scores.max(axis=1, keepdims=True)
+        ls = m[:, 0] + np.log(np.exp(scores - m).sum(axis=1))
+        j = int(np.argmax(ls))
+        vals.append(ls[j])
+        arg_f.append(verts[j])
+    return np.array(vals), np.array(arg_f)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, n=sizes)
+def test_laplace_sup_equals_lambda_at_a_time(seed, n):
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    mu = space.weights
+    verts = mean_zero_lipschitz_vertices(space, mu)
+    lams = np.concatenate([[0.0], np.geomspace(0.05, 6.0, 9) * rng.uniform(0.5, 2.0)])
+    vals, flag, arg_f = laplace_sup_discrete(space, mu, lams, vertices=verts)
+    want_vals, want_f = _laplace_sup_per_lambda(mu, lams, verts)
+    assert flag == "exact"
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(arg_f, want_f)
