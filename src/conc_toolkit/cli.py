@@ -227,8 +227,7 @@ def _cmd_verify(args) -> int:
     ids = list(SUITE_IDS) if "all" in args.suites else args.suites
     unknown = [s for s in ids if s not in SUITE_IDS]
     if unknown:
-        print(f"unknown suites: {unknown}", file=sys.stderr)
-        return 2
+        raise ToolkitError(f"unknown suites: {unknown}")
     try:  # the environment variable overrides the flag
         jobs = int(os.environ.get("CONC_TOOLKIT_JOBS", args.jobs))
     except ValueError as exc:

@@ -8,19 +8,21 @@ Two bound objects travel through this module:
 
 Each direction of the translation between them is an explicit formula in
 (Phi, D, eps, delta) evaluated on the tabulated Phi; the sup over
-Lipschitz functions on a finite space is computed exactly for n <= 7 by
-enumerating the vertices of the mean-zero Lipschitz polytope (every
-vertex is supported on a spanning tree with edges at full stretch
-+-d(u, v)), and by multistart local search above that.
+Lipschitz functions on a finite space is computed exactly for n <= 7 as
+a maximum over the vertices of the mean-zero Lipschitz polytope, which
+one qhull halfspace intersection enumerates, and by multistart local
+search above that.  The same vertices give the exact first-moment
+constant and W_1 (see :mod:`conc_toolkit.transport`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
+from scipy import sparse
+from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.special import logsumexp
 
 from .costs import _shaped, legendre_numeric
@@ -312,89 +314,58 @@ def herbst_laplace(rho: float, *, x_max: float | None = None,
 # exact sup over 1-Lipschitz mean-zero functions (finite spaces)
 # ---------------------------------------------------------------------------
 
-def _prufer_trees(n: int):
-    """All labeled spanning trees on n nodes as edge lists."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
-        return
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        seq_list = list(seq)
-        edges = []
-        leaves = sorted(i for i in range(n) if degree[i] == 1)
-        work = list(leaves)
-        for v in seq_list:
-            leaf = work.pop(0)
-            edges.append((leaf, v))
-            degree[v] -= 1
-            if degree[v] == 1:
-                # insert keeping the working list sorted
-                lo = 0
-                while lo < len(work) and work[lo] < v:
-                    lo += 1
-                work.insert(lo, v)
-        edges.append((work[0], work[1]))
-        yield edges
+def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
+    """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
+    over the ordered pairs i != j."""
+    ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
+    m = ii.size
+    a_ub = sparse.csr_matrix(
+        (np.concatenate([np.ones(m), -np.ones(m)]),
+         (np.concatenate([np.arange(m), np.arange(m)]),
+          np.concatenate([ii, jj]))),
+        shape=(m, space.n))
+    return a_ub, space.dist[ii, jj]
 
 
 def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
                                  size_cap: int = 7) -> np.ndarray:
     """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}.
 
-    Every vertex stretches the edges of some spanning tree to full length
-    with signs, then recenters; trees are enumerated via their sequence
-    encoding and infeasible sign assignments are discarded.
+    Pinning f_0 = 0 leaves the bounded polytope {f_i - f_j <= d_ij} in
+    R^(n-1) with 0 in its interior; qhull intersects those halfspaces on
+    the distances divided by the diameter, so every tolerance below is
+    relative to it.  Vertices are deduplicated (qhull repeats the ones of
+    degenerate metrics), scaled back and recentred by mu.
     """
     n = space.n
     if n > size_cap:
         raise UnsupportedSizeError(
             f"vertex enumeration capped at n = {size_cap}; use the "
             "multistart heuristic (laplace_sup_discrete(..., exact=False))")
-    mu = np.asarray(mu, dtype=float)
-    d = space.dist
     if n == 1:
         return np.zeros((1, 1))
-    out = []
-    for edges in _prufer_trees(n):
-        # orient edges away from node 0 by BFS, build path incidence
-        adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n)}
-        for e_idx, (u, v) in enumerate(edges):
-            adj[u].append((v, e_idx))
-            adj[v].append((u, e_idx))
-        b_mat = np.zeros((n, n - 1))
-        lengths = np.zeros(n - 1)
-        stack = [0]
-        seen = {0}
-        paths: dict[int, np.ndarray] = {0: np.zeros(n - 1)}
-        while stack:
-            u = stack.pop()
-            for v, e_idx in adj[u]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                row = paths[u].copy()
-                row[e_idx] = 1.0
-                paths[v] = row
-                b_mat[v] = row
-                lengths[e_idx] = d[min(u, v), max(u, v)]
-                stack.append(v)
-        signs = np.array(list(product((1.0, -1.0), repeat=n - 1)))
-        f_all = (signs * lengths) @ b_mat.T
-        f_all -= (f_all @ mu)[:, None]
-        gaps = np.abs(f_all[:, :, None] - f_all[:, None, :]) - d[None, :, :]
-        feasible = np.all(gaps <= 1e-9, axis=(1, 2))
-        if np.any(feasible):
-            out.append(f_all[feasible])
-    if not out:
-        return np.zeros((1, n))
-    stacked = np.vstack(out)
-    _, idx = np.unique(np.round(stacked, 9), axis=0, return_index=True)
-    return stacked[np.sort(idx)]
+    mu = np.asarray(mu, dtype=float)
+    diam = space.diameter
+    d = space.dist / diam
+    if n == 2:  # qhull needs dimension >= 2
+        f = np.array([[0.0, 1.0], [0.0, -1.0]])
+    else:
+        a_ub, b_ub = _lipschitz_rows(space)
+        halfspaces = np.column_stack([a_ub[:, 1:].toarray(), -b_ub / diam])
+        try:
+            g = HalfspaceIntersection(halfspaces, np.zeros(n - 1)).intersections
+        except QhullError as exc:
+            raise ValidationError(f"Lipschitz vertex enumeration failed: {exc}") from None
+        f = np.column_stack([np.zeros(len(g)), g])
+        stretch = float(np.max(f[:, :, None] - f[:, None, :] - d))
+        if not stretch <= 1e-9:
+            raise ValidationError(
+                f"Lipschitz vertex enumeration failed: a vertex breaks the "
+                f"Lipschitz bound by {stretch:.3g} x diameter")
+        _, idx = np.unique(np.round(f, 9), axis=0, return_index=True)
+        f = f[idx]
+    f = f * diam
+    return f - (f @ mu)[:, None]
 
 
 def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:

@@ -265,7 +265,7 @@ class Measure1D:
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
         out = self.cdf_nodes[i] + part / self._z_shifted
         out = np.where(x <= self.grid[0], 0.0, np.where(x >= self.grid[-1], 1.0, out))
-        return _shaped(x, out)
+        return _shaped(x, np.clip(out, 0.0, 1.0))  # rounding can step past 1
 
     def sf(self, x) -> float | np.ndarray:
         """Survival 1 - F(x), accumulated from the right tail."""
@@ -275,7 +275,7 @@ class Measure1D:
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
         out = self.sf_nodes[i] - part / self._z_shifted
         out = np.where(x <= self.grid[0], 1.0, np.where(x >= self.grid[-1], 0.0, out))
-        return _shaped(x, out)
+        return _shaped(x, np.clip(out, 0.0, 1.0))  # rounding can step below 0
 
     def quantile(self, u) -> float | np.ndarray:
         """Left-tail quantile: x with F(x) = u (accurate for small u)."""

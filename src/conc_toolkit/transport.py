@@ -1,8 +1,10 @@
 """Transport costs, entropy divergences and derived best-constant bounds.
 
 Finite spaces get exact linear-programming oracles (transportation LP and
-its Kantorovich dual); 1-D measures use the monotone (quantile) coupling,
-which is optimal for every convex cost of the distance on the line.
+its Kantorovich dual), and the exact first-moment constant as a maximum
+over the vertices of the Lipschitz polytope; 1-D measures use the
+monotone (quantile) coupling, which is optimal for every convex cost of
+the distance on the line.
 
 All "best constant" estimators here are one-sided by construction and say
 so in their :class:`~conc_toolkit.reports.ConstantEntry` metadata: a
@@ -15,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 from scipy import sparse
@@ -24,6 +25,7 @@ from scipy.special import logsumexp
 
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
+from .laplace import _lipschitz_rows, mean_zero_lipschitz_vertices
 from .measures import DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
 
@@ -65,19 +67,6 @@ def _solve_lp(c, *, what: str, reject=lambda res: None, **constraints):
         if problem is None:
             return res
     raise ValidationError(f"{what} failed: {problem}")
-
-
-def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
-    over the ordered pairs i != j."""
-    ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
-    m = ii.size
-    a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m)]),
-         (np.concatenate([np.arange(m), np.arange(m)]),
-          np.concatenate([ii, jj]))),
-        shape=(m, space.n))
-    return a_ub, space.dist[ii, jj]
 
 
 # ---------------------------------------------------------------------------
@@ -677,48 +666,18 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(k, v.size - 1)])
 
 
-def _sign_patterns(w: np.ndarray) -> np.ndarray:
-    """The sign patterns in {+, 0, -}^n worth an LP, in lexicographic order
-    (+ before 0 before -), one per row.
+def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray]:
+    """max over 1-Lipschitz f of min_c int |f - c| dmu, with its witness.
 
-    A pattern is admissible when each weak side (its sign plus the zeros)
-    carries mass >= 1/2; zeros are pinned to f_i = 0 so an atom's mass can
-    serve both sides of the median, which a two-sign merge cannot express.
-    The f -> -f symmetry halves the enumeration.
-    """
-    sig = np.array(list(product((1, 0, -1), repeat=w.size)))
-    mirrored = sig[np.arange(len(sig)), np.argmax(sig != 0, axis=1)] == -1
-    plus = np.where(sig >= 0, w, 0.0).sum(axis=1, keepdims=True)
-    minus = np.where(sig <= 0, w, 0.0).sum(axis=1, keepdims=True)
-    thr = 0.5 - 1e-12
-    # a zero is only worth pinning when its mass is needed on both sides;
-    # otherwise the pattern that frees it dominates this one
-    dominated = np.any((sig == 0) & ((minus - w >= thr) | (plus - w >= thr)), axis=1)
-    admissible = (plus[:, 0] >= thr) & (minus[:, 0] >= thr)
-    return sig[admissible & ~mirrored & ~dominated]
-
-
-def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray, tuple]:
-    """max over 1-Lipschitz f with a zero median of int |f| dmu: one LP per
-    sign pattern of ``_sign_patterns``, all solved as one block-diagonal LP;
-    the first pattern attaining the maximum wins."""
-    n = space.n
-    w = space.weights
-    sig = _sign_patterns(w)
-    k = len(sig)
-    a_ub, b_ub = _lipschitz_rows(space)
-    gain = sig * w
-    bounds = np.stack([np.where(sig < 0, -np.inf, 0.0).ravel(),
-                       np.where(sig > 0, np.inf, 0.0).ravel()], axis=1)
-    res = _solve_lp(-gain.ravel(), what="sign-pattern LP",
-                    A_ub=sparse.kron(sparse.eye(k), a_ub, format="csr"),
-                    b_ub=np.tile(b_ub, k), bounds=bounds)
-    f = res.x.reshape(k, n)
-    vals = (gain * f).sum(axis=1)
-    j = int(np.argmax(vals))
-    if vals[j] > 0.0:
-        return float(vals[j]), f[j], tuple(sig[j].tolist())
-    return 0.0, np.zeros(n), tuple([0] * n)
+    The objective is convex and shift-invariant, so the maximum sits at a
+    vertex v of the Lipschitz polytope, and the inner minimum at one of
+    v's own values v_k (a weighted median): the witness f = v - v_k has
+    median 0 and the first vertex attaining the maximum wins."""
+    verts = mean_zero_lipschitz_vertices(space, space.weights, size_cap=8)
+    dev = np.abs(verts[:, :, None] - verts[:, None, :]) @ space.weights  # [v, k]
+    j = int(np.argmax(dev.min(axis=1)))
+    k = int(np.argmin(dev[j]))
+    return float(dev[j, k]), verts[j] - verts[j, k]
 
 
 def _abs_deviation_1d(mu: Measure1D, nodes: np.ndarray, values: np.ndarray,
@@ -743,7 +702,8 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     """Best constant in the first-moment inequality
     int |f - med(f)| dmu <= 1/D over 1-Lipschitz f.
 
-    Finite spaces (n <= 8): exact sign-pattern LP enumeration, two-sided.
+    Finite spaces (n <= 8): exact, two-sided, as the maximum over the
+    vertices of the Lipschitz polytope (``_first_moment_exact``).
     1-D measures: candidate family {x, |x - x0|} with local search; the
     result lower-bounds sup int |f - med| dmu, i.e. upper-bounds D.
     """
@@ -751,14 +711,14 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
         if mode == "exact":
             if source.n > 8:
                 raise UnsupportedSizeError(
-                    "exact sign-pattern enumeration capped at n = 8; "
+                    "exact Lipschitz-vertex enumeration capped at n = 8; "
                     "call with mode='heuristic'")
-            val, f_opt, pattern = _first_moment_exact(source)
+            val, f_opt = _first_moment_exact(source)
             d_fm = math.inf if val <= 1e-300 else 1.0 / val
             return ConstantEntry(
                 constant_id="D_FM", value=d_fm, direction="two-sided",
-                method="exact sign-pattern LP enumeration over {+,0,-}^n",
-                witnesses={"one_over_d": val, "f": f_opt, "pattern": list(pattern)})
+                method="exact maximum over the vertices of the Lipschitz polytope",
+                witnesses={"one_over_d": val, "f": f_opt})
         # heuristic: distance-cone candidates
         best, best_f = 0.0, np.zeros(source.n)
         for j in range(source.n):

@@ -13,6 +13,7 @@ def test_usage_exit_code():
 
 def test_unknown_suite_exit_code(capsys):
     assert dispatch(["verify", "not-a-suite"]) == 2
+    assert capsys.readouterr().err == "error: unknown suites: ['not-a-suite']\n"
 
 
 def test_measure_build_and_profile_iso(tmp_path, capsys):

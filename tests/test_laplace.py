@@ -166,7 +166,37 @@ class TestHerbst:
                                    lam**2 / (4 * 0.5), rtol=1e-5)
 
 
+def _sorted_rows(a: np.ndarray) -> np.ndarray:
+    return a[np.lexsort(np.round(a, 6).T[::-1])]
+
+
 class TestLipschitzVertices:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_vertex_counts_on_degenerate_metrics(self, n):
+        w = np.full(n, 1.0 / n)
+        x = np.arange(n, dtype=float)
+        path = build_discrete_space(np.abs(x[:, None] - x[None, :]), w)
+        discrete = build_discrete_space(1.0 - np.eye(n), w)
+        assert len(mean_zero_lipschitz_vertices(path, w)) == 2 ** (n - 1)
+        assert len(mean_zero_lipschitz_vertices(discrete, w)) == 2**n - 2
+
+    @pytest.mark.parametrize("n", [5, 7])
+    @pytest.mark.parametrize("c", [1e-12, 1e12])
+    def test_vertices_scale_with_the_metric(self, n, c):
+        """The vertices of c d are c times those of d: no tolerance of the
+        enumeration is absolute."""
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 2))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        w = rng.dirichlet(np.ones(n))
+        base = mean_zero_lipschitz_vertices(build_discrete_space(d, w), w)
+        scaled = mean_zero_lipschitz_vertices(build_discrete_space(c * d, w), w)
+        # a planar metric in general position has C(2n - 2, n - 1) vertices
+        assert len(base) == math.comb(2 * n - 2, n - 1)
+        assert scaled.shape == base.shape
+        np.testing.assert_allclose(_sorted_rows(scaled / c), _sorted_rows(base),
+                                   rtol=0.0, atol=1e-9)
+
     def test_two_point_vertices(self):
         verts = mean_zero_lipschitz_vertices(TWO_POINT, TWO_POINT.weights)
         expected = {(-0.5, 0.5), (0.5, -0.5)}

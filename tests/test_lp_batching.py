@@ -1,10 +1,12 @@
 """Batched and skipped LPs against the one-LP-at-a-time routes they replace.
 
 Spaces are drawn like the suites draw them (``suites._random_space``) with
-n <= 6; the LP stays the cross-check oracle on the test side.
+n <= 6, or as shortest-path metrics with n <= 8 for the Lipschitz
+vertices; the LP stays the cross-check oracle on the test side.
 """
 
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conc_toolkit import transport
+from conc_toolkit import laplace
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import ValidationError
 from conc_toolkit.laplace import laplace_sup_discrete, mean_zero_lipschitz_vertices
+from conc_toolkit.measures import DiscreteSpace
 from conc_toolkit.suites import _random_probability, _random_space
 from conc_toolkit.transport import (
     first_moment_constant,
@@ -98,6 +101,8 @@ def _first_moment_per_pattern(space):
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, n=sizes)
 def test_batched_first_moment_equals_per_pattern_loop(seed, n):
+    """The maximum over the Lipschitz vertices against one LP per sign
+    pattern in {+, 0, -}^n."""
     space = _random_space(np.random.default_rng(seed), n)
     entry = first_moment_constant(space)
     value = entry.witnesses["one_over_d"]
@@ -108,21 +113,54 @@ def test_batched_first_moment_equals_per_pattern_loop(seed, n):
     assert np.dot(np.abs(f), space.weights) == pytest.approx(value, rel=1e-9)
 
 
-def test_failed_pattern_batch_raises(monkeypatch):
-    """A sign-pattern LP that fails its retry must not leave a silent hole
-    in the exact enumeration."""
-    real = transport.linprog
+def test_failed_vertex_enumeration_raises(monkeypatch):
+    """A vertex enumeration that fails, or returns a point outside the
+    Lipschitz polytope, must not leave a silent hole in the exact value."""
+    real = laplace.HalfspaceIntersection
 
-    def failing_pattern_lp(c, **kw):
-        res = real(c, **kw)
-        if "A_ub" in kw:  # the sign-pattern LP; transport LPs use A_eq
-            res.success, res.message = False, "forced failure"
-        return res
+    def failing(halfspaces, interior_point):
+        raise laplace.QhullError("forced failure")
+
+    def infeasible(halfspaces, interior_point):
+        bad = real(halfspaces, interior_point).intersections.copy()
+        bad[0, 0] += 1.0  # one diameter past its Lipschitz bound
+        return SimpleNamespace(intersections=bad)
 
     space = _random_space(np.random.default_rng(3), 5)
-    monkeypatch.setattr(transport, "linprog", failing_pattern_lp)
-    with pytest.raises(ValidationError, match="sign-pattern LP failed"):
-        first_moment_constant(space)
+    for fault in (failing, infeasible):
+        monkeypatch.setattr(laplace, "HalfspaceIntersection", fault)
+        with pytest.raises(ValidationError, match="Lipschitz vertex enumeration failed"):
+            first_moment_constant(space)
+
+
+def _scaled_metric(seed: int, n: int, ratio: float) -> DiscreteSpace:
+    """Shortest-path closure of random edge lengths in [1, ratio]: a metric
+    whose distance ratio is at most ``ratio``."""
+    rng = np.random.default_rng(seed)
+    d = np.exp(rng.uniform(0.0, np.log(ratio), size=(n, n)))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    for k in range(n):
+        d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
+    return DiscreteSpace(dist=d, weights=rng.dirichlet(np.ones(n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=8),
+       log_ratio=st.floats(min_value=0.0, max_value=3.0))
+def test_vertex_maximum_equals_lp_maximum(seed, n, log_ratio):
+    """max <f, c> over the Lipschitz polytope by LP (f_0 pinned to 0)
+    equals the maximum over the enumerated vertices, for mean-zero c."""
+    space = _scaled_metric(seed, n, 10.0**log_ratio)
+    verts = mean_zero_lipschitz_vertices(space, space.weights, size_cap=8)
+    a_ub, b_ub = laplace._lipschitz_rows(space)
+    rng = np.random.default_rng(seed + 1)
+    for _ in range(3):
+        c = rng.normal(size=n)
+        c -= c.mean()
+        res = linprog(-c, A_ub=a_ub, b_ub=b_ub, method="highs",
+                      bounds=[(0.0, 0.0)] + [(None, None)] * (n - 1))
+        assert res.success
+        assert float(np.max(verts @ c)) == pytest.approx(-res.fun, rel=1e-9, abs=1e-12)
 
 
 def _laplace_sup_per_lambda(mu, lams, verts):

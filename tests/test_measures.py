@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
@@ -71,6 +73,61 @@ def test_quantile_cdf_round_trip(gamma2):
     back = gamma2.quantile(gamma2.cdf(xs))
     step = np.diff(gamma2.grid).max()
     assert np.max(np.abs(back - xs)) <= step
+
+
+def test_cdf_and_sf_stay_in_the_unit_interval():
+    # rounding in the cumulated cell masses once gave cdf(2.99) = 1 + 2e-16,
+    # which quantile then rejected
+    mu = Measure1D(grid=[0.0, 1.0, 2.0, 3.0], potential=[5.6, -30.5, 1.1, 10.2])
+    assert mu.cdf(2.99) <= 1.0
+    assert mu.sf(2.99) >= 0.0
+    assert mu.quantile(mu.cdf(2.99)) <= 3.0
+
+
+def _random_measure(seed: int, n: int) -> Measure1D:
+    """n nodes on [-5, 5] with potentials in [-30, 30]: densities spanning
+    about 26 orders of magnitude."""
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.uniform(-5.0, 5.0, n))
+    assume(np.all(np.diff(grid) > 1e-6))
+    return Measure1D(grid=grid, potential=rng.uniform(-30.0, 30.0, n))
+
+
+measure_args = {"seed": st.integers(min_value=0, max_value=2**32 - 1),
+                "n": st.integers(min_value=3, max_value=12)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(**measure_args)
+def test_cdf_plus_sf_is_one_property(seed, n):
+    mu = _random_measure(seed, n)
+    lo, hi = mu.support
+    x = np.random.default_rng(seed).uniform(lo - 1.0, hi + 1.0, 200)
+    cdf, sf = mu.cdf(x), mu.sf(x)
+    assert np.all((cdf >= 0.0) & (cdf <= 1.0) & (sf >= 0.0) & (sf <= 1.0))
+    np.testing.assert_allclose(cdf + sf, 1.0, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**measure_args)
+def test_cdf_of_quantile_is_identity_property(seed, n):
+    mu = _random_measure(seed, n)
+    u = np.concatenate([[0.0, 1.0], np.random.default_rng(seed).uniform(0.0, 1.0, 200)])
+    np.testing.assert_allclose(mu.cdf(mu.quantile(u)), u, rtol=0.0, atol=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**measure_args)
+def test_quantile_of_cdf_is_identity_where_density_is_not_negligible(seed, n):
+    # Where the density is ~1e-17 the CDF is flat in double precision and
+    # the quantile is not unique, so only points the CDF resolves count:
+    # an error du in u moves x by du / density.
+    mu = _random_measure(seed, n)
+    lo, hi = mu.support
+    x = np.random.default_rng(seed).uniform(lo, hi, 200)
+    x = x[mu.density(x) * (hi - lo) >= 1e-3]
+    np.testing.assert_allclose(mu.quantile(mu.cdf(x)), x, rtol=0.0,
+                               atol=1e-10 * (hi - lo))
 
 
 def test_deep_tail_survival_accuracy(gamma1):
