@@ -72,10 +72,6 @@ class CostSpec:
     def q(self) -> float:
         return dual_exponent(self.p)
 
-    def cost_matrix(self, dist: np.ndarray, scale: float) -> np.ndarray:
-        """Pointwise cost phi_p(scale * d) for a distance matrix."""
-        return phi_p_eval(self, scale * np.asarray(dist, dtype=float))
-
 
 def phi_p_eval(spec: CostSpec, x):
     """Evaluate phi_p at x >= 0 (scalar or array); branch-exact arithmetic."""

@@ -56,12 +56,14 @@ from .profiles import (
 )
 from .reports import _jsonable
 from .transport import (
+    discrete_witnesses,
     divergences,
     first_moment_constant,
     gibbs_tilt_discrete,
     te_constant_estimate,
     transport_costs,
     w1_1d,
+    witnesses_1d,
 )
 
 __all__ = ["SuiteReport", "run_suite", "SUITE_IDS", "SUITE_DEFAULTS"]
@@ -438,10 +440,10 @@ def _suite_conc_te_equiv(config, seed):
         space = discrete_space_from_atoms(pos, w)
         prof = conc_profile(space)
         d_con = fit_constant(prof, "p-exp-conc", p=p).value
-        d_wte = te_constant_estimate(space, "wTE(1,p)", p=p, mu=w,
-                                     max_witnesses=config["max_witnesses"]).value
-        d_te = te_constant_estimate(space, "TE(1,phi_p)", p=p, mu=w,
-                                    max_witnesses=config["max_witnesses"]).value
+        te = partial(te_constant_estimate, space, p=p, mu=w, witnesses=(
+            discrete_witnesses(space, w, max_witnesses=config["max_witnesses"])))
+        d_wte = te("wTE(1,p)").value
+        d_te = te("TE(1,phi_p)").value
         trio = [d_con, d_wte, d_te]
         spread = max(trio) / min(trio)
         spreads.append(spread)
@@ -456,8 +458,9 @@ def _suite_te_equiv_shape(config, seed):
     ratios = []
     for p in config["p_grid"]:
         mu = build_measure_1d(preset="gamma_p", p=p, n_points=4096)
-        upper_tight = te_constant_estimate(mu, "TE(phi_p,1)", p=p).value
-        upper_weak = te_constant_estimate(mu, "TE(1,phi_p)", p=p).value
+        te = partial(te_constant_estimate, mu, p=p, witnesses=witnesses_1d(mu))
+        upper_tight = te("TE(phi_p,1)").value
+        upper_weak = te("TE(1,phi_p)").value
         ratio = upper_tight / upper_weak
         ratios.append(ratio)
         instances.append({"p": p, "D_TE_phi_1_upper": upper_tight,
@@ -568,10 +571,7 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
         delta_j = np.zeros(n)
         delta_j[j] = 1.0
         witnesses.append(delta_j)
-    def te_term(nu: np.ndarray) -> float:
-        h = divergences(nu, mu).h_nu_mu
-        if not math.isfinite(h):
-            return -math.inf
+    def te_term(nu: np.ndarray, h: float) -> float:
         # W_1 by Kantorovich-Rubinstein duality: the max of <f, nu - mu>
         # over the polytope's vertices, no LP
         w1 = float(np.max(verts @ (nu - mu)))
@@ -582,7 +582,7 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
         h = divergences(nu, mu).h_nu_mu
         if not math.isfinite(h):
             continue
-        margin = te_term(nu)
+        margin = te_term(nu, h)
         binding_h.append((margin, h))
         te_margin = max(te_margin, margin)
 
@@ -604,7 +604,9 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
         laplace_margin = max(laplace_margin, float(np.max(sup_x - rhs_x)))
         for k in np.nonzero(sup_x > rhs_x)[0]:
             nu = gibbs_tilt_discrete(mu, arg_x[k], lam_extra[k] * rate)
-            te_margin = max(te_margin, te_term(nu))
+            h = divergences(nu, mu).h_nu_mu
+            if math.isfinite(h):
+                te_margin = max(te_margin, te_term(nu, h))
     laplace_ok = laplace_margin <= 0.0
     te_ok = te_margin <= 0.0
     return {"n": n, "rate": rate, "factor": factor,

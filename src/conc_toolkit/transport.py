@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy import sparse
@@ -196,19 +196,27 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
                          n=space.n)
 
 
-def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
-    """Kantorovich duality for W_1: the dual LP maximizes
-    int f dnu - int f dmu over potentials with f(i) - f(j) <= d(i, j)."""
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    n = space.n
-    primal = wc_discrete_lp(space, nu, mu).cost
+def _kr_potential(space: DiscreteSpace, nu, mu) -> tuple[float, np.ndarray]:
+    """(value, potential) of the dual LP of W_1: max int f d(nu - mu) over
+    f(0) = 0, f(i) - f(j) <= d(i, j); re-solved if a row breaks by > 1e-12 diam."""
     a_ub, b_ub = _lipschitz_rows(space)
-    bounds = [(None, None)] * n
-    bounds[0] = (0.0, 0.0)  # potentials are shift-invariant; pin one
-    res = _solve_lp(mu - nu, what="dual LP", A_ub=a_ub, b_ub=b_ub,
-                    bounds=bounds)
-    return KRDualResult(primal=primal, dual=float(-res.fun), potential=res.x)
+    bounds = [(0.0, 0.0)] + [(None, None)] * (space.n - 1)  # shift-invariant
+
+    def off_lipschitz(res) -> str | None:
+        worst = float(np.max(a_ub @ res.x - b_ub, initial=0.0))
+        return (f"potential breaks a Lipschitz bound ({worst:.3g})"
+                if worst > 1e-12 * space.diameter else None)
+
+    res = _solve_lp(np.subtract(mu, nu, dtype=float), what="dual LP",
+                    reject=off_lipschitz, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
+    return float(-res.fun), res.x
+
+
+def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
+    """Kantorovich duality for W_1: the transportation LP and its dual."""
+    primal = wc_discrete_lp(space, nu, mu).cost
+    dual, potential = _kr_potential(space, nu, mu)
+    return KRDualResult(primal=primal, dual=dual, potential=potential)
 
 
 def w1_discrete(space: DiscreteSpace, nu, mu) -> float:
@@ -252,22 +260,24 @@ def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     return float(np.trapezoid(np.abs(diff), xs))
 
 
-def _quantile_pair(mu: Measure1D, nu: Measure1D, n_u: int) -> tuple[np.ndarray, np.ndarray]:
+def _monotone_gap(mu: Measure1D, nu: Measure1D, n_u: int = 8192) -> np.ndarray:
+    """|q_mu - q_nu| on n_u midpoints of (0, 1): the displacement of the
+    monotone coupling, which is optimal for every convex cost of the
+    distance, so one gap serves every such cost."""
     u = (np.arange(n_u) + 0.5) / n_u
     lower = u <= 0.5
     q_mu = np.where(lower, mu.quantile(np.minimum(u, 0.5)),
                     mu.quantile_upper(np.maximum(1.0 - u, 0.0)))
     q_nu = np.where(lower, nu.quantile(np.minimum(u, 0.5)),
                     nu.quantile_upper(np.maximum(1.0 - u, 0.0)))
-    return q_mu, q_nu
+    return np.abs(q_mu - q_nu)
 
 
 def ws_1d(mu: Measure1D, nu: Measure1D, s: float, n_u: int = 8192) -> float:
     """W_s = (int |q_mu - q_nu|^s du)^{1/s} via the monotone coupling."""
     if s < 1:
         raise DomainError("s must be >= 1")
-    q_mu, q_nu = _quantile_pair(mu, nu, n_u)
-    return float(np.mean(np.abs(q_mu - q_nu) ** s) ** (1.0 / s))
+    return float(np.mean(_monotone_gap(mu, nu, n_u) ** s) ** (1.0 / s))
 
 
 def wc_monotone_1d(mu: Measure1D, nu: Measure1D, spec: CostSpec, scale: float,
@@ -277,8 +287,7 @@ def wc_monotone_1d(mu: Measure1D, nu: Measure1D, spec: CostSpec, scale: float,
     the distance."""
     if scale < 0:
         raise DomainError("scale must be nonnegative")
-    q_mu, q_nu = _quantile_pair(mu, nu, n_u)
-    return float(np.mean(phi_p_eval(spec, scale * np.abs(q_mu - q_nu))))
+    return float(np.mean(phi_p_eval(spec, scale * _monotone_gap(mu, nu, n_u))))
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +408,7 @@ def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
                 out.append(w / mass)
     coord_fs = [d[j] for j in range(min(n, 4))]
     try:
-        kr = kr_dual(space, out[0], mu)
-        coord_fs.append(kr.potential)
+        coord_fs.append(_kr_potential(space, out[0], mu)[1])
     except ValidationError:
         pass
     for f in coord_fs:
@@ -435,50 +443,56 @@ def witnesses_1d(mu: Measure1D) -> list[Measure1D]:
 # transport-entropy constant estimates
 # ---------------------------------------------------------------------------
 
-def _w1_all(source, mu, family) -> np.ndarray:
-    """W_1(nu, mu) for every nu in ``family`` (one LP solve on a finite
-    space)."""
+def _witness_table(source, mu, witnesses, max_witnesses: int):
+    """The witness family, W_1 and H(nu | mu) per witness, and ``cost(g,
+    idx, scales)``: the optimal cost of g(scale_k d), g convex, from
+    ``family[idx[k]]`` to the base.  The TE code's only substrate branch:
+    one LP per query on a finite space, mean(g(scale |q_mu - q_nu|)) on the
+    line, where each witness's gap serves every g and is built once."""
     if isinstance(source, DiscreteSpace):
-        return transport_costs(source, family, mu, [source.dist] * len(family))
-    return np.array([w1_1d(mu, nu) for nu in family])
+        if mu is None:
+            raise ValidationError("discrete mode requires the base weights mu")
+        base = np.asarray(mu, dtype=float)
+        family = witnesses if witnesses is not None else discrete_witnesses(
+            source, base, max_witnesses=max_witnesses)
+        if not family:
+            raise DomainError("witness family is empty")
+
+        def cost(g, idx, scales) -> np.ndarray:
+            return transport_costs(source, [family[i] for i in idx], base,
+                                   [g(scale * source.dist) for scale in scales])
+
+        w1 = transport_costs(source, family, base, [source.dist] * len(family)).tolist()
+        h = [_kl_discrete(np.asarray(nu), base) for nu in family]
+    elif isinstance(source, Measure1D):
+        family = witnesses if witnesses is not None else witnesses_1d(source)
+        if not family:
+            raise DomainError("witness family is empty")
+        gaps: dict[int, np.ndarray] = {}
+
+        def cost(g, idx, scales) -> np.ndarray:
+            gaps.update({i: _monotone_gap(source, family[i])
+                         for i in idx if i not in gaps})
+            return np.array([float(np.mean(g(scale * gaps[i])))
+                             for i, scale in zip(idx, scales)])
+
+        w1 = [w1_1d(source, nu) for nu in family]
+        h = [_kl_1d(nu, source) for nu in family]
+    else:
+        raise ValidationError("source must be a DiscreteSpace or Measure1D")
+    return family, w1, h, cost
 
 
-def _h_of(source, mu, nu) -> float:
-    if isinstance(source, DiscreteSpace):
-        return _kl_discrete(np.asarray(nu), np.asarray(mu))
-    return _kl_1d(nu, mu)
-
-
-def _ws_all(source, mu, family, s: float) -> np.ndarray:
-    if isinstance(source, DiscreteSpace):
-        cost = source.dist**s
-        return transport_costs(source, family, mu, [cost] * len(family)) ** (1.0 / s)
-    return np.array([ws_1d(mu, nu, s) for nu in family])
-
-
-def _wc_phi_all(source, mu, family, spec: CostSpec, scales) -> np.ndarray:
-    """W_{phi_p(D_k d)}(nu_k, mu) for every witness nu_k and its scale D_k."""
-    if isinstance(source, DiscreteSpace):
-        costs = [phi_p_eval(spec, scale * source.dist) for scale in scales]
-        return transport_costs(source, family, mu, costs)
-    return np.array([wc_monotone_1d(mu, nu, spec, scale)
-                     for nu, scale in zip(family, scales)])
-
-
-def _largest_scales(source, mu, family, spec: CostSpec, entropy: np.ndarray,
-                    tol: float = 1e-4) -> np.ndarray:
-    """Largest D_k with W_{phi_p(D_k d)}(nu_k, mu) <= entropy[k] for every
-    witness nu_k, by bisection on all witnesses at once (one LP solve per
-    step on a finite space); +oo where D = 2^59 is still feasible.
+def _largest_scales(cost_at, entropy: np.ndarray, tol: float = 1e-4) -> np.ndarray:
+    """Largest D_k with cost_at([k], [D_k]) <= entropy[k] for every k, by
+    bisection on all k at once, one ``cost_at(idx, scales)`` query per
+    step; +oo where D = 2^59 is still feasible.
 
     Each cost is nondecreasing in D, so each feasible set is an interval.
     """
-    def cost_at(idx: np.ndarray, scales: np.ndarray) -> np.ndarray:
-        return _wc_phi_all(source, mu, [family[i] for i in idx], spec, scales)
-
-    lo = np.zeros(len(family))
-    hi = np.ones(len(family))
-    growing = np.ones(len(family), dtype=bool)  # hi is still feasible
+    lo = np.zeros(len(entropy))
+    hi = np.ones(len(entropy))
+    growing = np.ones(len(entropy), dtype=bool)  # hi is still feasible
     for _ in range(60):
         idx = np.nonzero(growing)[0]
         if idx.size == 0:
@@ -516,41 +530,28 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
     The reported value is the min over the witness family of the
     per-witness admissible constant; the true best constant is an
     infimum over all measures, so this is an upper bound (direction
-    metadata says so).  On a finite space each transport quantity is
-    solved for the whole family in one LP.
+    metadata says so).  W_1, H and the costs come from one pass over the
+    family; for several modes on one family, pass it as ``witnesses``.
     """
     spec = CostSpec(p)
-    if isinstance(source, DiscreteSpace):
-        if mu is None:
-            raise ValidationError("discrete mode requires the base weights mu")
-        base = np.asarray(mu, dtype=float)
-        family = witnesses if witnesses is not None else discrete_witnesses(
-            source, base, max_witnesses=max_witnesses)
-    elif isinstance(source, Measure1D):
-        base = source
-        family = witnesses if witnesses is not None else witnesses_1d(source)
-    else:
-        raise ValidationError("source must be a DiscreteSpace or Measure1D")
-    if not family:
-        raise DomainError("witness family is empty")
+    family, w1, h, cost = _witness_table(source, mu, witnesses, max_witnesses)
     if mode not in _TE_MODES:
         raise DomainError(f"unknown TE mode {mode!r}")
     if mode == "TE(s,p)" and s is None:
         raise DomainError("TE(s,p) requires s")
 
-    w1 = _w1_all(source, base, family).tolist()
-    h = [_h_of(source, base, nu) for nu in family]
-    used = [i for i in range(len(family)) if w1[i] > 1e-12 and math.isfinite(h[i])]
-    if not used:
+    used = np.flatnonzero((np.asarray(w1) > 1e-12) & np.isfinite(h))
+    if not used.size:
         raise DomainError("all witnesses degenerate (W_1 = 0 or H = +oo)")
     if mode == "TE(s,p)":
-        w_s = _ws_all(source, base, [family[i] for i in used], s)
+        w_s = cost(lambda x: x ** s, used, np.ones(used.size)) ** (1.0 / s)
     elif mode == "TE(phi_p,1)":
-        scales = _largest_scales(source, base, [family[i] for i in used], spec,
-                                 np.array([h[i] for i in used]))
+        scales = _largest_scales(
+            lambda k, sc: cost(partial(phi_p_eval, spec), used[k], sc),
+            np.asarray(h)[used])
     best = math.inf
     best_w = None
-    for k, idx in enumerate(used):
+    for k, idx in enumerate(used.tolist()):
         if mode == "wTE(1,p)":
             val = (h[idx] ** (1.0 / p) + 1.0) / w1[idx]
         elif mode == "TE(1,phi_p)":

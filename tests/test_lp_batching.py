@@ -10,17 +10,18 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from conc_toolkit import laplace
+from conc_toolkit import laplace, transport
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import ValidationError
 from conc_toolkit.laplace import laplace_sup_discrete, mean_zero_lipschitz_vertices
 from conc_toolkit.measures import DiscreteSpace
 from conc_toolkit.suites import _random_probability, _random_space
 from conc_toolkit.transport import (
+    discrete_witnesses,
     first_moment_constant,
     kr_dual,
     transport_costs,
@@ -58,6 +59,7 @@ def test_batched_transport_costs_equal_single_lps(seed, n):
 
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, n=sizes)
+@example(seed=4768, n=4)  # near-collinear: HiGHS's default dual broke a row by 3e-8
 def test_w1_lp_equals_kr_dual_and_vertex_maximum(seed, n):
     _, space, family = _space_and_family(seed, n)
     mu = space.weights
@@ -68,6 +70,23 @@ def test_w1_lp_equals_kr_dual_and_vertex_maximum(seed, n):
         assert kr.primal == pytest.approx(kr.dual, abs=1e-9)
         assert kr.primal == pytest.approx(vertex_max, abs=1e-9)
         assert kr.dual == pytest.approx(vertex_max, abs=1e-9)
+
+
+def test_discrete_witnesses_solve_only_the_dual_lp(monkeypatch):
+    """The KR potential of the witness family needs the dual LP alone, not
+    the primal transportation LP (the only one with equality rows)."""
+    calls = []
+    solve = transport.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    _, space, _ = _space_and_family(3, 5)
+    discrete_witnesses(space, space.weights)
+    assert calls
+    assert all(kw.get("A_eq") is None for kw in calls)
 
 
 def _first_moment_per_pattern(space):

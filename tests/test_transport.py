@@ -7,6 +7,7 @@ import pytest
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationError
 from conc_toolkit.measures import (
+    Measure1D,
     atomize_1d,
     build_discrete_space,
     build_measure_1d,
@@ -23,6 +24,7 @@ from conc_toolkit.transport import (
     wc_discrete_lp,
     wc_monotone_1d,
     weighted_median,
+    witnesses_1d,
     ws_1d,
 )
 
@@ -301,6 +303,51 @@ class TestTEEstimates:
             cost = phi_p_eval(spec, d_star * 0.999 * s.dist)
             w = wc_discrete_lp(s, nu, s.weights, cost=cost).cost
             assert w <= h + 1e-6 or not math.isfinite(h)
+
+    def test_te_phi_p_1_line_builds_each_gap_once(self, gamma2, monkeypatch):
+        family = witnesses_1d(gamma2)
+        calls = []
+        quantile_upper = Measure1D.quantile_upper
+
+        def counting(self, u):
+            calls.append(self)
+            return quantile_upper(self, u)
+
+        monkeypatch.setattr(Measure1D, "quantile_upper", counting)
+        te_constant_estimate(gamma2, "TE(phi_p,1)", p=1.5, witnesses=family)
+        # one monotone gap (two quantile_upper calls) per witness, however
+        # many bisection steps the witness takes
+        assert 0 < len(calls) <= 2 * len(family)
+
+    def test_te_phi_p_1_line_feasible_for_every_witness(self, gamma1):
+        spec = CostSpec(1.5)
+        family = witnesses_1d(gamma1)
+        entry = te_constant_estimate(gamma1, "TE(phi_p,1)", p=1.5,
+                                     witnesses=family)
+        d_star = entry.value
+        assert 0 < d_star < math.inf
+        for nu in family:
+            h = divergences(nu, gamma1).h_nu_mu
+            if math.isfinite(h) and w1_1d(gamma1, nu) > 1e-12:
+                assert wc_monotone_1d(gamma1, nu, spec, d_star) <= h
+        # the binding witness is infeasible just above the constant
+        binding = family[entry.witnesses["witness_index"]]
+        assert (wc_monotone_1d(gamma1, binding, spec, 1.01 * d_star)
+                > entry.witnesses["H"])
+
+    @pytest.mark.parametrize("p, s", [(1.0, 1.0), (2.0, 2.0), (1.5, 3.0)])
+    def test_te_sp_line_is_min_over_witnesses(self, gamma2, p, s):
+        family = witnesses_1d(gamma2)
+        entry = te_constant_estimate(gamma2, "TE(s,p)", p=p, s=s,
+                                     witnesses=family)
+        expected = math.inf
+        for nu in family:
+            h = divergences(nu, gamma2).h_nu_mu
+            if not math.isfinite(h) or w1_1d(gamma2, nu) <= 1e-12:
+                continue
+            expected = min(expected, h ** (1.0 / p) / ws_1d(gamma2, nu, s))
+        assert math.isfinite(expected)
+        assert entry.value == pytest.approx(expected, rel=1e-14)
 
     def test_te_sp_mode(self):
         rng = np.random.default_rng(9)
