@@ -327,15 +327,14 @@ def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray
     return a_ub, space.dist[ii, jj]
 
 
-def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
-                                 size_cap: int = 7) -> np.ndarray:
-    """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}.
+def _pinned_lipschitz_vertices(space: DiscreteSpace, size_cap: int = 7) -> np.ndarray:
+    """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}.
 
-    Pinning f_0 = 0 leaves the bounded polytope {f_i - f_j <= d_ij} in
-    R^(n-1) with 0 in its interior; qhull intersects those halfspaces on
-    the distances divided by the diameter, so every tolerance below is
-    relative to it.  Vertices are deduplicated (qhull repeats the ones of
-    degenerate metrics), scaled back and recentred by mu.
+    That polytope is bounded in R^(n-1) with 0 in its interior; qhull
+    intersects its halfspaces on the distances divided by the diameter,
+    so every tolerance below is relative to it.  Vertices are
+    deduplicated (qhull repeats the ones of degenerate metrics) and
+    scaled back.
     """
     n = space.n
     if n > size_cap:
@@ -344,7 +343,6 @@ def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
             "multistart heuristic (laplace_sup_discrete(..., exact=False))")
     if n == 1:
         return np.zeros((1, 1))
-    mu = np.asarray(mu, dtype=float)
     diam = space.diameter
     d = space.dist / diam
     if n == 2:  # qhull needs dimension >= 2
@@ -364,8 +362,19 @@ def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
                 f"Lipschitz bound by {stretch:.3g} x diameter")
         _, idx = np.unique(np.round(f, 9), axis=0, return_index=True)
         f = f[idx]
-    f = f * diam
-    return f - (f @ mu)[:, None]
+    return f * diam
+
+
+def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    return pinned - (pinned @ mu)[:, None]
+
+
+def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
+                                 size_cap: int = 7) -> np.ndarray:
+    """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}: those of
+    the polytope pinned at f_0 = 0, recentred by mu."""
+    return _recentred(_pinned_lipschitz_vertices(space, size_cap),
+                      np.asarray(mu, dtype=float))
 
 
 def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:

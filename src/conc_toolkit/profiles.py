@@ -213,30 +213,42 @@ def _conc_profile_discrete(space: DiscreteSpace, size_cap: int = 22) -> Profile:
             f"got n = {n}.  Use sampled candidate mode instead "
             "(conc_profile(..., exact=False)).")
     w = space.weights
-    d = space.dist
     bps = space.breakpoints()
+    # The worst tail is taken over the admissible sets whose lightest
+    # member cannot be dropped, and it equals the one over all admissible
+    # sets to the last bit, for two reasons.  A subset of B has an
+    # extension inside B_r, and every admissible B holds such a set (drop
+    # lightest members while the mass stays >= 1/2).  And the doubling
+    # table adds the weights in index order, so its sums are monotone
+    # under inclusion in floating point too.
     wsum = _subset_weight_table(w)
-    admissible = wsum >= 0.5 - 1e-12
-    admissible[0] = False
-    point_bits = (np.uint64(1) << np.arange(n, dtype=np.uint64))
+    order = np.argsort(w, kind="stable")  # the points, lightest first
+    rank = np.argsort(order).astype(np.int8)
+    lightest = np.empty(1 << n, dtype=np.int8)  # rank of each set's lightest member
+    lightest[0] = n
+    for j in range(n):
+        block = 1 << j
+        np.minimum(lightest[:block], rank[j], out=lightest[block : 2 * block])
+    sets = np.flatnonzero(wsum >= 0.5 - 1e-12)
+    droppable = wsum[sets ^ (1 << order[lightest[sets]])] >= 0.5 - 1e-12
+    sets = sets[~droppable]
+    holders = [np.flatnonzero((sets >> i) & 1) for i in range(n)]
 
-    values = np.empty(bps.size)
     # radius of the closed balls generating A_r on the interval
-    # (d_{k-1}, d_k]: points within distance < r are those within <= d_{k-1}
+    # (d_{k-1}, d_k]: points within distance < r are those within <= d_{k-1};
+    # j joins the ball of i at the first step whose threshold reaches
+    # d(i, j); so does i itself, which puts each set into its own union
     radii = np.concatenate(([0.0], bps[:-1]))
-    size = 1 << n
-    unions = np.zeros(size, dtype=np.uint64)
-    for k, rad in enumerate(radii):
-        balls = np.empty(n, dtype=np.uint64)
-        for i in range(n):
-            mask = d[i] <= rad * (1 + 1e-12) + 1e-15
-            balls[i] = np.bitwise_or.reduce(point_bits[mask])
-        unions[0] = np.uint64(0)
-        for j in range(n):
-            block = 1 << j
-            np.bitwise_or(unions[:block], balls[j], out=unions[block : 2 * block])
-        ext_mass = wsum[unions[admissible]]
-        worst_tail = float(np.max(1.0 - ext_mass))
+    joins = np.searchsorted(radii * (1 + 1e-12) + 1e-15, space.dist, side="left")
+    entering: list[list[tuple[int, int]]] = [[] for _ in range(bps.size)]
+    for i, j in zip(*np.nonzero(joins < bps.size)):
+        entering[joins[i, j]].append((int(i), int(j)))
+    unions = np.zeros_like(sets)
+    values = np.empty(bps.size)
+    for k, pairs in enumerate(entering):
+        for i, j in pairs:
+            unions[holders[i]] |= 1 << j
+        worst_tail = 1.0 - float(np.min(wsum[unions]))
         values[k] = math.inf if worst_tail <= _TAIL_FLOOR else -math.log(worst_tail)
     return Profile(kind="conc", inputs=bps, values=values,
                    exactness="exact", step=True)
@@ -282,8 +294,11 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
     log-concave certificates; otherwise the lower envelope over mass-1/2
     intervals, tagged ``candidate-lower-bound``).
 
-    Finite spaces: exact 2^n subset enumeration (n <= 22) with the strict
-    extension A_r; breakpoints at the distinct pairwise distances.
+    Finite spaces (n <= 22): exact, with the strict extension A_r; the
+    worst tail runs over the admissible sets whose lightest member cannot
+    be dropped, each updated as the pairs join balls at the breakpoints
+    (the distinct pairwise distances).  ``exact=False`` samples admissible
+    sets instead (``candidate-lower-bound``).
     """
     if isinstance(source, Measure1D):
         return _conc_profile_1d(source, r_grid, interval_candidates)

@@ -29,6 +29,8 @@ from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError
 from .laplace import (
     LaplaceBound,
+    _pinned_lipschitz_vertices,
+    _recentred,
     herbst_laplace,
     laplace_sup_discrete,
     mean_zero_lipschitz_vertices,
@@ -56,6 +58,7 @@ from .profiles import (
 )
 from .reports import _jsonable
 from .transport import (
+    _first_moment_exact,
     discrete_witnesses,
     divergences,
     first_moment_constant,
@@ -228,11 +231,12 @@ def _suite_w1_fm_exact(config, seed):
         n = int(rng.integers(2, n_max + 1))
         space = _random_space(rng, n)
         mu2 = _random_probability(rng, n)
-        inv1 = first_moment_constant(space).witnesses["one_over_d"]
-        inv2 = first_moment_constant(
-            DiscreteSpace(dist=space.dist, weights=mu2)).witnesses["one_over_d"]
+        # one vertex enumeration serves both first-moment values and W_1
+        pinned = _pinned_lipschitz_vertices(space)
+        verts = _recentred(pinned, space.weights)
+        inv1, _ = _first_moment_exact(verts, space.weights)
+        inv2, _ = _first_moment_exact(_recentred(pinned, mu2), mu2)
         # W_1 by Kantorovich-Rubinstein duality, as in bg-duality's te_term
-        verts = mean_zero_lipschitz_vertices(space, space.weights)
         w1 = float(np.max(verts @ (mu2 - space.weights)))
         gap = abs(inv2 - inv1) - w1
         return {"n": n, "one_over_d_1": inv1, "one_over_d_2": inv2,

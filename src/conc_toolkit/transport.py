@@ -260,17 +260,19 @@ def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     return float(np.trapezoid(np.abs(diff), xs))
 
 
+def _monotone_quantiles(mu: Measure1D, n_u: int = 8192) -> np.ndarray:
+    """q_mu on n_u midpoints of (0, 1): the lower quantile up to 1/2, the
+    upper one (of the mirrored mass) above it."""
+    u = (np.arange(n_u) + 0.5) / n_u
+    return np.where(u <= 0.5, mu.quantile(np.minimum(u, 0.5)),
+                    mu.quantile_upper(np.maximum(1.0 - u, 0.0)))
+
+
 def _monotone_gap(mu: Measure1D, nu: Measure1D, n_u: int = 8192) -> np.ndarray:
     """|q_mu - q_nu| on n_u midpoints of (0, 1): the displacement of the
     monotone coupling, which is optimal for every convex cost of the
     distance, so one gap serves every such cost."""
-    u = (np.arange(n_u) + 0.5) / n_u
-    lower = u <= 0.5
-    q_mu = np.where(lower, mu.quantile(np.minimum(u, 0.5)),
-                    mu.quantile_upper(np.maximum(1.0 - u, 0.0)))
-    q_nu = np.where(lower, nu.quantile(np.minimum(u, 0.5)),
-                    nu.quantile_upper(np.maximum(1.0 - u, 0.0)))
-    return np.abs(q_mu - q_nu)
+    return np.abs(_monotone_quantiles(mu, n_u) - _monotone_quantiles(nu, n_u))
 
 
 def ws_1d(mu: Measure1D, nu: Measure1D, s: float, n_u: int = 8192) -> float:
@@ -448,7 +450,8 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
     idx, scales)``: the optimal cost of g(scale_k d), g convex, from
     ``family[idx[k]]`` to the base.  The TE code's only substrate branch:
     one LP per query on a finite space, mean(g(scale |q_mu - q_nu|)) on the
-    line, where each witness's gap serves every g and is built once."""
+    line, where each witness's gap serves every g and is built once, as are
+    the base's quantiles."""
     if isinstance(source, DiscreteSpace):
         if mu is None:
             raise ValidationError("discrete mode requires the base weights mu")
@@ -469,10 +472,15 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
         if not family:
             raise DomainError("witness family is empty")
         gaps: dict[int, np.ndarray] = {}
+        q_base = None
 
         def cost(g, idx, scales) -> np.ndarray:
-            gaps.update({i: _monotone_gap(source, family[i])
-                         for i in idx if i not in gaps})
+            nonlocal q_base
+            for i in idx:
+                if i not in gaps:
+                    if q_base is None:
+                        q_base = _monotone_quantiles(source)
+                    gaps[i] = np.abs(q_base - _monotone_quantiles(family[i]))
             return np.array([float(np.mean(g(scale * gaps[i])))
                              for i, scale in zip(idx, scales)])
 
@@ -667,15 +675,15 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[min(k, v.size - 1)])
 
 
-def _first_moment_exact(space: DiscreteSpace) -> tuple[float, np.ndarray]:
-    """max over 1-Lipschitz f of min_c int |f - c| dmu, with its witness.
+def _first_moment_exact(verts: np.ndarray, mu: np.ndarray) -> tuple[float, np.ndarray]:
+    """max over 1-Lipschitz f of min_c int |f - c| dmu, with its witness,
+    given the vertices of the Lipschitz polytope.
 
     The objective is convex and shift-invariant, so the maximum sits at a
     vertex v of the Lipschitz polytope, and the inner minimum at one of
     v's own values v_k (a weighted median): the witness f = v - v_k has
     median 0 and the first vertex attaining the maximum wins."""
-    verts = mean_zero_lipschitz_vertices(space, space.weights, size_cap=8)
-    dev = np.abs(verts[:, :, None] - verts[:, None, :]) @ space.weights  # [v, k]
+    dev = np.abs(verts[:, :, None] - verts[:, None, :]) @ mu  # [v, k]
     j = int(np.argmax(dev.min(axis=1)))
     k = int(np.argmin(dev[j]))
     return float(dev[j, k]), verts[j] - verts[j, k]
@@ -714,7 +722,8 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
                 raise UnsupportedSizeError(
                     "exact Lipschitz-vertex enumeration capped at n = 8; "
                     "call with mode='heuristic'")
-            val, f_opt = _first_moment_exact(source)
+            val, f_opt = _first_moment_exact(mean_zero_lipschitz_vertices(
+                source, source.weights, size_cap=8), source.weights)
             d_fm = math.inf if val <= 1e-300 else 1.0 / val
             return ConstantEntry(
                 constant_id="D_FM", value=d_fm, direction="two-sided",

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conc_toolkit.errors import DomainError, UnsupportedSizeError
 from conc_toolkit.measures import (
@@ -26,6 +28,61 @@ from conc_toolkit.profiles import (
     profile_to_svg,
 )
 from conc_toolkit.suites import _random_space
+
+
+def _full_enumeration_profile(space) -> np.ndarray:
+    """Exact conc profile values by the full route: at every breakpoint,
+    OR the balls of all 2^n subsets and take the worst tail over the
+    admissible ones.  The oracle for the minimal-set route of
+    ``conc_profile``; its weight table adds in the same order."""
+    n = space.n
+    d = space.dist
+    wsum = np.zeros(1 << n)
+    for j in range(n):
+        block = 1 << j
+        wsum[block : 2 * block] = wsum[:block] + space.weights[j]
+    admissible = wsum >= 0.5 - 1e-12
+    admissible[0] = False
+    point_bits = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    bps = space.breakpoints()
+    values = np.empty(bps.size)
+    unions = np.zeros(1 << n, dtype=np.uint64)
+    for k, rad in enumerate(np.concatenate(([0.0], bps[:-1]))):
+        balls = np.empty(n, dtype=np.uint64)
+        for i in range(n):
+            mask = d[i] <= rad * (1 + 1e-12) + 1e-15
+            balls[i] = np.bitwise_or.reduce(point_bits[mask])
+        for j in range(n):
+            block = 1 << j
+            np.bitwise_or(unions[:block], balls[j], out=unions[block : 2 * block])
+        worst_tail = float(np.max(1.0 - wsum[unions[admissible]]))
+        values[k] = math.inf if worst_tail <= 1e-12 else -math.log(worst_tail)
+    return values
+
+
+def _tie_prone_space(seed: int, n: int, metric: str, weights: str):
+    """A space whose distances or weights tie often: planar Gaussian
+    points, a path with integer gaps, the discrete metric, or points of a
+    4 x 4 grid nudged by at most 1e-12 relative; weights random, equal, or
+    small integers normalised."""
+    rng = np.random.default_rng(seed)
+    if metric == "path":
+        x = np.cumsum(rng.integers(1, 4, size=n)).astype(float)
+        d = np.abs(x[:, None] - x[None, :])
+    elif metric == "discrete":
+        d = 1.0 - np.eye(n)
+    else:
+        if metric == "planar":
+            pts = rng.normal(size=(n, 2))
+        else:
+            cells = rng.choice(16, size=n, replace=False)
+            pts = np.column_stack((cells // 4, cells % 4)).astype(float)
+            pts *= 1.0 + rng.choice([0.0, 1e-15, 1e-13, 1e-12]) * rng.random((n, 2))
+        d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
+    w = {"random": lambda: rng.random(n) + 0.05,
+         "equal": lambda: np.ones(n),
+         "integer": lambda: rng.integers(1, 4, size=n).astype(float)}[weights]()
+    return build_discrete_space(d, w / w.sum())
 
 
 @pytest.fixture(scope="module")
@@ -119,12 +176,13 @@ class TestConcProfileDiscrete:
         prof = conc_profile(s, exact=False)
         assert prof.exactness == "candidate-lower-bound"
 
-    def test_sampled_dominates_exact(self):
+    @pytest.mark.parametrize("n", [8, 20, 22])
+    def test_sampled_dominates_exact(self, n):
         # candidate mode can only over-estimate the exact profile
         rng = np.random.default_rng(3)
-        pts = rng.random((8, 2))
+        pts = rng.random((n, 2))
         d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
-        w = rng.random(8)
+        w = rng.random(n)
         w /= w.sum()
         s = build_discrete_space(d, w)
         exact = conc_profile(s)
@@ -144,6 +202,22 @@ class TestConcProfileDiscrete:
                           <= np.exp(-exact.values) + 1e-12)
             assert np.all(np.isinf(sampled.values[np.isinf(exact.values)]))
 
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+           n=st.integers(min_value=2, max_value=14),
+           metric=st.sampled_from(["planar", "path", "discrete", "grid"]),
+           weights=st.sampled_from(["random", "equal", "integer"]))
+    def test_minimal_sets_equal_full_enumeration(self, seed, n, metric, weights):
+        # ties in weights (which member is lightest, masses of exactly 1/2)
+        # and in distances (several pairs joining at one step, or within
+        # the 1e-12 threshold slack) are where the two routes could part
+        space = _tie_prone_space(seed, n, metric, weights)
+        prof = conc_profile(space)
+        want = _full_enumeration_profile(space)
+        assert np.array_equal(prof.inputs, space.breakpoints())
+        assert np.array_equal(np.isinf(prof.values), np.isinf(want))
+        assert np.array_equal(prof.values, want)
 
     # (value, run length) of conc_profile(_random_space(rng(s), n),
     # exact=False, seed=s) as computed by the per-subset Python loop the
