@@ -22,11 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .costs import CostSpec, phi_star_eval
 from .errors import DomainError, ValidationError
-from .measures import Measure1D
+from .measures import Measure1D, _cell_partial_moment
 from .reports import ConstantEntry
 
 __all__ = [
@@ -97,6 +96,8 @@ def _poincare_eigenvalue(mu: Measure1D, mass_cut: float = 1e-250) -> float:
     exact zeros and would otherwise produce NaN rows in the symmetrized
     matrix; the perturbation of the low eigenvalues is O(mass_cut).
     """
+    from scipy.linalg import eigvalsh_tridiagonal
+
     keep = (mu.cdf_nodes >= mass_cut) & (mu.sf_nodes >= mass_cut)
     if keep.sum() < 16:
         keep = np.ones(mu.grid.size, dtype=bool)
@@ -163,11 +164,20 @@ def poincare_constant_1d(mu: Measure1D, *, richardson: bool = True) -> ConstantE
 
 def _exp_family_ratio(mu: Measure1D, lam: float) -> float:
     """Rayleigh quotient int f'^2 dmu / Ent(f^2) for f = exp(lam x / 2),
-    evaluated by exact tilted-cell integrals."""
-    log_m = mu.log_mgf_nodes(mu.grid, lam)
-    tilted = Measure1D(grid=mu.grid.copy(),
-                       potential=mu.potential - lam * mu.grid, provenance={})
-    mean_tilted = tilted.mean()
+    evaluated by exact tilted-cell integrals.
+
+    log M(lam) and the mean of the tilted measure come from one pass over
+    the cells, in the expressions (and order) of ``Measure1D.log_mgf_nodes``,
+    ``Measure1D.__post_init__`` and ``Measure1D.partial_moment``, so they
+    are the floats those give without a tilted ``Measure1D`` being built.
+    """
+    shift, v_left, slopes, m0 = mu._tilted_cells(mu.grid, lam)
+    z_u = float(m0.sum())
+    if not math.isfinite(z_u) or z_u <= 0.0:
+        raise ValidationError("non-integrable potential: mass diverges on grid")
+    log_m = math.log(z_u) - shift - mu.log_z
+    m1 = _cell_partial_moment(v_left, slopes, mu._widths)
+    mean_tilted = float(np.sum(mu.grid[:-1] * m0 + m1) / z_u)
     ent = lam * mean_tilted - log_m  # Ent(e^{lam x}) / int e^{lam x} dmu
     if ent <= 0:
         return math.inf

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.spatial import HalfspaceIntersection, QhullError
-from scipy.special import logsumexp
 
 from .costs import _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, _cell_partial_mass
 from .profiles import LOG2, invert_monotone
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "LaplaceBound",
@@ -203,6 +204,8 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
         w = np.asarray(mu, dtype=float)
         if w.shape != f.shape:
             raise ValidationError("weights and values must be equal length")
+        from scipy.special import logsumexp
+
         logw = np.log(np.maximum(w, 1e-300)).ravel()
         out = logsumexp(lam.reshape(-1, 1) * f.ravel() + logw, axis=1)
     return _shaped(lam, out)
@@ -314,9 +317,27 @@ def herbst_laplace(rho: float, *, x_max: float | None = None,
 # exact sup over 1-Lipschitz mean-zero functions (finite spaces)
 # ---------------------------------------------------------------------------
 
+# scipy is imported on first use; these two names stay on the module
+# so that a fault can be put in place of the vertex enumeration
+def HalfspaceIntersection(halfspaces, interior_point):
+    from scipy.spatial import HalfspaceIntersection as intersect
+
+    return intersect(halfspaces, interior_point)
+
+
+def __getattr__(name: str):
+    if name == "QhullError":
+        from scipy.spatial import QhullError
+
+        return QhullError
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
     """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
     over the ordered pairs i != j."""
+    from scipy import sparse
+
     ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
     m = ii.size
     a_ub = sparse.csr_matrix(
@@ -332,7 +353,8 @@ def _pinned_lipschitz_vertices(space: DiscreteSpace, size_cap: int = 7) -> np.nd
 
     That polytope is bounded in R^(n-1) with 0 in its interior; qhull
     intersects its halfspaces on the distances divided by the diameter,
-    so every tolerance below is relative to it.  Vertices are
+    so every tolerance below is relative to it.  Where qhull fails, it
+    runs once more on those distances rounded to 1e-12.  Vertices are
     deduplicated (qhull repeats the ones of degenerate metrics) and
     scaled back.
     """
@@ -348,12 +370,21 @@ def _pinned_lipschitz_vertices(space: DiscreteSpace, size_cap: int = 7) -> np.nd
     if n == 2:  # qhull needs dimension >= 2
         f = np.array([[0.0, 1.0], [0.0, -1.0]])
     else:
+        from scipy.spatial import QhullError
+
         a_ub, b_ub = _lipschitz_rows(space)
-        halfspaces = np.column_stack([a_ub[:, 1:].toarray(), -b_ub / diam])
-        try:
-            g = HalfspaceIntersection(halfspaces, np.zeros(n - 1)).intersections
-        except QhullError as exc:
-            raise ValidationError(f"Lipschitz vertex enumeration failed: {exc}") from None
+        rows = a_ub[:, 1:].toarray()
+        # qhull cannot merge facets a few ulps apart (distances equal to
+        # ~1e-14); rounded, they coincide or stand >= 1e-12 apart
+        for bounds in (b_ub / diam, np.round(b_ub / diam, 12)):
+            try:
+                g = HalfspaceIntersection(np.column_stack([rows, -bounds]),
+                                          np.zeros(n - 1)).intersections
+                break
+            except QhullError as exc:
+                failure = exc
+        else:
+            raise ValidationError(f"Lipschitz vertex enumeration failed: {failure}")
         f = np.column_stack([np.zeros(len(g)), g])
         stretch = float(np.max(f[:, :, None] - f[:, None, :] - d))
         if not stretch <= 1e-9:

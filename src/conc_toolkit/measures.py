@@ -86,10 +86,14 @@ def _e2(u: np.ndarray) -> np.ndarray:
     """(1 - (1 + u) exp(-u)) / u^2, the first-moment factor of a cell."""
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-2
-    safe = np.where(small, 1.0, u)
-    direct = (1.0 - (1.0 + safe) * np.exp(-safe)) / (safe * safe)
-    series = 0.5 - u / 3.0 + u * u / 8.0 - u**3 / 30.0 + u**4 / 144.0
-    return np.where(small, series, direct)
+    out = np.empty_like(u)
+    # each form only on its own elements: the series' powers cost more
+    # than the closed form
+    d = u[~small]
+    out[~small] = (1.0 - (1.0 + d) * np.exp(-d)) / (d * d)
+    s = u[small]
+    out[small] = 0.5 - s / 3.0 + s * s / 8.0 - s**3 / 30.0 + s**4 / 144.0
+    return out
 
 
 def _cell_partial_mass(v0, b, t):
@@ -376,17 +380,23 @@ class Measure1D:
         values = np.asarray(values, dtype=float)
         if values.shape != self.grid.shape:
             raise ValidationError("node values must match the grid")
-        tilted = self.potential - lam * values
-        if not np.all(np.isfinite(tilted)):
-            raise ValidationError("tilted potential has nonfinite values")
-        shift = float(tilted.min())
-        slopes = np.diff(tilted) / self._widths
-        mass = _cell_partial_mass(tilted[:-1] - shift, slopes, self._widths)
+        shift, _, _, mass = self._tilted_cells(values, lam)
         total = float(mass.sum())
         if not math.isfinite(total) or total <= 0.0:
             return math.inf
         # log int e^{lam f} e^{-V} dx - log Z
         return math.log(total) - shift - self.log_z
+
+    def _tilted_cells(self, values: np.ndarray, lam: float):
+        """(shift, left potentials, slopes, unnormalized masses) of the cells
+        under the tilted potential V - lam * values, shifted to minimum 0."""
+        tilted = self.potential - lam * values
+        if not np.all(np.isfinite(tilted)):
+            raise ValidationError("tilted potential has nonfinite values")
+        shift = float(tilted.min())
+        v_left = tilted[:-1] - shift
+        slopes = np.diff(tilted) / self._widths
+        return shift, v_left, slopes, _cell_partial_mass(v_left, slopes, self._widths)
 
     # -- serialization -------------------------------------------------------
 
@@ -595,6 +605,9 @@ class DiscreteSpace:
             raise ValidationError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
             raise ValidationError("dist(i, i) must be 0")
+        if np.any(np.diag(d) != 0.0):  # tolerated above, but must not count
+            d = d.copy()  # ``d`` may be the caller's array
+            np.fill_diagonal(d, 0.0)
         off = d + np.eye(n) * 1.0
         if np.any(off <= 0.0):
             i, j = np.argwhere(off <= 0)[0]

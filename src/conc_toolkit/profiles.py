@@ -303,6 +303,9 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
     if isinstance(source, Measure1D):
         return _conc_profile_1d(source, r_grid, interval_candidates)
     if isinstance(source, DiscreteSpace):
+        if source.n < 2:
+            raise DomainError("a one-point space has no pairwise distance, so "
+                              "its concentration profile has no radius")
         if exact:
             return _conc_profile_discrete(source)
         return _conc_profile_discrete_sampled(source, seed)

@@ -717,5 +717,8 @@ def run_suites(suite_ids: list[str], *, seed: int = 0,
     workers = min(jobs, os.cpu_count() or 1, len(suite_ids))
     if workers <= 1:
         return [run_suite(sid, seed=seed) for sid in suite_ids]
+    # imported here, not in each worker, so forked workers share its pages
+    import scipy.linalg, scipy.optimize, scipy.sparse, scipy.spatial, scipy.special  # noqa: E401, F401
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(partial(run_suite, seed=seed), suite_ids))

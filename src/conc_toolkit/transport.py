@@ -17,17 +17,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
-from scipy.special import logsumexp
 
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import _lipschitz_rows, mean_zero_lipschitz_vertices
 from .measures import DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "TransportPlan",
@@ -54,6 +55,14 @@ _MAX_LP_POINTS = 400
 _LP_RETRY = {"presolve": False,
              "primal_feasibility_tolerance": 1e-10,
              "dual_feasibility_tolerance": 1e-10}
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first call: the 1-D
+    substrate never solves an LP and need not pay for scipy's import."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def _solve_lp(c, *, what: str, reject=lambda res: None, **constraints):
@@ -134,6 +143,8 @@ def _clean_marginal(w: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _marginal_rows(n: int) -> sparse.csr_matrix:
     """Row-sum then column-sum rows of an n x n plan flattened row-major."""
+    from scipy import sparse
+
     ones = np.ones((1, n))
     eye = sparse.eye(n, format="csr")
     return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)],
@@ -147,6 +158,8 @@ def _transport_lps(space: DiscreteSpace, nus, mu, costs,
     blocks share no variable, so the joint optimum is optimal in every
     block.  Returns the plans (K, n, n), their costs <c_k, x_k> and their
     marginal residuals."""
+    from scipy import sparse
+
     nus = np.asarray(nus, dtype=float)
     mu = np.asarray(mu, dtype=float)
     costs = np.asarray(costs, dtype=float)
@@ -167,11 +180,19 @@ def _transport_lps(space: DiscreteSpace, nus, mu, costs,
         return np.maximum(np.abs(plans.sum(axis=2) - nus).max(axis=1),
                           np.abs(plans.sum(axis=1) - mu).max(axis=1))
 
-    def off_marginals(res) -> str | None:
-        worst = float(residuals(res).max())
-        return f"plan violates marginals ({worst:.3g})" if worst > 1e-9 else None
+    c = costs.ravel()
 
-    res = _solve_lp(costs.ravel(), what="transport LP", reject=off_marginals,
+    def unsound(res) -> str | None:
+        worst = float(residuals(res).max())
+        if worst > 1e-9:
+            return f"plan violates marginals ({worst:.3g})"
+        # a plan is optimal only if no reduced cost c - A^T y is negative
+        reduced = float(np.min(c - a_eq.T @ res.eqlin.marginals))
+        if reduced < -1e-12 * float(np.max(np.abs(c))):
+            return f"plan is not optimal (reduced cost {reduced:.3g})"
+        return None
+
+    res = _solve_lp(c, what="transport LP", reject=unsound,
                     A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
     plans = res.x.reshape(k, n, n)
     return plans, (costs * plans).sum(axis=(1, 2)), residuals(res)
@@ -605,6 +626,8 @@ def _psi1_value(space: DiscreteSpace, nu, mu, g: np.ndarray) -> float:
     lip = _lip_constant(space, g)
     if lip <= 1e-14:
         return 0.0
+    from scipy.special import logsumexp
+
     return float(abs(logsumexp(g, b=nu) - logsumexp(g, b=mu)) / lip)
 
 

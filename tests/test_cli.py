@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import conc_toolkit
 from conc_toolkit.cli import dispatch
 
 
@@ -212,3 +217,25 @@ def test_plot_non_numeric_profile_value_exits_2(tmp_path, capsys):
     csv_path.write_text("input,value,exactness\n0.1,0.2,exact\n0.2,abc,exact\n")
     _assert_bad_input(capsys, ["plot", str(csv_path),
                                "--out", str(tmp_path / "x.svg")])
+
+
+def test_one_d_commands_do_not_import_scipy(tmp_path):
+    """scipy is imported where it is called: neither the CLI's import nor a
+    1-D profile loads it (a fresh interpreter, so no other test's imports
+    count)."""
+    src = str(Path(conc_toolkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "from conc_toolkit.cli import dispatch\n"
+        "print(scipy_modules())\n"
+        "rc = dispatch(['profile', 'iso', '--preset', 'gamma_p', '--p', '1.5',\n"
+        "               '--out', sys.argv[1]])\n"
+        "print(rc, scipy_modules())\n")
+    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "iso.csv")],
+                         env=env, capture_output=True, text=True, check=True, timeout=120)
+    lines = out.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "0 []")

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conc_toolkit.errors import DomainError
+from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.functional import (
     GridFunction,
+    _exp_family_ratio,
     functional_inequality_eval,
     logsob_constant_1d,
     poincare_constant_1d,
@@ -74,6 +77,41 @@ class TestLogSobolev:
         r1 = logsob_constant_1d(scaled).value
         # rho scales like 1 / lam^2 (it is a squared-gradient constant)
         assert r1 == pytest.approx(r0 / lam**2, rel=1e-6)
+
+
+def _tilted_measure_ratio(mu, lam):
+    """The exponential-family quotient through a tilted Measure1D, as
+    _exp_family_ratio computed it before it read the cells directly."""
+    log_m = mu.log_mgf_nodes(mu.grid, lam)
+    tilted = Measure1D(grid=mu.grid.copy(),
+                       potential=mu.potential - lam * mu.grid, provenance={})
+    ent = lam * tilted.mean() - log_m
+    if ent <= 0:
+        return math.inf
+    return (lam * lam / 4.0) / ent
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=3, max_value=400),
+       lam=st.floats(min_value=-8.0, max_value=8.0))
+def test_exp_family_ratio_equals_the_tilted_measure_route(seed, n, lam):
+    rng = np.random.default_rng(seed)
+    grid = np.sort(rng.uniform(-6.0, 6.0, n))
+    assume(np.all(np.diff(grid) > 1e-6))
+    potential = np.cumsum(rng.normal(0.0, rng.uniform(0.01, 3.0), n))
+    mu = Measure1D(grid=grid, potential=potential, provenance={})
+    got, want = _exp_family_ratio(mu, lam), _tilted_measure_ratio(mu, lam)
+    assert got == want or (math.isinf(got) and math.isinf(want))
+
+
+def test_exp_family_ratio_rejects_a_divergent_tilt(gamma2):
+    # the tilted cell masses overflow, as the tilted Measure1D rejected them
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match="diverges"):
+            _tilted_measure_ratio(gamma2, 1e6)
+        with pytest.raises(ValidationError, match="diverges"):
+            _exp_family_ratio(gamma2, 1e6)
 
 
 class TestFunctionalEval:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
+    _e2,
     DiscreteSpace,
     Measure1D,
     atomize_1d,
@@ -17,6 +18,8 @@ from conc_toolkit.measures import (
     discrete_space_from_atoms,
     is_symmetric,
 )
+from conc_toolkit.profiles import conc_profile
+from conc_toolkit.suites import _random_space
 
 
 @pytest.fixture(scope="module")
@@ -276,6 +279,20 @@ class TestDiscreteSpace:
         with pytest.raises(ValidationError, match="sum"):
             build_discrete_space(d, np.array([0.7, 0.5]))
 
+    def test_tolerated_diagonal_is_zeroed(self):
+        # |d(i, i)| <= 1e-9 is accepted; the stored metric has a zero
+        # diagonal, so every point lies in its own radius-0 ball
+        space = _random_space(np.random.default_rng(5), 7)
+        d = space.dist.copy()
+        np.fill_diagonal(d, 5e-10)
+        given = d.copy()
+        nudged = build_discrete_space(d, space.weights)
+        assert np.array_equal(d, given)  # the caller's matrix is not touched
+        assert np.array_equal(nudged.dist, space.dist)
+        for exact in (True, False):
+            assert np.array_equal(conc_profile(nudged, exact=exact).values,
+                                  conc_profile(space, exact=exact).values)
+
     def test_constructor_validates(self):
         with pytest.raises(ValidationError, match="symmetric"):
             DiscreteSpace(dist=[[0.0, 1.0], [3.0, 0.0]], weights=[0.5, 0.5])
@@ -283,6 +300,32 @@ class TestDiscreteSpace:
             DiscreteSpace(dist=[[0.0, 1.0], [1.0, 0.0]], weights=[0.9, 0.9])
         s = DiscreteSpace(dist=[[0.0, 1.0], [1.0, 0.0]], weights=[1.0 + 1e-10, -1e-10])
         assert s.weights.tolist() == [1.0 + 1e-10, 0.0]
+
+
+def _e2_both_branches(u):
+    """The two-branch form _e2 had when both branches ran on every element."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < 1e-2
+    safe = np.where(small, 1.0, u)
+    direct = (1.0 - (1.0 + safe) * np.exp(-safe)) / (safe * safe)
+    series = 0.5 - u / 3.0 + u * u / 8.0 - u**3 / 30.0 + u**4 / 144.0
+    return np.where(small, series, direct)
+
+
+e2_points = st.one_of(st.floats(allow_nan=False, width=64),
+                      st.floats(min_value=-1e-2, max_value=1e-2),
+                      st.sampled_from([0.0, -0.0, 1e-2, -1e-2, np.inf, -np.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.lists(e2_points, max_size=20))
+def test_e2_equals_the_two_branch_form(points):
+    with np.errstate(all="ignore"):
+        for u in [np.array(points), *points[:3]]:
+            got, want = _e2(u), _e2_both_branches(u)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_atomize_preserves_mean(gamma2):

@@ -165,6 +165,12 @@ class TestConcProfileDiscrete:
         assert prof.at(1.0) == pytest.approx(math.log(3.0))
         assert math.isinf(prof.at(2.5))
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_point_space_rejected(self, exact):
+        s = build_discrete_space(np.zeros((1, 1)), np.ones(1))
+        with pytest.raises(DomainError, match="one-point space"):
+            conc_profile(s, exact=exact)
+
     def test_size_cap(self):
         n = 23
         rng = np.random.default_rng(0)
