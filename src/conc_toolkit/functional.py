@@ -104,22 +104,18 @@ def _poincare_eigenvalue(mu: Measure1D, mass_cut: float = 1e-250) -> float:
     i0 = int(np.argmax(keep))
     i1 = int(mu.grid.size - np.argmax(keep[::-1]))
     xs = mu.grid[i0:i1]
-    h = np.diff(xs)
     cell_mass = mu.cell_masses[i0 : i1 - 1]
-    node_mass = np.zeros(xs.size)
-    node_mass[:-1] += 0.5 * cell_mass
-    node_mass[1:] += 0.5 * cell_mass
     positive = cell_mass > 0
     if not np.all(positive):
         # trim any residual underflowed cells at the edges
         j0 = int(np.argmax(positive))
         j1 = int(positive.size - np.argmax(positive[::-1]))
         xs = xs[j0 : j1 + 1]
-        h = np.diff(xs)
         cell_mass = cell_mass[j0:j1]
-        node_mass = np.zeros(xs.size)
-        node_mass[:-1] += 0.5 * cell_mass
-        node_mass[1:] += 0.5 * cell_mass
+    h = np.diff(xs)
+    node_mass = np.zeros(xs.size)
+    node_mass[:-1] += 0.5 * cell_mass
+    node_mass[1:] += 0.5 * cell_mass
     k = cell_mass / h**2
     diag = np.zeros(xs.size)
     diag[:-1] += k

@@ -8,11 +8,11 @@ Two bound objects travel through this module:
 
 Each direction of the translation between them is an explicit formula in
 (Phi, D, eps, delta) evaluated on the tabulated Phi; the sup over
-Lipschitz functions on a finite space is computed exactly for n <= 7 as
-a maximum over the vertices of the mean-zero Lipschitz polytope, which
-one qhull halfspace intersection enumerates, and by multistart local
-search above that.  The same vertices give the exact first-moment
-constant and W_1 (see :mod:`conc_toolkit.transport`).
+Lipschitz functions on a finite space is computed exactly, up to
+``_VERTEX_CAP`` points, as a maximum over the vertices of the mean-zero
+Lipschitz polytope, which one qhull halfspace intersection enumerates,
+and by multistart local search on request.  The same vertices give the
+exact first-moment constant and W_1 (see :mod:`conc_toolkit.transport`).
 """
 
 from __future__ import annotations
@@ -335,20 +335,24 @@ def __getattr__(name: str):
 
 def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
     """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
-    over the ordered pairs i != j."""
+    over the ordered pairs i != j: row (i, j) holds +1 at i and -1 at j."""
     from scipy import sparse
 
     ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
     m = ii.size
     a_ub = sparse.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m)]),
-         (np.concatenate([np.arange(m), np.arange(m)]),
-          np.concatenate([ii, jj]))),
+        (np.tile([1.0, -1.0], m), np.column_stack([ii, jj]).ravel(),
+         np.arange(0, 2 * m + 1, 2)),
         shape=(m, space.n))
     return a_ub, space.dist[ii, jj]
 
 
-def _pinned_lipschitz_vertices(space: DiscreteSpace, size_cap: int = 7) -> np.ndarray:
+# the largest space whose Lipschitz polytope is enumerated; a generic
+# metric's has C(2n - 2, n - 1) vertices, 3,432 at n = 8
+_VERTEX_CAP = 8
+
+
+def _pinned_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
     """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}.
 
     That polytope is bounded in R^(n-1) with 0 in its interior; qhull
@@ -359,10 +363,11 @@ def _pinned_lipschitz_vertices(space: DiscreteSpace, size_cap: int = 7) -> np.nd
     scaled back.
     """
     n = space.n
-    if n > size_cap:
+    if n > _VERTEX_CAP:
         raise UnsupportedSizeError(
-            f"vertex enumeration capped at n = {size_cap}; use the "
-            "multistart heuristic (laplace_sup_discrete(..., exact=False))")
+            f"vertex enumeration capped at n = {_VERTEX_CAP}; use a heuristic: "
+            "laplace_sup_discrete(..., exact=False) or "
+            "first_moment_constant(..., mode='heuristic')")
     if n == 1:
         return np.zeros((1, 1))
     diam = space.diameter
@@ -400,12 +405,10 @@ def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return pinned - (pinned @ mu)[:, None]
 
 
-def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray,
-                                 size_cap: int = 7) -> np.ndarray:
+def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray) -> np.ndarray:
     """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}: those of
     the polytope pinned at f_0 = 0, recentred by mu."""
-    return _recentred(_pinned_lipschitz_vertices(space, size_cap),
-                      np.asarray(mu, dtype=float))
+    return _recentred(_pinned_lipschitz_vertices(space), np.asarray(mu, dtype=float))
 
 
 def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -420,23 +423,20 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
                          ) -> tuple[np.ndarray, str, np.ndarray]:
     """sup over 1-Lipschitz f with int f dmu = 0 of log int e^{lam f} dmu.
 
-    Exact for n <= 7 (the objective is convex in f, so the sup over the
-    mean-zero Lipschitz polytope is attained at a vertex); multistart
-    local search otherwise, flagged "lower".
+    Exact up to ``_VERTEX_CAP`` points (the objective is convex in f, so the
+    sup over the mean-zero Lipschitz polytope is attained at a vertex);
+    multistart local search with ``exact=False``, flagged "lower".
 
     Returns (values over the lam grid, exactness flag, best f per lam).
     """
     mu = np.asarray(mu, dtype=float)
     lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     n = space.n
-    if exact and n <= 7:
+    if exact:
         verts = vertices if vertices is not None else mean_zero_lipschitz_vertices(
             space, mu)
         flag = "exact"
     else:
-        if exact and n > 7:
-            raise UnsupportedSizeError(
-                "exact mode capped at n = 7; call with exact=False")
         rng = np.random.default_rng(seed)
         cand = [np.zeros(n)]
         for _ in range(multistart):

@@ -211,7 +211,6 @@ class Measure1D:
         sf_nodes = np.concatenate((np.cumsum(cell_mass[::-1])[::-1], [0.0]))
         object.__setattr__(self, "_widths", widths)
         object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_v_shift", v_shift)
         object.__setattr__(self, "_shifted_potential", shifted)
         object.__setattr__(self, "_z_shifted", z_u)
         object.__setattr__(self, "_cell_mass", cell_mass)
@@ -605,9 +604,10 @@ class DiscreteSpace:
             raise ValidationError("distance matrix must be symmetric")
         if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
             raise ValidationError("dist(i, i) must be 0")
-        if np.any(np.diag(d) != 0.0):  # tolerated above, but must not count
-            d = d.copy()  # ``d`` may be the caller's array
-            np.fill_diagonal(d, 0.0)
+        # the tolerated asymmetry and diagonal must not count: keep the upper
+        # triangle, mirrored, on a copy (``d`` may be the caller's array)
+        upper = np.triu(d, 1)
+        d = upper + upper.T
         off = d + np.eye(n) * 1.0
         if np.any(off <= 0.0):
             i, j = np.argwhere(off <= 0)[0]

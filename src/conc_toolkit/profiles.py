@@ -62,6 +62,7 @@ _EXACTNESS = ("exact", "half-line-upper-bound", "candidate-lower-bound")
 # worst tails at or below this are weight-sum accumulation noise on an
 # exactly-full extension: both finite-space routes report them as +inf
 _TAIL_FLOOR = 1e-12
+_SUBSET_CAP = 22  # the largest space whose 2^n subsets are enumerated exactly
 
 
 @dataclass(frozen=True)
@@ -205,11 +206,11 @@ def _subset_weight_table(weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _conc_profile_discrete(space: DiscreteSpace, size_cap: int = 22) -> Profile:
+def _conc_profile_discrete(space: DiscreteSpace) -> Profile:
     n = space.n
-    if n > size_cap:
+    if n > _SUBSET_CAP:
         raise UnsupportedSizeError(
-            f"exact concentration enumeration is capped at n = {size_cap}; "
+            f"exact concentration enumeration is capped at n = {_SUBSET_CAP}; "
             f"got n = {n}.  Use sampled candidate mode instead "
             "(conc_profile(..., exact=False)).")
     w = space.weights

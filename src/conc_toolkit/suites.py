@@ -52,7 +52,6 @@ from .profiles import (
     conc_profile,
     conc_to_iso_form,
     fit_constant,
-    invert_monotone,
     iso_profile_1d,
     iso_stability_transform,
 )
@@ -545,19 +544,6 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
     # transport-entropy side over the Gibbs witnesses of the same (f, lam)
     # grid plus the point masses, with exact W_1
     te_margin = -math.inf
-    phi_inv_cache: dict[float, float] = {}
-
-    def phi_inv(y: float) -> float:
-        key = round(y, 12)
-        if key not in phi_inv_cache:
-            if y >= phi_vals[-1]:
-                # linear extension beyond the table
-                slope = (phi_vals[-1] - phi_vals[-2]) / (xs[-1] - xs[-2])
-                phi_inv_cache[key] = xs[-1] + (y - phi_vals[-1]) / slope
-            else:
-                phi_inv_cache[key] = invert_monotone(xs, phi_vals, y)
-        return phi_inv_cache[key]
-
     top = []
     for f in verts:
         for lam in config["witness_lams"]:
@@ -579,7 +565,7 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
         # W_1 by Kantorovich-Rubinstein duality: the max of <f, nu - mu>
         # over the polytope's vertices, no LP
         w1 = float(np.max(verts @ (nu - mu)))
-        return rate * w1 - phi_inv(h + delta) - eps
+        return rate * w1 - base.phi_inv_at(h + delta) - eps
 
     binding_h = []
     for nu in witnesses:

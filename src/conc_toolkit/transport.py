@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
-from typing import TYPE_CHECKING
+from functools import partial
 
 import numpy as np
 
@@ -26,9 +25,6 @@ from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import _lipschitz_rows, mean_zero_lipschitz_vertices
 from .measures import DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "TransportPlan",
@@ -65,7 +61,7 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _solve_lp(c, *, what: str, reject=lambda res: None, **constraints):
+def _solve_lp(c, *, what: str, reject, **constraints):
     """HiGHS solve of min c.x under ``constraints`` (linprog keywords).
     Default options give vertex-exact solutions (duality gaps ~1e-16 here);
     a failed solve, or one ``reject(res)`` names a reason against, is
@@ -140,15 +136,10 @@ def _clean_marginal(w: np.ndarray) -> np.ndarray:
     return np.divide(out, s, out=out, where=s > 0)
 
 
-@lru_cache(maxsize=16)
-def _marginal_rows(n: int) -> sparse.csr_matrix:
-    """Row-sum then column-sum rows of an n x n plan flattened row-major."""
-    from scipy import sparse
-
-    ones = np.ones((1, n))
-    eye = sparse.eye(n, format="csr")
-    return sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)],
-                         format="csr")
+def _reduced_costs(costs: np.ndarray, duals: np.ndarray) -> np.ndarray:
+    """c - A_eq^T y of the K transportation LPs, shaped (K, n, n)."""
+    y = duals.reshape(costs.shape[0], 2, costs.shape[1])
+    return costs - (y[:, 0, :, None] + y[:, 1, None, :])
 
 
 def _transport_lps(space: DiscreteSpace, nus, mu, costs,
@@ -172,7 +163,16 @@ def _transport_lps(space: DiscreteSpace, nus, mu, costs,
         raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
     nus = _clean_marginal(nus) * mu.sum()
     mu = _clean_marginal(mu) * mu.sum()
-    a_eq = sparse.kron(sparse.eye(k), _marginal_rows(n), format="csr")
+    # plan entry (b, i, j), flattened row-major, has exactly two ones:
+    # row-sum row 2nb + i and column-sum row 2nb + n + j; int32 indices
+    # hold the 2kn^2 entries of any LP that fits in memory
+    sum_row = 2 * n * np.arange(k)[:, None] + np.arange(n)  # 2nb + i
+    rows = np.empty((k, n, n, 2), dtype=np.int32)
+    rows[..., 0] = sum_row[:, :, None]
+    rows[..., 1] = sum_row[:, None, :] + n
+    indptr = np.arange(0, rows.size + 1, 2, dtype=np.int32)
+    a_eq = sparse.csc_matrix((np.ones(rows.size), rows.ravel(), indptr),
+                             shape=(2 * n * k, n * n * k))
     b_eq = np.concatenate([np.concatenate([nu, mu]) for nu in nus])
 
     def residuals(res) -> np.ndarray:
@@ -180,19 +180,17 @@ def _transport_lps(space: DiscreteSpace, nus, mu, costs,
         return np.maximum(np.abs(plans.sum(axis=2) - nus).max(axis=1),
                           np.abs(plans.sum(axis=1) - mu).max(axis=1))
 
-    c = costs.ravel()
-
     def unsound(res) -> str | None:
         worst = float(residuals(res).max())
         if worst > 1e-9:
             return f"plan violates marginals ({worst:.3g})"
         # a plan is optimal only if no reduced cost c - A^T y is negative
-        reduced = float(np.min(c - a_eq.T @ res.eqlin.marginals))
-        if reduced < -1e-12 * float(np.max(np.abs(c))):
+        reduced = float(np.min(_reduced_costs(costs, res.eqlin.marginals)))
+        if reduced < -1e-12 * float(np.max(np.abs(costs))):
             return f"plan is not optimal (reduced cost {reduced:.3g})"
         return None
 
-    res = _solve_lp(c, what="transport LP", reject=unsound,
+    res = _solve_lp(costs.ravel(), what="transport LP", reject=unsound,
                     A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
     plans = res.x.reshape(k, n, n)
     return plans, (costs * plans).sum(axis=(1, 2)), residuals(res)
@@ -734,19 +732,15 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     """Best constant in the first-moment inequality
     int |f - med(f)| dmu <= 1/D over 1-Lipschitz f.
 
-    Finite spaces (n <= 8): exact, two-sided, as the maximum over the
-    vertices of the Lipschitz polytope (``_first_moment_exact``).
+    Finite spaces (n <= ``laplace._VERTEX_CAP``): exact, two-sided, as the
+    maximum over the vertices of the Lipschitz polytope (``_first_moment_exact``).
     1-D measures: candidate family {x, |x - x0|} with local search; the
     result lower-bounds sup int |f - med| dmu, i.e. upper-bounds D.
     """
     if isinstance(source, DiscreteSpace):
         if mode == "exact":
-            if source.n > 8:
-                raise UnsupportedSizeError(
-                    "exact Lipschitz-vertex enumeration capped at n = 8; "
-                    "call with mode='heuristic'")
             val, f_opt = _first_moment_exact(mean_zero_lipschitz_vertices(
-                source, source.weights, size_cap=8), source.weights)
+                source, source.weights), source.weights)
             d_fm = math.inf if val <= 1e-300 else 1.0 / val
             return ConstantEntry(
                 constant_id="D_FM", value=d_fm, direction="two-sided",

@@ -22,6 +22,7 @@ from conc_toolkit.measures import (
     discrete_space_from_atoms,
 )
 from conc_toolkit.profiles import LOG2
+from conc_toolkit.transport import first_moment_constant
 
 TWO_POINT = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                  np.array([0.5, 0.5]))
@@ -196,6 +197,23 @@ class TestLipschitzVertices:
         assert scaled.shape == base.shape
         np.testing.assert_allclose(_sorted_rows(scaled / c), _sorted_rows(base),
                                    rtol=0.0, atol=1e-9)
+
+    def test_enumeration_capped_at_one_size(self):
+        """n = 8 is enumerated; n = 9 raises from the enumeration itself,
+        naming both heuristics, on every exact route."""
+        rng = np.random.default_rng(9)
+        spaces = {}
+        for n in (8, 9):
+            pts = rng.normal(size=(n, 2))
+            d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+            spaces[n] = build_discrete_space(d, np.full(n, 1.0 / n))
+        assert len(mean_zero_lipschitz_vertices(spaces[8], spaces[8].weights)) == 3432
+        s = spaces[9]
+        for exact_route in (lambda: mean_zero_lipschitz_vertices(s, s.weights),
+                            lambda: laplace_sup_discrete(s, s.weights, np.array([1.0])),
+                            lambda: first_moment_constant(s)):
+            with pytest.raises(UnsupportedSizeError, match="exact=False.*'heuristic'"):
+                exact_route()
 
     def test_two_point_vertices(self):
         verts = mean_zero_lipschitz_vertices(TWO_POINT, TWO_POINT.weights)

@@ -2,7 +2,9 @@
 
 Spaces are drawn like the suites draw them (``suites._random_space``) with
 n <= 6, or as shortest-path metrics with n <= 8 for the Lipschitz
-vertices; the LP stays the cross-check oracle on the test side.
+vertices; the LP stays the cross-check oracle on the test side.  The LP
+matrices built from their index structure are checked against test-side
+copies of the generic sparse builds they replace.
 """
 
 from itertools import product
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.optimize import linprog
 
 from conc_toolkit import laplace, transport
@@ -175,7 +178,7 @@ def test_vertex_maximum_equals_lp_maximum(seed, n, log_ratio):
     The LP runs at feasibility tolerances of 1e-10: at HiGHS's defaults
     it may break a Lipschitz row by ~1e-8 and overshoot the maximum."""
     space = _scaled_metric(seed, n, 10.0**log_ratio)
-    verts = mean_zero_lipschitz_vertices(space, space.weights, size_cap=8)
+    verts = mean_zero_lipschitz_vertices(space, space.weights)
     a_ub, b_ub = laplace._lipschitz_rows(space)
     rng = np.random.default_rng(seed + 1)
     for _ in range(3):
@@ -216,3 +219,97 @@ def test_laplace_sup_equals_lambda_at_a_time(seed, n):
     assert flag == "exact"
     assert np.array_equal(vals, want_vals)
     assert np.array_equal(arg_f, want_f)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=seeds)
+def test_laplace_sup_is_exact_at_the_vertex_cap(seed):
+    """At n = 8 the sup enumerates the vertices itself and is exact."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, laplace._VERTEX_CAP)
+    mu = space.weights
+    lams = np.geomspace(0.05, 6.0, 9) * rng.uniform(0.5, 2.0)
+    vals, flag, arg_f = laplace_sup_discrete(space, mu, lams)
+    want_vals, want_f = _laplace_sup_per_lambda(
+        mu, lams, mean_zero_lipschitz_vertices(space, mu))
+    assert flag == "exact"
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(arg_f, want_f)
+
+
+# ---------------------------------------------------------------------------
+# LP matrices from their index structure, against the generic sparse builds
+# they replace
+# ---------------------------------------------------------------------------
+
+def _kron_marginal_rows(k, n):
+    """K blocks of row-sum then column-sum rows of an n x n plan, built
+    with ``sparse.kron``."""
+    ones = np.ones((1, n))
+    eye = sparse.eye(n, format="csr")
+    block = sparse.vstack([sparse.kron(eye, ones), sparse.kron(ones, eye)], format="csr")
+    return sparse.kron(sparse.eye(k), block, format="csr")
+
+
+def _captured_transport_lp(seed, k, n):
+    """(A_eq, costs, result) of the one HiGHS LP that ``transport_costs``
+    solves for K random marginals on a random n-point space."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    nus = [_random_probability(rng, n) for _ in range(k)]
+    costs = np.array([space.dist ** rng.uniform(1.0, 2.0) for _ in range(k)])
+    calls = []
+    solve = transport.linprog
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        calls.append((kwargs["A_eq"], res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transport, "linprog", recording)
+        transport_costs(space, nus, space.weights, costs)
+    a_eq, res = calls[-1]
+    return a_eq, costs, res
+
+
+blocks = st.integers(min_value=1, max_value=5)
+points = st.integers(min_value=1, max_value=8)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, k=blocks, n=points)
+def test_transport_matrix_equals_kron_build(seed, k, n):
+    a_eq, _, _ = _captured_transport_lp(seed, k, n)
+    old = _kron_marginal_rows(k, n)
+    assert a_eq.shape == old.shape
+    assert (a_eq != old).nnz == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, k=blocks, n=points)
+def test_reduced_costs_equal_sparse_transpose_product(seed, k, n):
+    """Bit for bit, both on the LP's own duals and on random ones."""
+    _, costs, res = _captured_transport_lp(seed, k, n)
+    rng = np.random.default_rng(seed)
+    a_eq = _kron_marginal_rows(k, n)
+    for y in (res.eqlin.marginals, rng.normal(scale=10.0 ** rng.uniform(-3, 3),
+                                             size=2 * n * k)):
+        want = (costs.ravel() - a_eq.T @ y).reshape(k, n, n)
+        assert np.array_equal(transport._reduced_costs(costs, y), want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, n=points)
+def test_lipschitz_rows_equal_coo_build(seed, n):
+    space = _random_space(np.random.default_rng(seed), n)
+    a_ub, b_ub = laplace._lipschitz_rows(space)
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    m = ii.size
+    old = sparse.csr_matrix(
+        (np.concatenate([np.ones(m), -np.ones(m)]),
+         (np.concatenate([np.arange(m), np.arange(m)]), np.concatenate([ii, jj]))),
+        shape=(m, n))
+    assert a_ub.shape == old.shape
+    assert (a_ub != old).nnz == 0
+    assert np.array_equal(b_ub, space.dist[ii, jj])

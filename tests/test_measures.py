@@ -293,6 +293,18 @@ class TestDiscreteSpace:
             assert np.array_equal(conc_profile(nudged, exact=exact).values,
                                   conc_profile(space, exact=exact).values)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_tolerated_asymmetry_keeps_the_upper_triangle(self, seed):
+        # |d(i, j) - d(j, i)| <= 1e-9 is accepted; the stored metric is the
+        # upper triangle mirrored, so both triangles give the same balls
+        space = _random_space(np.random.default_rng(seed), 6)
+        d = space.dist + np.tril(np.full((6, 6), 5e-10), -1)
+        given = d.copy()
+        nudged = build_discrete_space(d, space.weights)
+        assert np.array_equal(d, given)
+        assert np.array_equal(nudged.dist, space.dist)
+        assert np.array_equal(conc_profile(nudged).values, conc_profile(space).values)
+
     def test_constructor_validates(self):
         with pytest.raises(ValidationError, match="symmetric"):
             DiscreteSpace(dist=[[0.0, 1.0], [3.0, 0.0]], weights=[0.5, 0.5])
