@@ -15,6 +15,7 @@ independent of how ``run_suites`` spreads the suites over worker processes
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -58,12 +59,14 @@ from .profiles import (
 from .reports import _jsonable
 from .transport import (
     _first_moment_exact,
+    _te_minimum,
+    _transport_lps,
+    _witness_table,
     discrete_witnesses,
     divergences,
     first_moment_constant,
     gibbs_tilt_discrete,
     te_constant_estimate,
-    transport_costs,
     w1_1d,
     witnesses_1d,
 )
@@ -247,35 +250,43 @@ def _suite_w1_fm_exact(config, seed):
     return instances, summary, violations == 0
 
 
+# instances per te-jensen LP.  The suite alone at seeds 7, 3, 12, 0, 11 on
+# a 2-vCPU VM: batches of 10 (40 LPs) peak at 85 MB in 0.56-0.61 s, one LP
+# per instance at 83 MB in 1.6-1.9 s, and one LP of all 400 at 119 MB
+_TE_JENSEN_BATCH = 10
+
+
 def _suite_te_jensen(config, seed):
     p_grid = config["p_grid"]
     trials = config["trials_per_p"]
-    violations = 0
-    instances = []
-    seeds = np.random.SeedSequence(seed).spawn(len(p_grid) * trials)
-    k = 0
+    seeds = iter(np.random.SeedSequence(seed).spawn(len(p_grid) * trials))
+    s_grid = {p: sorted({1.0, 0.5 * (1.0 + p), p}) for p in p_grid}
+    instances, lps = [], []  # every instance is drawn before any LP is solved
     for p in p_grid:
-        spec_p = CostSpec(p)
-        s_values = sorted({1.0, 0.5 * (1.0 + p), p})
         for _ in range(trials):
-            rng = np.random.default_rng(seeds[k])
-            k += 1
+            rng = np.random.default_rng(next(seeds))
             n = int(rng.integers(2, 7))
             space = _random_space(rng, n)
             nu = _random_probability(rng, n)
             scale = float(rng.uniform(0.2, 3.0))
             costs = [space.dist] + [phi_p_eval(CostSpec(s), scale * space.dist)
-                                    for s in s_values]
-            w1, *w_costs = transport_costs(space, [nu] * len(costs),
-                                           space.weights, costs).tolist()
-            chain = [float(phi_p_eval(spec_p, scale * w1))]
-            for s, w_s in zip(s_values, w_costs):
-                # F_{p,s}(W) = phi_p(phi_s^{-1}(W)) is the comparable scale
-                chain.append(float(phi_p_eval(spec_p, phi_inverse(CostSpec(s), w_s))))
-            bad = int(np.any(np.diff(chain) < -1e-9))
-            violations += bad
-            instances.append({"p": p, "n": n, "scale": scale,
-                              "chain": chain, "violations": bad})
+                                    for s in s_grid[p]]
+            instances.append({"p": p, "n": n, "scale": scale})
+            lps.append((space, [nu] * len(costs), space.weights, costs))
+    solved = [out for start in range(0, len(lps), _TE_JENSEN_BATCH)
+              for out in _transport_lps(lps[start:start + _TE_JENSEN_BATCH])]
+    violations = 0
+    for inst, (_, lp_costs, _) in zip(instances, solved):
+        p = inst["p"]
+        spec_p = CostSpec(p)
+        w1, *w_costs = lp_costs.tolist()
+        chain = [float(phi_p_eval(spec_p, inst["scale"] * w1))]
+        for s, w_s in zip(s_grid[p], w_costs):
+            # F_{p,s}(W) = phi_p(phi_s^{-1}(W)) is the comparable scale
+            chain.append(float(phi_p_eval(spec_p, phi_inverse(CostSpec(s), w_s))))
+        bad = int(np.any(np.diff(chain) < -1e-9))
+        violations += bad
+        inst.update(chain=chain, violations=bad)
     summary = {"violations": violations,
                "instances": len(p_grid) * trials}
     return instances, summary, violations == 0
@@ -443,10 +454,11 @@ def _suite_conc_te_equiv(config, seed):
         space = discrete_space_from_atoms(pos, w)
         prof = conc_profile(space)
         d_con = fit_constant(prof, "p-exp-conc", p=p).value
-        te = partial(te_constant_estimate, space, p=p, mu=w, witnesses=(
-            discrete_witnesses(space, w, max_witnesses=config["max_witnesses"])))
-        d_wte = te("wTE(1,p)").value
-        d_te = te("TE(1,phi_p)").value
+        # one witness table, so W_1 is solved once for both modes
+        table = _witness_table(space, w, discrete_witnesses(
+            space, w, max_witnesses=config["max_witnesses"]), 0)
+        d_wte = _te_minimum(table, "wTE(1,p)", CostSpec(p)).value
+        d_te = _te_minimum(table, "TE(1,phi_p)", CostSpec(p)).value
         trio = [d_con, d_wte, d_te]
         spread = max(trio) / min(trio)
         spreads.append(spread)
@@ -500,6 +512,32 @@ def _suite_hierarchy(config, seed):
     return instances, summary, passed
 
 
+def _critical_rate(space: DiscreteSpace, mu: np.ndarray, verts: np.ndarray,
+                   lam_grid: np.ndarray, rhs: np.ndarray) -> float:
+    """Rate d at which some lam row of the Laplace side starts failing, by
+    bisection.  The rows that failed last are scored first, all rows only
+    if none of them fails: a row's score is the same float ops in any subset."""
+    failing = np.arange(0)
+
+    def fails(d: float) -> bool:
+        nonlocal failing
+        for rows in (failing, np.arange(lam_grid.size)):
+            sup = laplace_sup_discrete(space, mu, lam_grid[rows] * d, vertices=verts)[0]
+            bad = rows[~(sup <= rhs[rows])]
+            if bad.size:
+                failing = bad
+                return True
+        return False
+
+    lo, hi = 1e-3, 1.0
+    while not fails(hi) and hi < 1e4:
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
                  config) -> dict[str, Any]:
     n = int(rng.integers(3, config["n_max"] + 1))
@@ -517,50 +555,29 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
                         delta=delta)
     rhs = base.rhs_log(lam_grid)
 
-    def sup_vals(d: float) -> np.ndarray:
-        out, _, _ = laplace_sup_discrete(space, mu, lam_grid * d,
-                                         vertices=verts)
-        return out
-
-    # critical rate where the Laplace side starts failing
-    lo, hi = 1e-3, 1.0
-    while np.all(sup_vals(hi) <= rhs) and hi < 1e4:
-        hi *= 2.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if np.all(sup_vals(mid) <= rhs):
-            lo = mid
-        else:
-            hi = mid
-    d_crit = 0.5 * (lo + hi)
+    d_crit = _critical_rate(space, mu, verts, lam_grid, rhs)
     factor = float(rng.uniform(0.6, 1.6))
     rate = d_crit * factor
 
     sup, _, arg_f = laplace_sup_discrete(space, mu, lam_grid * rate,
                                          vertices=verts)
     laplace_margin = float(np.max(sup - rhs))
-    laplace_ok = laplace_margin <= 0.0
 
     # transport-entropy side over the Gibbs witnesses of the same (f, lam)
     # grid plus the point masses, with exact W_1
     te_margin = -math.inf
-    top = []
-    for f in verts:
-        for lam in config["witness_lams"]:
-            nu = gibbs_tilt_discrete(mu, f, lam * rate)
-            proxy = rate * float(np.dot(f, nu - mu))
-            top.append((proxy, nu))
+    tilts = gibbs_tilt_discrete(mu, verts[:, None, :],
+                                np.asarray(config["witness_lams"])[:, None] * rate)
+    top = [(rate * float(np.dot(f, nu - mu)), nu)
+           for f, row in zip(verts, tilts) for nu in row]
     top.sort(key=lambda t: -t[0])
     witnesses = [nu for _, nu in top[: config["witness_cap"]]]
     # targeted witnesses: the Gibbs tilts realizing the variational identity
     # at the most-violating Laplace grid points (these are exactly the
     # measures the duality proof constructs from a Laplace failure)
-    for k in np.argsort(rhs - sup)[:3]:
-        witnesses.append(gibbs_tilt_discrete(mu, arg_f[k], lam_grid[k] * rate))
-    for j in range(n):
-        delta_j = np.zeros(n)
-        delta_j[j] = 1.0
-        witnesses.append(delta_j)
+    worst = np.argsort(rhs - sup)[:3]
+    witnesses += list(gibbs_tilt_discrete(mu, arg_f[worst], lam_grid[worst, None] * rate))
+    witnesses += list(np.eye(n))  # point masses
     def te_term(nu: np.ndarray, h: float) -> float:
         # W_1 by Kantorovich-Rubinstein duality: the max of <f, nu - mu>
         # over the polytope's vertices, no LP
@@ -659,27 +676,30 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
                    "tie_tol": 1e-4},
 }
 
-_SUITE_FUNCS: dict[str, Callable] = {
-    "going-down-exact": _suite_going_down_exact,
-    "w1-fm-exact": _suite_w1_fm_exact,
-    "te-jensen-pointwise": _suite_te_jensen,
-    "iso-stability-shape": _suite_iso_stability_shape,
-    "logsob-stability": _suite_logsob_stability,
-    "w1-stability-chain": _suite_w1_stability_chain,
-    "conc-te-equiv": _suite_conc_te_equiv,
-    "te-equiv-shape": _suite_te_equiv_shape,
-    "hierarchy-gamma-p": _suite_hierarchy,
-    "bg-duality": _suite_bg_duality,
+# per suite: its function, its in-process seconds at seed 7 on a 2-vCPU VM
+# (run_suites starts the longest first) and the scipy module a run of it in
+# a fresh process loads (scipy.optimize loads spatial, linalg, sparse, ...)
+_SUITES: dict[str, tuple[Callable, float, str | None]] = {
+    "going-down-exact": (_suite_going_down_exact, 0.26, None),
+    "w1-fm-exact": (_suite_w1_fm_exact, 0.14, "scipy.spatial"),
+    "te-jensen-pointwise": (_suite_te_jensen, 0.47, "scipy.optimize"),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.32, None),
+    "logsob-stability": (_suite_logsob_stability, 0.89, None),
+    "w1-stability-chain": (_suite_w1_stability_chain, 0.18, None),
+    "conc-te-equiv": (_suite_conc_te_equiv, 0.53, "scipy.optimize"),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.47, None),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.03, "scipy.linalg"),
+    "bg-duality": (_suite_bg_duality, 1.27, "scipy.spatial"),
 }
 
-SUITE_IDS = tuple(_SUITE_FUNCS)
+SUITE_IDS = tuple(_SUITES)
 
 
 def run_suite(suite_id: str, config: dict[str, Any] | None = None,
               *, seed: int = 0) -> SuiteReport:
     """Run one registered suite in this process, deterministically for the
     given seed."""
-    if suite_id not in _SUITE_FUNCS:
+    if suite_id not in _SUITES:
         raise DomainError(f"unknown suite {suite_id!r}; known: {SUITE_IDS}")
     merged = dict(SUITE_DEFAULTS[suite_id])
     if config:
@@ -687,7 +707,7 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
         if unknown:
             raise DomainError(f"unknown config keys for {suite_id}: {unknown}")
         merged.update(config)
-    instances, summary, passed = _SUITE_FUNCS[suite_id](merged, seed)
+    instances, summary, passed = _SUITES[suite_id][0](merged, seed)
     return SuiteReport(suite_id=suite_id, seed=seed, config=merged,
                        instances=instances, summary=summary, passed=passed)
 
@@ -695,16 +715,20 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
 def run_suites(suite_ids: list[str], *, seed: int = 0,
                jobs: int = 1) -> list[SuiteReport]:
     """Run suites with their default configs in min(jobs, CPU count,
-    number of suites) worker processes, or one after another in this
-    process when that is one; reports come back in input order and are
-    byte-identical for any ``jobs``, as each suite seeds itself."""
+    number of suites) worker processes, longest first, or one after
+    another in this process when that is one; reports come back in input
+    order and are byte-identical for any ``jobs``, as each suite seeds
+    itself."""
     if jobs < 1:
         raise DomainError(f"jobs must be a positive integer, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, len(suite_ids))
     if workers <= 1:
         return [run_suite(sid, seed=seed) for sid in suite_ids]
     # imported here, not in each worker, so forked workers share its pages
-    import scipy.linalg, scipy.optimize, scipy.sparse, scipy.spatial, scipy.special  # noqa: E401, F401
-
+    for module in sorted({_SUITES[sid][2] for sid in suite_ids if sid in _SUITES} - {None}):
+        importlib.import_module(module)
+    longest_first = sorted(suite_ids, key=lambda sid: -_SUITES.get(sid, (None, 0.0))[1])
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(partial(run_suite, seed=seed), suite_ids))
+        reports = dict(zip(longest_first, pool.map(partial(run_suite, seed=seed),
+                                                   longest_first)))
+    return [reports[sid] for sid in suite_ids]

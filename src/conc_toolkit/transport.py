@@ -112,21 +112,6 @@ class KRDualResult:
         return abs(self.primal - self.dual)
 
 
-def _check_marginals(space: DiscreteSpace, nus: np.ndarray, mu: np.ndarray) -> None:
-    """``nus`` is one length-n weight vector per row, each to be coupled
-    with ``mu``."""
-    n = space.n
-    if nus.ndim != 2 or nus.shape[1:] != (n,) or mu.shape != (n,):
-        raise ValidationError("marginals must be length-n vectors on the space")
-    if np.any(nus < -1e-12) or np.any(mu < -1e-12):
-        raise ValidationError("marginals must be nonnegative")
-    gaps = np.abs(nus.sum(axis=1) - mu.sum())
-    if np.any(gaps > 1e-9):
-        k = int(np.argmax(gaps))
-        raise ValidationError(
-            f"infeasible marginals: sums differ ({nus[k].sum():.12g} vs {mu.sum():.12g})")
-
-
 def _clean_marginal(w: np.ndarray) -> np.ndarray:
     """Zero out sub-1e-12 entries (they destabilize the LP presolve) and
     renormalize each row; the induced cost perturbation is far below the
@@ -142,64 +127,105 @@ def _reduced_costs(costs: np.ndarray, duals: np.ndarray) -> np.ndarray:
     return costs - (y[:, 0, :, None] + y[:, 1, None, :])
 
 
-def _transport_lps(space: DiscreteSpace, nus, mu, costs,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """K transportation LPs on one space, coupling ``nus[k]`` with ``mu``
-    under cost matrix ``costs[k]``, solved as one block-diagonal LP: the
-    blocks share no variable, so the joint optimum is optimal in every
-    block.  Returns the plans (K, n, n), their costs <c_k, x_k> and their
-    marginal residuals."""
-    from scipy import sparse
-
-    nus = np.asarray(nus, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    _check_marginals(space, nus, mu)
+def _transport_problem(space: DiscreteSpace, nus, mu, costs):
+    """Checked and cleaned (nus, mu, costs) of K transportation LPs on one
+    space, coupling row ``nus[k]`` with ``mu`` under cost matrix ``costs[k]``."""
+    nus, mu, costs = (np.asarray(a, dtype=float) for a in (nus, mu, costs))
     n = space.n
-    k = nus.shape[0]
-    if costs.shape != (k, n, n):
+    if nus.ndim != 2 or nus.shape[1:] != (n,) or mu.shape != (n,):
+        raise ValidationError("marginals must be length-n vectors on the space")
+    if np.any(nus < -1e-12) or np.any(mu < -1e-12):
+        raise ValidationError("marginals must be nonnegative")
+    gaps = np.abs(nus.sum(axis=1) - mu.sum())
+    if np.any(gaps > 1e-9):
+        k = int(np.argmax(gaps))
+        raise ValidationError(
+            f"infeasible marginals: sums differ ({nus[k].sum():.12g} vs {mu.sum():.12g})")
+    if costs.shape != (nus.shape[0], n, n):
         raise ValidationError("need one n x n cost matrix per marginal")
     if n > _MAX_LP_POINTS:
         raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
-    nus = _clean_marginal(nus) * mu.sum()
-    mu = _clean_marginal(mu) * mu.sum()
-    # plan entry (b, i, j), flattened row-major, has exactly two ones:
-    # row-sum row 2nb + i and column-sum row 2nb + n + j; int32 indices
-    # hold the 2kn^2 entries of any LP that fits in memory
-    sum_row = 2 * n * np.arange(k)[:, None] + np.arange(n)  # 2nb + i
-    rows = np.empty((k, n, n, 2), dtype=np.int32)
-    rows[..., 0] = sum_row[:, :, None]
-    rows[..., 1] = sum_row[:, None, :] + n
+    return _clean_marginal(nus) * mu.sum(), _clean_marginal(mu) * mu.sum(), costs
+
+
+def _block_lp(problems) -> dict:
+    """linprog arguments of the block-diagonal LP over the problems' plans.
+    Plan entry (b, i, j) of a problem whose rows start at r, flattened
+    row-major, has exactly two ones: row-sum row r + 2nb + i and column-sum
+    row r + 2nb + n + j; int32 indices hold any LP that fits in memory."""
+    from scipy import sparse
+
+    rows, start = [], 0
+    for nus, _, _ in problems:
+        k, n = nus.shape
+        sum_row = start + 2 * n * np.arange(k)[:, None] + np.arange(n)
+        block = np.empty((k, n, n, 2), dtype=np.int32)
+        block[..., 0] = sum_row[:, :, None]
+        block[..., 1] = sum_row[:, None, :] + n
+        rows.append(block.ravel())
+        start += 2 * n * k
+    rows = np.concatenate(rows)
     indptr = np.arange(0, rows.size + 1, 2, dtype=np.int32)
-    a_eq = sparse.csc_matrix((np.ones(rows.size), rows.ravel(), indptr),
-                             shape=(2 * n * k, n * n * k))
-    b_eq = np.concatenate([np.concatenate([nu, mu]) for nu in nus])
+    return {"c": np.concatenate([costs.ravel() for _, _, costs in problems]),
+            "A_eq": sparse.csc_matrix((np.ones(rows.size), rows, indptr),
+                                      shape=(start, rows.size // 2)),
+            "b_eq": np.concatenate([np.concatenate([nu, mu])
+                                    for nus, mu, _ in problems for nu in nus]),
+            "bounds": (0, None)}
 
-    def residuals(res) -> np.ndarray:
-        plans = res.x.reshape(k, n, n)
-        return np.maximum(np.abs(plans.sum(axis=2) - nus).max(axis=1),
-                          np.abs(plans.sum(axis=1) - mu).max(axis=1))
 
-    def unsound(res) -> str | None:
-        worst = float(residuals(res).max())
-        if worst > 1e-9:
-            return f"plan violates marginals ({worst:.3g})"
-        # a plan is optimal only if no reduced cost c - A^T y is negative
-        reduced = float(np.min(_reduced_costs(costs, res.eqlin.marginals)))
-        if reduced < -1e-12 * float(np.max(np.abs(costs))):
-            return f"plan is not optimal (reduced cost {reduced:.3g})"
-        return None
+def _plans(problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(plans, costs <c_k, x_k>, marginal residuals) of a problem's part x."""
+    nus, mu, costs = problem
+    plans = x.reshape(costs.shape)
+    return plans, (costs * plans).sum(axis=(1, 2)), np.maximum(
+        np.abs(plans.sum(axis=2) - nus).max(axis=1),
+        np.abs(plans.sum(axis=1) - mu).max(axis=1))
 
-    res = _solve_lp(costs.ravel(), what="transport LP", reject=unsound,
-                    A_eq=a_eq, b_eq=b_eq, bounds=(0, None))
-    plans = res.x.reshape(k, n, n)
-    return plans, (costs * plans).sum(axis=(1, 2)), residuals(res)
+
+def _unsound(problem, x: np.ndarray, duals: np.ndarray) -> str | None:
+    """Why a problem's part (x, duals) of a solve is no optimal plan."""
+    worst = float(_plans(problem, x)[2].max())
+    if worst > 1e-9:
+        return f"plan violates marginals ({worst:.3g})"
+    # a plan is optimal only if no reduced cost c - A^T y is negative
+    costs = problem[2]
+    reduced = float(np.min(_reduced_costs(costs, duals)))
+    if reduced < -1e-12 * float(np.max(np.abs(costs))):
+        return f"plan is not optimal (reduced cost {reduced:.3g})"
+    return None
+
+
+def _transport_lps(problems) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Transportation LPs given as problems (space, nus, mu, costs), each
+    on its own space, solved as one block-diagonal LP: the blocks share no
+    variable, so the joint optimum is optimal in every block.  Each
+    problem's part is checked on its own (marginals, and reduced costs
+    against its own max |c|); one that fails, like a lone problem, is
+    solved alone by ``_solve_lp``.  Returns ``_plans`` per problem."""
+    problems = [_transport_problem(*p) for p in problems]
+    xs = [None] * len(problems)
+    if len(problems) > 1:
+        res = linprog(method="highs", options=None, **_block_lp(problems))
+        if res.success:
+            # each problem's plan entries and its 2n rows per cost matrix
+            cuts = np.cumsum([(costs.size, 2 * nus.size) for nus, _, costs in problems],
+                             axis=0)[:-1]
+            xs = [None if _unsound(p, x, y) else x for p, x, y in zip(problems, np.split(
+                res.x, cuts[:, 0]), np.split(res.eqlin.marginals, cuts[:, 1]))]
+    out = []
+    for p, x in zip(problems, xs):
+        if x is None:
+            x = _solve_lp(what="transport LP", reject=lambda res: _unsound(
+                p, res.x, res.eqlin.marginals), **_block_lp([p])).x
+        out.append(_plans(p, x))
+    return out
 
 
 def transport_costs(space: DiscreteSpace, nus, mu, costs) -> np.ndarray:
     """Optimal costs (K,) of coupling each ``nus[k]`` with ``mu`` under
     cost matrix ``costs[k]``, all K in one LP solve."""
-    return _transport_lps(space, nus, mu, costs)[1]
+    return _transport_lps([(space, nus, mu, costs)])[0][1]
 
 
 def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
@@ -207,7 +233,7 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
     """Exact optimum of the transportation LP for an arbitrary cost matrix
     (defaults to the metric itself, i.e. W_1)."""
     c = space.dist if cost is None else cost
-    plans, costs, resid = _transport_lps(space, [nu], mu, [c])
+    plans, costs, resid = _transport_lps([(space, [nu], mu, [c])])[0]
     plan = plans[0]
     rows, cols = np.nonzero(plan > 1e-15)
     return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
@@ -393,12 +419,14 @@ def divergences(nu, mu) -> DivergenceReport:
 # witness families
 # ---------------------------------------------------------------------------
 
-def gibbs_tilt_discrete(mu: np.ndarray, f: np.ndarray, lam: float) -> np.ndarray:
+def gibbs_tilt_discrete(mu: np.ndarray, f: np.ndarray, lam) -> np.ndarray:
+    """mu tilted by e^{lam f}, normalised along the last axis; ``lam`` and
+    ``f`` broadcast, so one call tilts a whole grid of (f, lam) pairs."""
     logw = lam * f + np.log(np.maximum(mu, 1e-300))
-    logw -= logw.max()
+    logw -= logw.max(axis=-1, keepdims=True)
     w = np.exp(logw)
-    w[mu <= 0] = 0.0
-    return w / w.sum()
+    w[..., mu <= 0] = 0.0
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def tilt_measure_1d(mu: Measure1D, lam: float) -> Measure1D:
@@ -561,7 +589,16 @@ def te_constant_estimate(source, mode: str, *, p: float = 1.0,
     family; for several modes on one family, pass it as ``witnesses``.
     """
     spec = CostSpec(p)
-    family, w1, h, cost = _witness_table(source, mu, witnesses, max_witnesses)
+    return _te_minimum(_witness_table(source, mu, witnesses, max_witnesses),
+                       mode, spec, s)
+
+
+def _te_minimum(table, mode: str, spec: CostSpec, s: float | None = None,
+                ) -> ConstantEntry:
+    """``te_constant_estimate`` on a built ``_witness_table``, so several
+    modes on one family share its W_1 and H."""
+    _, w1, h, cost = table
+    p = spec.p
     if mode not in _TE_MODES:
         raise DomainError(f"unknown TE mode {mode!r}")
     if mode == "TE(s,p)" and s is None:

@@ -1,4 +1,5 @@
-"""Batched and skipped LPs against the one-LP-at-a-time routes they replace.
+"""Batched and skipped LPs against the one-LP-at-a-time routes they replace,
+and bg-duality's array work against its loops.
 
 Spaces are drawn like the suites draw them (``suites._random_space``) with
 n <= 6, or as shortest-path metrics with n <= 8 for the Lipschitz
@@ -7,6 +8,7 @@ matrices built from their index structure are checked against test-side
 copies of the generic sparse builds they replace.
 """
 
+from functools import partial
 from itertools import product
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
-from conc_toolkit import laplace, transport
+from conc_toolkit import laplace, suites, transport
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import ValidationError
 from conc_toolkit.laplace import laplace_sup_discrete, mean_zero_lipschitz_vertices
@@ -313,3 +315,165 @@ def test_lipschitz_rows_equal_coo_build(seed, n):
     assert a_ub.shape == old.shape
     assert (a_ub != old).nnz == 0
     assert np.array_equal(b_ub, space.dist[ii, jj])
+
+
+# ---------------------------------------------------------------------------
+# transportation LPs on different spaces in one block-diagonal LP
+# ---------------------------------------------------------------------------
+
+def _mixed_problems(seed, sizes, n_costs):
+    """One (space, nus, mu, costs) problem per size, on its own random
+    space, with ``n_costs`` cost matrices each (W_1 first)."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for n in sizes:
+        space = _random_space(rng, n)
+        nu = _random_probability(rng, n)
+        costs = [space.dist] + [space.dist ** rng.uniform(1.0, 2.5)
+                                for _ in range(n_costs - 1)]
+        problems.append((space, [nu] * n_costs, space.weights, costs))
+    return problems
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=seeds, sizes=st.lists(st.integers(min_value=1, max_value=8),
+                                  min_size=2, max_size=6),
+       n_costs=st.integers(min_value=1, max_value=4))
+def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
+    problems = _mixed_problems(seed, sizes, n_costs)
+    batched = transport._transport_lps(problems)
+    assert len(batched) == len(problems)
+    for problem, (plans, costs, resid) in zip(problems, batched):
+        n = problem[0].n
+        assert plans.shape == (n_costs, n, n)
+        assert np.all(resid <= 1e-9)
+        np.testing.assert_allclose(costs, transport_costs(*problem),
+                                   rtol=1e-12, atol=1e-15)
+
+
+def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
+    """A batch whose part for one problem breaks the reduced-cost
+    certificate, by 1e-7 against that problem's own max |c| but not
+    against the batch's, keeps the other parts; that problem alone goes
+    through ``_solve_lp``'s route (default options, then ``_LP_RETRY``),
+    and a fault that persists raises."""
+    problems = _mixed_problems(5, [3, 4, 5], 2)
+    space, nus, mu, costs = problems[2]
+    problems[2] = (space, nus, mu, [1e6 * c for c in costs])
+    want = [transport_costs(*problem) for problem in problems]
+    real = transport.linprog
+    calls = []
+    spoil = {48: slice(12, 28), 16: slice(0, 16)}  # the n = 4 problem's duals
+
+    def spoiling(c, *, retry_too, **kw):
+        res = real(c, **kw)
+        rows = kw["A_eq"].shape[0]
+        calls.append((rows, kw["options"]))
+        if kw["options"] is None or retry_too:
+            res.eqlin.marginals[spoil[rows]] += 5e-8  # reduced costs fall by 1e-7
+        return res
+
+    monkeypatch.setattr(transport, "linprog", partial(spoiling, retry_too=False))
+    out = transport._transport_lps(problems)
+    assert calls == [(48, None), (16, None), (16, transport._LP_RETRY)]
+    for (_, costs, _), lone in zip(out, want):
+        np.testing.assert_allclose(costs, lone, rtol=1e-12)
+
+    monkeypatch.setattr(transport, "linprog", partial(spoiling, retry_too=True))
+    with pytest.raises(ValidationError, match="transport LP failed: plan is not optimal"):
+        transport._transport_lps(problems)
+
+
+def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
+    """te-jensen-pointwise at seed 12: in the LP of instances 390-399 the
+    part of instance 393 breaks the reduced-cost certificate (-5.5e-8) at
+    a cost 4.4e-9 off the optimum; it alone is solved again, and, as a
+    lone LP, needs the retry too, which gives the lone LP's costs."""
+    batches = []
+    batched = suites._transport_lps
+    monkeypatch.setattr(suites, "_transport_lps",
+                        lambda problems: batches.append(problems) or batched(problems))
+    suites.run_suite("te-jensen-pointwise", seed=12)
+    batch = batches[39]
+    assert batch[3][0].n == 5
+    calls = []
+    real = transport.linprog
+
+    def recording(c, **kw):
+        calls.append((kw["A_eq"].shape[0], kw["options"]))
+        return real(c, **kw)
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    out = transport._transport_lps(batch)
+    assert calls[1:] == [(40, None), (40, transport._LP_RETRY)]
+    for problem, (_, costs, _) in zip(batch, out):
+        np.testing.assert_allclose(costs, transport_costs(*problem), rtol=1e-12)
+    np.testing.assert_array_equal(out[3][1], transport_costs(*batch[3]))
+
+
+# ---------------------------------------------------------------------------
+# bg-duality's array work against the loops it replaces
+# ---------------------------------------------------------------------------
+
+def _gibbs_tilt_one(mu, f, lam):
+    """One Gibbs tilt at a time, as bg-duality built its witnesses."""
+    logw = lam * f + np.log(np.maximum(mu, 1e-300))
+    logw -= logw.max()
+    w = np.exp(logw)
+    w[mu <= 0] = 0.0
+    return w / w.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=8),
+       zeros=st.integers(min_value=0, max_value=2))
+def test_gibbs_tilt_grid_equals_one_at_a_time(seed, n, zeros):
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    mu = space.weights.copy()
+    mu[:min(zeros, n - 1)] = 0.0
+    mu /= mu.sum()
+    verts = mean_zero_lipschitz_vertices(space, space.weights)
+    lams = np.array([0.25, 0.5, 1.0, 2.0, 4.0]) * rng.uniform(0.05, 20.0)
+    grid = transport.gibbs_tilt_discrete(mu, verts[:, None, :], lams[:, None])
+    assert grid.shape == (len(verts), lams.size, n)
+    for f, row in zip(verts, grid):
+        for lam, nu in zip(lams, row):
+            assert np.array_equal(nu, _gibbs_tilt_one(mu, f, lam))
+
+
+def _critical_rate_all_rows(space, mu, verts, lam_grid, rhs):
+    """bg-duality's bisection scoring every lam row at every step."""
+    def sup_vals(d):
+        return laplace_sup_discrete(space, mu, lam_grid * d, vertices=verts)[0]
+
+    lo, hi = 1e-3, 1.0
+    while np.all(sup_vals(hi) <= rhs) and hi < 1e4:
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if np.all(sup_vals(mid) <= rhs):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=3, max_value=6),
+       quadratic=st.booleans())
+def test_critical_rate_equals_all_rows_bisection(seed, n, quadratic):
+    """Failing rows first decides every step as the all-rows loop does."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    mu = space.weights
+    verts = mean_zero_lipschitz_vertices(space, mu)
+    lam_grid = np.concatenate([np.geomspace(0.05, 1.0, 17), np.linspace(1.2, 6.0, 25)])
+    xs = np.linspace(0.0, 15.0 if quadratic else 50.0, 2049)
+    a = rng.uniform(0.3, 2.0)
+    base = laplace.LaplaceBound(phi_x=xs, phi_vals=a * xs**2 if quadratic else a * xs,
+                                rate=1.0, eps=rng.uniform(0.0, 1.0),
+                                delta=rng.uniform(0.0, 0.7))
+    rhs = base.rhs_log(lam_grid)
+    assert (suites._critical_rate(space, mu, verts, lam_grid, rhs)
+            == _critical_rate_all_rows(space, mu, verts, lam_grid, rhs))

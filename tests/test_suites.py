@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from conc_toolkit import suites
 from conc_toolkit.errors import DomainError
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
 
@@ -85,12 +90,13 @@ def test_bg_duality_small():
 
 
 def test_reports_deterministic_and_parallel_consistent():
+    """In-process reports against worker reports, which run_suites starts
+    longest first (te-jensen-pointwise here) and returns in input order."""
     ids = ["going-down-exact", "te-jensen-pointwise"]
-    cfgs = {"going-down-exact": {"trials": 10},
-            "te-jensen-pointwise": {"trials_per_p": 3}}
-    serial = [run_suite(s, cfgs[s], seed=5) for s in ids]
-    again = [run_suite(s, cfgs[s], seed=5) for s in ids]
-    for a, b in zip(serial, again):
+    serial = [run_suite(s, seed=5) for s in ids]
+    parallel = run_suites(ids, seed=5, jobs=2)
+    assert [r.suite_id for r in parallel] == ids
+    for a, b in zip(serial, parallel):
         assert a.to_json() == b.to_json()
 
 
@@ -115,9 +121,8 @@ def test_run_suites_parallel_matches_serial():
 def test_run_suites_worker_count(monkeypatch):
     """At most one worker process per suite and per CPU; one worker runs
     in-process without a pool."""
-    from conc_toolkit import suites
-
     asked = []
+    started = []
 
     class RecordingPool:
         def __init__(self, max_workers):
@@ -130,6 +135,7 @@ def test_run_suites_worker_count(monkeypatch):
             return False
 
         def map(self, fn, ids):
+            started.append(list(ids))
             return [fn(sid) for sid in ids]
 
     monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
@@ -139,10 +145,29 @@ def test_run_suites_worker_count(monkeypatch):
     assert run_suites(ids, seed=4, jobs=64) == [(sid, 4) for sid in ids]
     assert asked == [2]
     monkeypatch.setattr(suites.os, "cpu_count", lambda: 3)
-    run_suites(list(SUITE_IDS), jobs=64)
+    assert run_suites(list(SUITE_IDS), jobs=64) == [(sid, 0) for sid in SUITE_IDS]
     assert asked == [2, 3]
+    assert sorted(started[-1]) == sorted(SUITE_IDS)
+    assert started[-1][0] == "bg-duality" and started[-1][-1] == "hierarchy-gamma-p"
     assert run_suites(ids, seed=4, jobs=1) == [(sid, 4) for sid in ids]
     assert run_suites(ids[:1], jobs=64) == [(ids[0], 0)]
     assert asked == [2, 3]
     with pytest.raises(DomainError, match="jobs"):
         run_suites(ids, jobs=0)
+
+
+def test_line_suites_in_workers_leave_scipy_optimize_unloaded():
+    """Before it forks, run_suites imports only the scipy modules the
+    selected suites load: scipy.linalg for hierarchy-gamma-p, no LP solver
+    (a fresh interpreter, so no other test's imports count)."""
+    src = str(Path(suites.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    script = (
+        "import sys\n"
+        "from conc_toolkit.suites import run_suites\n"
+        "reports = run_suites(['w1-stability-chain', 'hierarchy-gamma-p'], jobs=2)\n"
+        "print(all(r.passed for r in reports), 'scipy.optimize' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["True", "False"]
