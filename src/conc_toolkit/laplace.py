@@ -10,8 +10,8 @@ Each direction of the translation between them is an explicit formula in
 (Phi, D, eps, delta) evaluated on the tabulated Phi; the sup over
 Lipschitz functions on a finite space is computed exactly, up to
 ``_VERTEX_CAP`` points, as a maximum over the vertices of the mean-zero
-Lipschitz polytope, which one qhull halfspace intersection enumerates,
-and by multistart local search on request.  The same vertices give the
+Lipschitz polytope, which a self-certifying pivot walk enumerates, and
+by multistart local search on request.  The same vertices give the
 exact first-moment constant and W_1 (see :mod:`conc_toolkit.transport`).
 """
 
@@ -317,22 +317,6 @@ def herbst_laplace(rho: float, *, x_max: float | None = None,
 # exact sup over 1-Lipschitz mean-zero functions (finite spaces)
 # ---------------------------------------------------------------------------
 
-# scipy is imported on first use; these two names stay on the module
-# so that a fault can be put in place of the vertex enumeration
-def HalfspaceIntersection(halfspaces, interior_point):
-    from scipy.spatial import HalfspaceIntersection as intersect
-
-    return intersect(halfspaces, interior_point)
-
-
-def __getattr__(name: str):
-    if name == "QhullError":
-        from scipy.spatial import QhullError
-
-        return QhullError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
     """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
     over the ordered pairs i != j: row (i, j) holds +1 at i and -1 at j."""
@@ -348,57 +332,74 @@ def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray
 
 
 # the largest space whose Lipschitz polytope is enumerated; a generic
-# metric's has C(2n - 2, n - 1) vertices, 3,432 at n = 8
+# metric's has C(2n - 2, n - 1) vertices, 3,432 at n = 8, and the walk's
+# key of a basis, one bit per ordered pair, fits one uint64 up to n = 8
 _VERTEX_CAP = 8
+_PRIMES = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])  # one per point
+
+
+def _lipschitz_walk(d: np.ndarray) -> np.ndarray:
+    """The vertex of every basis the walk reaches on ``d``, repeats included."""
+    n, eye = len(d), np.eye(len(d))
+    m, k, seen, found = n - 1, np.arange(n - 1), set(), []
+    p = 1.0 + 1e-3 * np.sqrt(np.outer(_PRIMES[:n], _PRIMES[:n]))  # ties: d + eps p
+    bits = (np.uint64(1) << np.arange(n * n, dtype=np.uint64)).reshape(n, n)
+    tails, heads = (x.reshape(n, m) for x in np.nonzero(eye == 0))  # star trees
+    while len(tails):
+        key = np.minimum(bits[tails, heads].sum(1), bits[heads, tails].sum(1))
+        keys, first = np.unique(key, return_index=True)  # one of each mirrored pair
+        fresh = first[[b not in seen for b in keys.tolist()]]
+        seen.update(keys.tolist())
+        tails, heads = tails[fresh], heads[fresh]
+        a = np.zeros((len(tails), n, n))
+        a[:, :m], a[:, m, 0] = eye[tails] - eye[heads], 1.0  # tree rows, f_0 = 0
+        moves = -np.linalg.inv(a)[:, :, :m]  # each relaxes one row, keeps the rest
+        v, w = ((-moves @ c[tails, heads, None])[..., 0] for c in (d, p))
+        found += [v, -v]
+        lift = moves.transpose(0, 2, 1)[..., None]  # move k lifts row (i, j) by 1
+        rises = lift > lift.transpose(0, 1, 3, 2) + 0.5
+        step = np.where(rises, (d - v[:, :, None] + v[:, None])[:, None], np.inf)
+        tie = step <= step.min(axis=(2, 3), keepdims=True) + 1e-12  # rounding
+        lex = np.where(tie, (p - w[:, :, None] + w[:, None])[:, None], np.inf)
+        enter = np.divmod(np.argmin(lex.reshape(len(tails), m, n * n), axis=2), n)
+        tails, heads = np.repeat(tails, m, axis=0), np.repeat(heads, m, axis=0)
+        tails.reshape(-1, m, m)[:, k, k], heads.reshape(-1, m, m)[:, k, k] = enter
+    return np.concatenate(found)
 
 
 def _pinned_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
-    """Vertices of {f : |f_i - f_j| <= d_ij, f_0 = 0}.
+    """Vertices of {f : f_i - f_j <= d_ij, f_0 = 0}, by a self-certifying walk.
 
-    That polytope is bounded in R^(n-1) with 0 in its interior; qhull
-    intersects its halfspaces on the distances divided by the diameter,
-    so every tolerance below is relative to it.  Where qhull fails, it
-    runs once more on those distances rounded to 1e-12.  Vertices are
-    deduplicated (qhull repeats the ones of degenerate metrics) and
-    scaled back.
+    A basis is a spanning tree of tight rows f_i - f_j = d_ij (i -> j),
+    keyed by its bitmask of rows; each of its n - 1 moves relaxes one row
+    and enters the row it reaches first, ties broken as if the distances
+    were d + eps (1 + g), g_ij = sqrt(q_i q_j) / 1000 for distinct primes
+    q: no rational relation holds between such roots.  That metric is
+    strict, so the star trees f = +-(d(., j) - d(0, j)) the walk starts
+    from are feasible, and its vertices are simple: the bases reached are
+    those of a simple polytope, whose graph is connected, so the walk
+    closes on all of them, and each vertex here is a limit of theirs.  By
+    symmetry one tree of each mirrored pair is expanded.  The walk runs on
+    the distances divided by the diameter; vertices are told apart at 1e-9.
     """
     n = space.n
     if n > _VERTEX_CAP:
-        raise UnsupportedSizeError(
-            f"vertex enumeration capped at n = {_VERTEX_CAP}; use a heuristic: "
-            "laplace_sup_discrete(..., exact=False) or "
-            "first_moment_constant(..., mode='heuristic')")
+        raise UnsupportedSizeError(f"vertex enumeration capped at n = {_VERTEX_CAP}; use a "
+                                   "heuristic: laplace_sup_discrete(..., exact=False) or "
+                                   "first_moment_constant(..., mode='heuristic')")
     if n == 1:
         return np.zeros((1, 1))
-    diam = space.diameter
-    d = space.dist / diam
-    if n == 2:  # qhull needs dimension >= 2
-        f = np.array([[0.0, 1.0], [0.0, -1.0]])
-    else:
-        from scipy.spatial import QhullError
-
-        a_ub, b_ub = _lipschitz_rows(space)
-        rows = a_ub[:, 1:].toarray()
-        # qhull cannot merge facets a few ulps apart (distances equal to
-        # ~1e-14); rounded, they coincide or stand >= 1e-12 apart
-        for bounds in (b_ub / diam, np.round(b_ub / diam, 12)):
-            try:
-                g = HalfspaceIntersection(np.column_stack([rows, -bounds]),
-                                          np.zeros(n - 1)).intersections
-                break
-            except QhullError as exc:
-                failure = exc
-        else:
-            raise ValidationError(f"Lipschitz vertex enumeration failed: {failure}")
-        f = np.column_stack([np.zeros(len(g)), g])
-        stretch = float(np.max(f[:, :, None] - f[:, None, :] - d))
-        if not stretch <= 1e-9:
-            raise ValidationError(
-                f"Lipschitz vertex enumeration failed: a vertex breaks the "
-                f"Lipschitz bound by {stretch:.3g} x diameter")
-        _, idx = np.unique(np.round(f, 9), axis=0, return_index=True)
-        f = f[idx]
-    return f * diam
+    d = space.dist / space.diameter
+    try:
+        f = _lipschitz_walk(d)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError(f"Lipschitz vertex enumeration failed: {exc}") from None
+    f = f[np.unique(np.round(f, 9), axis=0, return_index=True)[1]]
+    stretch = float(np.max(f[:, :, None] - f[:, None, :] - d))
+    if not stretch <= 1e-9:
+        raise ValidationError(f"Lipschitz vertex enumeration failed: a vertex breaks "
+                              f"the Lipschitz bound by {stretch:.3g} x diameter")
+    return f * space.diameter
 
 
 def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:

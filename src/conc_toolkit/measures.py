@@ -584,9 +584,9 @@ def check_semi_convexity(mu: Measure1D, kappa: float) -> tuple[bool, float, floa
 class DiscreteSpace:
     """Finite metric-measure space: symmetric distance matrix + weights.
 
-    Construction rejects metric-axiom violations, naming the offending
-    pair or triple, and weights that are negative or do not sum to 1;
-    negative weights within 1e-9 of zero are clipped to 0.
+    Construction rejects non-finite entries and metric-axiom violations,
+    naming the field, pair or triple, and weights that are negative or do
+    not sum to 1; negative weights within 1e-9 of zero are clipped to 0.
     """
 
     dist: np.ndarray
@@ -595,6 +595,9 @@ class DiscreteSpace:
     def __post_init__(self) -> None:
         d = _float_array(self.dist, "dist")
         w = _float_array(self.weights, "weights")
+        for name, values in (("dist", d), ("weights", w)):
+            if not np.all(np.isfinite(values)):
+                raise ValidationError(f"{name} must hold finite numbers only")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
         n = d.shape[0]

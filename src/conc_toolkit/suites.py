@@ -66,7 +66,6 @@ from .transport import (
     divergences,
     first_moment_constant,
     gibbs_tilt_discrete,
-    te_constant_estimate,
     w1_1d,
     witnesses_1d,
 )
@@ -473,9 +472,10 @@ def _suite_te_equiv_shape(config, seed):
     ratios = []
     for p in config["p_grid"]:
         mu = build_measure_1d(preset="gamma_p", p=p, n_points=4096)
-        te = partial(te_constant_estimate, mu, p=p, witnesses=witnesses_1d(mu))
-        upper_tight = te("TE(phi_p,1)").value
-        upper_weak = te("TE(1,phi_p)").value
+        # one witness table, so each witness's W_1 and H are built once
+        table = _witness_table(mu, None, witnesses_1d(mu), 0)
+        upper_tight = _te_minimum(table, "TE(phi_p,1)", CostSpec(p)).value
+        upper_weak = _te_minimum(table, "TE(1,phi_p)", CostSpec(p)).value
         ratio = upper_tight / upper_weak
         ratios.append(ratio)
         instances.append({"p": p, "D_TE_phi_1_upper": upper_tight,
@@ -678,10 +678,10 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 
 # per suite: its function, its in-process seconds at seed 7 on a 2-vCPU VM
 # (run_suites starts the longest first) and the scipy module a run of it in
-# a fresh process loads (scipy.optimize loads spatial, linalg, sparse, ...)
+# a fresh process loads (scipy.optimize loads linalg, sparse and more)
 _SUITES: dict[str, tuple[Callable, float, str | None]] = {
     "going-down-exact": (_suite_going_down_exact, 0.26, None),
-    "w1-fm-exact": (_suite_w1_fm_exact, 0.14, "scipy.spatial"),
+    "w1-fm-exact": (_suite_w1_fm_exact, 0.14, None),
     "te-jensen-pointwise": (_suite_te_jensen, 0.47, "scipy.optimize"),
     "iso-stability-shape": (_suite_iso_stability_shape, 0.32, None),
     "logsob-stability": (_suite_logsob_stability, 0.89, None),
@@ -689,7 +689,7 @@ _SUITES: dict[str, tuple[Callable, float, str | None]] = {
     "conc-te-equiv": (_suite_conc_te_equiv, 0.53, "scipy.optimize"),
     "te-equiv-shape": (_suite_te_equiv_shape, 0.47, None),
     "hierarchy-gamma-p": (_suite_hierarchy, 0.03, "scipy.linalg"),
-    "bg-duality": (_suite_bg_duality, 1.27, "scipy.spatial"),
+    "bg-duality": (_suite_bg_duality, 1.27, None),
 }
 
 SUITE_IDS = tuple(_SUITES)

@@ -770,10 +770,14 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     int |f - med(f)| dmu <= 1/D over 1-Lipschitz f.
 
     Finite spaces (n <= ``laplace._VERTEX_CAP``): exact, two-sided, as the
-    maximum over the vertices of the Lipschitz polytope (``_first_moment_exact``).
+    maximum over the vertices of the Lipschitz polytope (``_first_moment_exact``);
+    with ``mode='heuristic'``, distance-cone candidates, an upper bound on D.
     1-D measures: candidate family {x, |x - x0|} with local search; the
-    result lower-bounds sup int |f - med| dmu, i.e. upper-bounds D.
+    result lower-bounds sup int |f - med| dmu, i.e. upper-bounds D.  Any
+    other ``mode`` than "exact" or "heuristic" raises DomainError.
     """
+    if mode not in ("exact", "heuristic"):
+        raise DomainError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
     if isinstance(source, DiscreteSpace):
         if mode == "exact":
             val, f_opt = _first_moment_exact(mean_zero_lipschitz_vertices(

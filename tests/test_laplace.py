@@ -172,7 +172,7 @@ def _sorted_rows(a: np.ndarray) -> np.ndarray:
 
 
 class TestLipschitzVertices:
-    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_vertex_counts_on_degenerate_metrics(self, n):
         w = np.full(n, 1.0 / n)
         x = np.arange(n, dtype=float)

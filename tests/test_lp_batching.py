@@ -2,19 +2,20 @@
 and bg-duality's array work against its loops.
 
 Spaces are drawn like the suites draw them (``suites._random_space``) with
-n <= 6, or as shortest-path metrics with n <= 8 for the Lipschitz
-vertices; the LP stays the cross-check oracle on the test side.  The LP
-matrices built from their index structure are checked against test-side
-copies of the generic sparse builds they replace.
+n <= 6, or as planar spaces and shortest-path metrics with n <= 8 for the
+Lipschitz vertices; the LP stays the cross-check oracle on the test side,
+and so does the qhull halfspace intersection the vertex walk replaced.
+The LP matrices built from their index structure are checked against
+test-side copies of the generic sparse builds they replace.
 """
 
+import math
 from functools import partial
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
@@ -139,23 +140,25 @@ def test_batched_first_moment_equals_per_pattern_loop(seed, n):
 
 
 def test_failed_vertex_enumeration_raises(monkeypatch):
-    """A vertex enumeration that fails, or returns a point outside the
+    """A pivot solve that fails, or a walk that returns a point outside the
     Lipschitz polytope, must not leave a silent hole in the exact value."""
-    real = laplace.HalfspaceIntersection
+    real = laplace._lipschitz_walk
 
-    def failing(halfspaces, interior_point):
-        raise laplace.QhullError("forced failure")
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
 
-    def infeasible(halfspaces, interior_point):
-        bad = real(halfspaces, interior_point).intersections.copy()
-        bad[0, 0] += 1.0  # one diameter past its Lipschitz bound
-        return SimpleNamespace(intersections=bad)
+    def outside(d):
+        f = real(d)
+        f[np.argmax(f[:, 1]), 1] += 1.0  # one diameter past f_1 - f_0 <= d(1, 0)
+        return f
 
     space = _random_space(np.random.default_rng(3), 5)
-    for fault in (failing, infeasible):
-        monkeypatch.setattr(laplace, "HalfspaceIntersection", fault)
-        with pytest.raises(ValidationError, match="Lipschitz vertex enumeration failed"):
-            first_moment_constant(space)
+    for module, name, fault in ((np.linalg, "inv", singular),
+                                (laplace, "_lipschitz_walk", outside)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            with pytest.raises(ValidationError, match="Lipschitz vertex enumeration failed"):
+                first_moment_constant(space)
 
 
 def _scaled_metric(seed: int, n: int, ratio: float) -> DiscreteSpace:
@@ -167,6 +170,78 @@ def _scaled_metric(seed: int, n: int, ratio: float) -> DiscreteSpace:
     for k in range(n):
         d = np.minimum(d, d[:, k][:, None] + d[k, :][None, :])
     return DiscreteSpace(dist=d, weights=rng.dirichlet(np.ones(n)))
+
+
+def _planar_space(seed: int, n: int, shrink: float = 1.0) -> DiscreteSpace:
+    """Random planar points under uniform weights, the first n // 2 of them
+    shrunk towards the origin by ``shrink``."""
+    pts = np.random.default_rng(seed).normal(size=(n, 2))
+    pts[: n // 2] /= shrink
+    return DiscreteSpace(dist=np.linalg.norm(pts[:, None] - pts[None], axis=2),
+                         weights=np.full(n, 1.0 / n))
+
+
+def _qhull_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
+    """The route the vertex walk replaced, for n >= 3: one qhull halfspace
+    intersection of {f : f_i - f_j <= d_ij, f_0 = 0} on the distances
+    divided by the diameter, run once more on them rounded to 1e-12 where
+    qhull fails; vertices deduplicated on values rounded to 1e-9.  Raises
+    QhullError, or ValidationError for a vertex outside the polytope."""
+    from scipy.spatial import HalfspaceIntersection, QhullError
+
+    diam = space.diameter
+    a_ub, b_ub = laplace._lipschitz_rows(space)
+    rows = a_ub[:, 1:].toarray()
+    for bounds in (b_ub / diam, np.round(b_ub / diam, 12)):
+        try:
+            g = HalfspaceIntersection(np.column_stack([rows, -bounds]),
+                                      np.zeros(space.n - 1)).intersections
+            break
+        except QhullError as exc:
+            failure = exc
+    else:
+        raise failure
+    f = np.column_stack([np.zeros(len(g)), g])
+    if not np.max(f[:, :, None] - f[:, None, :] - space.dist / diam) <= 1e-9:
+        raise ValidationError("qhull returned a vertex outside the polytope")
+    _, idx = np.unique(np.round(f, 9), axis=0, return_index=True)
+    return f[idx] * diam
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=3, max_value=8), planar=st.booleans(),
+       log_ratio=st.floats(min_value=0.0, max_value=3.0))
+@example(seed=6, n=6, planar=False, log_ratio=1e-14)  # distances equal to ~1e-14
+@example(seed=0, n=5, planar=False, log_ratio=1e-12)  # near-ties: representatives differ by 1e-12
+@example(seed=0, n=8, planar=False, log_ratio=0.0)  # a metric with every distance 1
+def test_walk_equals_qhull_where_qhull_answers(seed, n, planar, log_ratio):
+    """The walk's vertices are qhull's, row for row, to the 1e-9 x diameter
+    at which both tell vertices apart, wherever qhull answers: on planar
+    spaces (general position) and on shortest-path metrics (degenerate:
+    many triangle equalities, and near-ties where the ratio is ~1)."""
+    from scipy.spatial import QhullError
+
+    space = _planar_space(seed, n) if planar else _scaled_metric(seed, n, 10.0**log_ratio)
+    try:
+        want = _qhull_lipschitz_vertices(space)
+    except (QhullError, ValidationError):
+        assume(False)
+    got = mean_zero_lipschitz_vertices(space, space.weights)
+    want = laplace._recentred(want, space.weights)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got / space.diameter, want / space.diameter,
+                               rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize(("seed", "n"), [(4, 6), (7, 7)])
+def test_all_vertices_at_distance_ratio_1e5(seed, n):
+    """Half of a planar space shrunk by 1e5: qhull (scipy 1.17) returned 228
+    of the 252 vertices at n = 6 and a point outside the polytope at n = 7.
+    The walk returns all C(2n - 2, n - 1) of a metric in general position."""
+    space = _planar_space(seed, n, shrink=1e5)
+    verts = mean_zero_lipschitz_vertices(space, space.weights)
+    assert len(verts) == math.comb(2 * n - 2, n - 1)
+    assert np.max(verts[:, :, None] - verts[:, None, :] - space.dist) <= 1e-9 * space.diameter
 
 
 @settings(max_examples=40, deadline=None)

@@ -313,6 +313,18 @@ class TestDiscreteSpace:
         s = DiscreteSpace(dist=[[0.0, 1.0], [1.0, 0.0]], weights=[1.0 + 1e-10, -1e-10])
         assert s.weights.tolist() == [1.0 + 1e-10, 0.0]
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValidationError, match="weights must hold finite"):
+            DiscreteSpace(dist=1.0 - np.eye(3), weights=[math.nan, 0.5, 0.5])
+
+    def test_infinite_distance_rejected(self):
+        with pytest.raises(ValidationError, match="dist must hold finite"):
+            DiscreteSpace(dist=[[0.0, math.inf], [math.inf, 0.0]], weights=[0.5, 0.5])
+
+    def test_nan_distance_rejected_as_non_finite(self):
+        with pytest.raises(ValidationError, match="dist must hold finite"):
+            DiscreteSpace(dist=[[0.0, math.nan], [math.nan, 0.0]], weights=[0.5, 0.5])
+
 
 def _e2_both_branches(u):
     """The two-branch form _e2 had when both branches ran on every element."""

@@ -171,3 +171,25 @@ def test_line_suites_in_workers_leave_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.split() == ["True", "False"]
+
+
+def test_vertex_suites_leave_scipy_unloaded():
+    """w1-fm-exact and bg-duality take their exact values from the Lipschitz
+    vertex walk, which is numpy alone: run_suites imports no scipy module
+    for them before it forks, and neither suite loads one in-process."""
+    src = str(Path(suites.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    script = (
+        "import sys\n"
+        "from conc_toolkit.suites import run_suite, run_suites\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "reports = run_suites(['w1-fm-exact', 'bg-duality'], jobs=2)\n"
+        "print(all(r.passed for r in reports), scipy())\n"
+        "reports = [run_suite('w1-fm-exact', {'trials': 10}),\n"
+        "           run_suite('bg-duality', {'trials': 5})]\n"
+        "print(all(r.passed for r in reports), scipy())\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["True", "[]", "True", "[]"]

@@ -440,6 +440,14 @@ class TestFirstMoment:
         entry = first_moment_constant(s, mode="heuristic")
         assert entry.direction == "upper"
 
+    @pytest.mark.parametrize("mode", ["Exact", "lp", ""])
+    def test_unknown_mode_rejected(self, mode, gamma1):
+        s = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                 np.array([0.5, 0.5]))
+        for source in (s, gamma1):
+            with pytest.raises(DomainError, match="'exact' or 'heuristic'"):
+                first_moment_constant(source, mode=mode)
+
     def test_gamma1_coordinate_candidate(self, gamma1):
         entry = first_moment_constant(gamma1)
         # f = x gives int |x| dmu = 1 for the two-sided exponential
