@@ -172,8 +172,6 @@ def legendre_numeric(
     x: np.ndarray,
     f: np.ndarray,
     lam: np.ndarray | None = None,
-    *,
-    edge_slope_tol: float = 1e-12,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Legendre transform f*(lam) = max_x (lam x - f(x)) over a grid.
 
@@ -213,7 +211,7 @@ def legendre_numeric(
         if last >= 1:
             # Increasing through the right edge => unbounded conjugate.
             at_edge = idx == last
-            growing = vals[:, last] - vals[:, last - 1] > edge_slope_tol * (
+            growing = vals[:, last] - vals[:, last - 1] > 1e-12 * (
                 1.0 + np.abs(vals[:, last])
             )
             out[start : start + lam_b.size][at_edge & growing] = np.inf

@@ -84,21 +84,24 @@ def _entropy(mu: Measure1D, g: np.ndarray) -> float:
 # Poincare constant
 # ---------------------------------------------------------------------------
 
-def _poincare_eigenvalue(mu: Measure1D, mass_cut: float = 1e-250) -> float:
+_MASS_CUT = 1e-250
+
+
+def _poincare_eigenvalue(mu: Measure1D) -> float:
     """Smallest nonzero generalized eigenvalue of the pencil
     (stiffness, lumped mass).  Both matrices are assembled from exact
     cell masses; constants span the stiffness nullspace, so the second
     eigenvalue is the Rayleigh infimum over mean-zero functions.
 
-    Nodes whose cumulative mass falls below ``mass_cut`` are dropped
-    before the solve (natural Neumann condition at the cut): the default
-    sits just above double-precision underflow, where cell masses become
-    exact zeros and would otherwise produce NaN rows in the symmetrized
-    matrix; the perturbation of the low eigenvalues is O(mass_cut).
+    Nodes whose cumulative mass falls below ``_MASS_CUT`` are dropped
+    before the solve (natural Neumann condition at the cut): it sits just
+    above double-precision underflow, where cell masses become exact zeros
+    and would otherwise produce NaN rows in the symmetrized matrix; the
+    perturbation of the low eigenvalues is O(_MASS_CUT).
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    keep = (mu.cdf_nodes >= mass_cut) & (mu.sf_nodes >= mass_cut)
+    keep = (mu.cdf_nodes >= _MASS_CUT) & (mu.sf_nodes >= _MASS_CUT)
     if keep.sum() < 16:
         keep = np.ones(mu.grid.size, dtype=bool)
     i0 = int(np.argmax(keep))
@@ -191,19 +194,18 @@ def _generic_ratio(mu: Measure1D, values: np.ndarray) -> float:
     return num / ent
 
 
-def logsob_constant_1d(mu: Measure1D, *, lam_grid: np.ndarray | None = None,
-                       n_bumps: int = 7) -> ConstantEntry:
+def logsob_constant_1d(mu: Measure1D) -> ConstantEntry:
     """Certified upper bound on the best rho in
     rho Ent(f^2) <= int |f'|^2 dmu.
 
-    Candidates: the exponential family exp(lam x / 2) (exact tilted-cell
-    evaluation), x exp(lam x / 2), piecewise-linear bumps at quantile
-    positions, and a golden-section polish of the exponential family.
+    Candidates: the exponential family exp(lam x / 2) and x exp(lam x / 2)
+    for lam in +-{1/4, 1/2, 1, 2} (the former by exact tilted-cell
+    evaluation), piecewise-linear bumps at 7 quantile positions, and a
+    golden-section polish of the exponential family.
     """
     if mu.grid.size < 256:
         raise DomainError("log-Sobolev estimate needs a grid with >= 256 points")
-    lams = (np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
-            if lam_grid is None else np.asarray(lam_grid, dtype=float))
+    lams = np.array([-2.0, -1.0, -0.5, -0.25, 0.25, 0.5, 1.0, 2.0])
     best = math.inf
     best_desc: dict = {}
     for lam in lams:
@@ -235,7 +237,7 @@ def logsob_constant_1d(mu: Measure1D, *, lam_grid: np.ndarray | None = None,
         if r < best:
             best, best_desc = r, {"family": "x exp", "lam": float(lam)}
     lo, hi = mu.support
-    centers = mu.quantile(np.linspace(0.1, 0.9, n_bumps))
+    centers = mu.quantile(np.linspace(0.1, 0.9, 7))
     width = 0.25 * (hi - lo)
     for c in centers:
         vals = np.maximum(1.0 - np.abs(mu.grid - c) / width, 0.0) + 1e-3

@@ -45,44 +45,49 @@ __all__ = [
 ]
 
 
-def _validate_phi(x: np.ndarray, vals: np.ndarray) -> None:
-    if x.ndim != 1 or x.shape != vals.shape or x.size < 3:
-        raise ValidationError("Phi grid must be two equal 1-D arrays (>= 3 points)")
-    if not np.all(np.diff(x) > 0) or x[0] != 0.0:
-        raise ValidationError("Phi grid must be strictly increasing from 0")
-    if abs(vals[0]) > 1e-12:
-        raise ValidationError("Phi(0) must be 0")
-    if np.any(np.diff(vals) < -1e-12):
-        raise ValidationError("Phi must be nondecreasing")
-    slopes = np.diff(vals) / np.diff(x)
-    if np.any(np.diff(slopes) < -1e-9 * (1.0 + np.abs(vals).max())):
-        raise ValidationError("Phi must be convex on its grid")
-
-
 @dataclass(frozen=True)
-class LaplaceBound:
+class _PhiBound:
+    """A convex Phi tabulated on a grid from 0, and the bound's rate."""
+
     phi_x: np.ndarray
     phi_vals: np.ndarray
-    rate: float          # D
-    eps: float = 0.0     # additive slack in metric units
-    delta: float = 0.0   # additive slack in log units
+    rate: float
 
     def __post_init__(self) -> None:
         x = np.asarray(self.phi_x, dtype=float)
-        v = np.asarray(self.phi_vals, dtype=float)
-        _validate_phi(x, v)
+        vals = np.asarray(self.phi_vals, dtype=float)
+        if x.ndim != 1 or x.shape != vals.shape or x.size < 3:
+            raise ValidationError("Phi grid must be two equal 1-D arrays (>= 3 points)")
+        if not np.all(np.diff(x) > 0) or x[0] != 0.0:
+            raise ValidationError("Phi grid must be strictly increasing from 0")
+        if abs(vals[0]) > 1e-12:
+            raise ValidationError("Phi(0) must be 0")
+        if np.any(np.diff(vals) < -1e-12):
+            raise ValidationError("Phi must be nondecreasing")
+        slopes = np.diff(vals) / np.diff(x)
+        if np.any(np.diff(slopes) < -1e-9 * (1.0 + np.abs(vals).max())):
+            raise ValidationError("Phi must be convex on its grid")
         if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValidationError("rate D must be a positive finite real")
-        if self.eps < 0 or self.delta < 0:
-            raise ValidationError("slacks eps, delta must be nonnegative")
+            raise ValidationError("rate must be a positive finite real")
         object.__setattr__(self, "phi_x", x)
-        object.__setattr__(self, "phi_vals", v)
+        object.__setattr__(self, "phi_vals", vals)
 
     def phi_at(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.phi_x, self.phi_vals)
 
     def phi_inv_at(self, y: float) -> float:
         return invert_monotone(self.phi_x, self.phi_vals, y)
+
+
+@dataclass(frozen=True)
+class LaplaceBound(_PhiBound):
+    eps: float = 0.0     # additive slack in metric units
+    delta: float = 0.0   # additive slack in log units
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.eps < 0 or self.delta < 0:
+            raise ValidationError("slacks eps, delta must be nonnegative")
 
     def phi_star_at(self, lam) -> float | np.ndarray:
         lam = np.asarray(lam, dtype=float)
@@ -100,31 +105,16 @@ class LaplaceBound:
 
 
 @dataclass(frozen=True)
-class ConcBound:
-    phi_x: np.ndarray
-    phi_vals: np.ndarray
-    rate: float              # D'
+class ConcBound(_PhiBound):
     offset: float = 0.0      # z' >= 0
     log_slack: float = 0.0   # delta' >= -log 2
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.phi_x, dtype=float)
-        v = np.asarray(self.phi_vals, dtype=float)
-        _validate_phi(x, v)
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValidationError("rate D' must be a positive finite real")
+        super().__post_init__()
         if self.offset < 0:
             raise ValidationError("offset z' must be nonnegative")
         if self.log_slack < -LOG2 - 1e-12:
             raise ValidationError("log slack delta' must be >= -log 2")
-        object.__setattr__(self, "phi_x", x)
-        object.__setattr__(self, "phi_vals", v)
-
-    def phi_at(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.phi_x, self.phi_vals)
-
-    def phi_inv_at(self, y: float) -> float:
-        return invert_monotone(self.phi_x, self.phi_vals, y)
 
     def alpha_at(self, r) -> float | np.ndarray:
         """The concentration lower bound Phi((D' r - z')_+) - delta'."""
@@ -132,8 +122,7 @@ class ConcBound:
         arg = np.maximum(self.rate * r - self.offset, 0.0)
         return _shaped(r, self.phi_at(arg) - self.log_slack)
 
-    def with_slack(self, offset_new: float, log_slack_new: float,
-                   r_max: float | None = None) -> "ConcBound":
+    def with_slack(self, offset_new: float, log_slack_new: float) -> "ConcBound":
         """Renormalize (D', z', delta') to prescribed slack values.
 
         Since the bound only carries information where it exceeds log 2,
@@ -146,8 +135,7 @@ class ConcBound:
             raise DomainError("need z'' >= 0 and delta'' >= -log 2")
         if offset_new == 0.0 and log_slack_new == -LOG2:
             raise DomainError("one of the slack inequalities must be strict")
-        hi_r = r_max if r_max is not None else (
-            2.0 * (float(self.phi_x[-1]) + self.offset + offset_new) / self.rate)
+        hi_r = 2.0 * (float(self.phi_x[-1]) + self.offset + offset_new) / self.rate
         rs = np.linspace(0.0, hi_r, 4097)
         ceiling = np.maximum(self.alpha_at(rs), LOG2)
         phi_cap = float(self.phi_vals[-1])
@@ -299,16 +287,14 @@ def conc_to_laplace(bound: ConcBound, tau: float = 0.5) -> LaplaceBound:
                         rate=d_new, eps=eps_new, delta=delta_new)
 
 
-def herbst_laplace(rho: float, *, x_max: float | None = None,
-                   n_grid: int = 16385) -> tuple[LaplaceBound, ConcBound]:
+def herbst_laplace(rho: float) -> tuple[LaplaceBound, ConcBound]:
     """The sub-Gaussian package implied by a log-Sobolev constant rho:
     a Laplace bound with Phi*(lam) = lam^2 / (4 rho) (i.e. Phi = rho x^2,
     D = 1, no slack), and its induced concentration bound
     K(r) >= rho (r - sqrt(log 2 / rho))_+^2."""
     if rho <= 0:
         raise DomainError("rho must be positive")
-    hi = x_max if x_max is not None else math.sqrt(80.0 / rho)
-    xs = np.linspace(0.0, hi, n_grid)
+    xs = np.linspace(0.0, math.sqrt(80.0 / rho), 16385)
     bound = LaplaceBound(phi_x=xs, phi_vals=rho * xs * xs, rate=1.0)
     return bound, laplace_to_conc(bound)
 
@@ -419,14 +405,13 @@ def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
-                         vertices: np.ndarray | None = None,
-                         multistart: int = 32, seed: int = 0,
+                         vertices: np.ndarray | None = None, seed: int = 0,
                          ) -> tuple[np.ndarray, str, np.ndarray]:
     """sup over 1-Lipschitz f with int f dmu = 0 of log int e^{lam f} dmu.
 
     Exact up to ``_VERTEX_CAP`` points (the objective is convex in f, so the
     sup over the mean-zero Lipschitz polytope is attained at a vertex);
-    multistart local search with ``exact=False``, flagged "lower".
+    local search from 32 random starts with ``exact=False``, flagged "lower".
 
     Returns (values over the lam grid, exactness flag, best f per lam).
     """
@@ -440,7 +425,7 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
     else:
         rng = np.random.default_rng(seed)
         cand = [np.zeros(n)]
-        for _ in range(multistart):
+        for _ in range(32):
             j = int(rng.integers(n))
             g = rng.choice([-1.0, 1.0]) * space.dist[j] + 0.1 * rng.normal(size=n)
             g = _lipschitz_repair(g, space.dist)

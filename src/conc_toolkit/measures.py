@@ -134,20 +134,6 @@ def _solve_mass_forward(v0, b, target):
     return np.where(small, linear, direct)
 
 
-def _solve_mass_backward(v1, b, target):
-    """Solve for tau >= 0 with unnormalized mass over [x_hi - tau, x_hi]
-    equal to target, where the potential is v1 - b * (x_hi - x)."""
-    te = _scaled_target(v1, target)
-    b = np.asarray(b, dtype=float)
-    w = te * b
-    small = np.abs(w) < 1e-10
-    safe_b = np.where(np.abs(b) < 1e-300, 1.0, b)
-    with np.errstate(divide="ignore"):
-        direct = np.log1p(np.maximum(np.where(small, 0.0, w), -1.0)) / safe_b
-    linear = te * (1.0 - 0.5 * w)
-    return np.where(small, linear, direct)
-
-
 # ---------------------------------------------------------------------------
 # Measure1D
 # ---------------------------------------------------------------------------
@@ -305,7 +291,8 @@ class Measure1D:
         i = hi - 1
         rem = (tail - self.sf_nodes[hi]) * self._z_shifted
         rem = np.maximum(rem, 0.0)
-        tau = _solve_mass_backward(self._shifted_potential[hi], self._slopes[i], rem)
+        # read from the cell's right end, the potential falls at the slope
+        tau = _solve_mass_forward(self._shifted_potential[hi], -self._slopes[i], rem)
         out = self.grid[hi] - np.minimum(tau, self._widths[i])
         out = np.where(tail >= 1.0, self.grid[0], out)
         return _shaped(tail, out)
@@ -423,15 +410,15 @@ class Measure1D:
         return cls.from_json_dict(_read_json(path, ("grid", "potential")))
 
 
-def is_symmetric(mu: Measure1D, tol: float = 1e-9) -> bool:
+def is_symmetric(mu: Measure1D) -> bool:
     """True when the grid and potential are mirror-symmetric about the
-    window midpoint."""
+    window midpoint, to 1e-9 of the window and of the potential's scale."""
     x = mu.grid
     v = mu.potential
     mid = 0.5 * (x[0] + x[-1])
     span = x[-1] - x[0]
-    sym_x = np.allclose(x + x[::-1], 2 * mid, atol=tol * span, rtol=0.0)
-    sym_v = np.allclose(v, v[::-1], atol=tol * (1.0 + np.abs(v).max()), rtol=0.0)
+    sym_x = np.allclose(x + x[::-1], 2 * mid, atol=1e-9 * span, rtol=0.0)
+    sym_v = np.allclose(v, v[::-1], atol=1e-9 * (1.0 + np.abs(v).max()), rtol=0.0)
     return bool(sym_x and sym_v)
 
 
@@ -475,6 +462,11 @@ def build_measure_1d(
             potential=np.asarray(potential, dtype=float),
             provenance={"source": "potential-grid"},
         )
+    if n_points < 0:
+        raise DomainError(f"n_points must be nonnegative, got {n_points}")
+    for name, value in (("a", a), ("half_width", half_width)):
+        if value is not None and not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
 
     if preset == "gamma_p":
         if p is None or not (1.0 <= p <= 8.0):
@@ -519,6 +511,8 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
     if mode == "density-ratio":
         phi = np.asarray(kwargs["phi"], dtype=float)
         cap = float(kwargs["cap"])
+        if not math.isfinite(cap):
+            raise DomainError(f"cap D must be finite, got {cap}")
         if phi.shape != mu1.grid.shape:
             raise ValidationError("phi must be tabulated on the same grid")
         mu2 = Measure1D(grid=mu1.grid.copy(), potential=mu1.potential - phi,
@@ -556,6 +550,8 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
 
     if mode == "translate":
         t = float(kwargs["t"])
+        if not math.isfinite(t):
+            raise DomainError(f"translation t must be finite, got {t}")
         prov = {"source": "translate", "t": t, "parent": mu1.provenance}
         return Measure1D(grid=mu1.grid + t, potential=mu1.potential.copy(),
                          provenance=prov)

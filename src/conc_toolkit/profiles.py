@@ -144,12 +144,6 @@ def invert_monotone(xs: np.ndarray, ys: np.ndarray, target: float) -> float:
 # profiles of measures
 # ---------------------------------------------------------------------------
 
-def default_mass_grid(v_min: float = 1e-6, n: int = 513) -> np.ndarray:
-    grid = np.geomspace(v_min, 0.5, n)
-    grid[-1] = 0.5
-    return grid
-
-
 def iso_profile_1d(mu: Measure1D, v_grid: np.ndarray | None = None) -> Profile:
     """Half-line isoperimetric profile of a 1-D measure.
 
@@ -157,10 +151,11 @@ def iso_profile_1d(mu: Measure1D, v_grid: np.ndarray | None = None) -> Profile:
     left one of mass v and the right one of mass v; the profile value is
     the smaller boundary density.  For log-concave measures half-lines
     are extremal, so the value is the true profile; otherwise it
-    dominates the true profile (exactness ``half-line-upper-bound``).
+    dominates the true profile (exactness ``half-line-upper-bound``).  The
+    default masses are 513 geometric steps from 1e-6 to 1/2.
     """
-    vs = default_mass_grid() if v_grid is None else np.asarray(v_grid, dtype=float)
-    if np.any((vs <= 0) | (vs > 0.5)):
+    vs = np.geomspace(1e-6, 0.5, 513) if v_grid is None else np.asarray(v_grid, dtype=float)
+    if not np.all((vs > 0) & (vs <= 0.5)):
         raise DomainError("iso profile masses must lie in (0, 1/2]")
     x_left = mu.quantile(vs)
     x_right = mu.quantile_upper(vs)
@@ -169,21 +164,22 @@ def iso_profile_1d(mu: Measure1D, v_grid: np.ndarray | None = None) -> Profile:
     return Profile(kind="iso", inputs=vs, values=vals, exactness=exact)
 
 
-def _conc_profile_1d(mu: Measure1D, r_grid: np.ndarray | None,
-                     interval_candidates: int) -> Profile:
+def _conc_profile_1d(mu: Measure1D, r_grid: np.ndarray | None) -> Profile:
     med = mu.median()
     lo, hi = mu.support
     if r_grid is None:
         r_max = 0.98 * (hi - med)
         r_grid = np.linspace(0.0, r_max, 1025)
     r_grid = np.asarray(r_grid, dtype=float)
+    if not np.all(np.isfinite(r_grid)):
+        raise DomainError("concentration radii must be finite")
     if is_symmetric(mu) and mu.logconcave:
         tails = mu.sf(med + r_grid)
         exactness = "exact"
     else:
-        # Lower envelope over mass-1/2 intervals [q(t), q_upper(1/2 - t)];
+        # Lower envelope over 33 mass-1/2 intervals [q(t), q_upper(1/2 - t)];
         # t = 0 and t = 1/2 are the two half-lines.
-        ts = np.linspace(0.0, 0.5, interval_candidates)
+        ts = np.linspace(0.0, 0.5, 33)
         lefts = mu.quantile(ts)
         rights = mu.quantile_upper(0.5 - ts)
         tails = np.zeros_like(r_grid)
@@ -255,9 +251,9 @@ def _conc_profile_discrete(space: DiscreteSpace) -> Profile:
                    exactness="exact", step=True)
 
 
-def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int,
-                                   n_samples: int = 4096) -> Profile:
-    """Candidate mode for large spaces: random admissible subsets only."""
+def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int) -> Profile:
+    """Candidate mode for large spaces: the admissible sets among 4096
+    random subsets, and the heaviest points."""
     rng = np.random.default_rng(rng_seed)
     n = space.n
     w = space.weights
@@ -265,7 +261,7 @@ def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int,
     bps = space.breakpoints()
     radii = np.concatenate(([0.0], bps[:-1]))
     subsets = []
-    for _ in range(n_samples):
+    for _ in range(4096):
         keep = rng.random(n) < rng.uniform(0.3, 1.0)
         if w[keep].sum() >= 0.5:
             subsets.append(keep)
@@ -287,13 +283,14 @@ def _conc_profile_discrete_sampled(space: DiscreteSpace, rng_seed: int,
 
 
 def conc_profile(source, *, r_grid: np.ndarray | None = None,
-                 interval_candidates: int = 33, exact: bool = True,
-                 seed: int = 0) -> Profile:
+                 exact: bool = True, seed: int = 0) -> Profile:
     """Log-concentration profile of a 1-D measure or a finite space.
 
-    1-D: half-line tails at mass exactly 1/2 (exact under the symmetric +
-    log-concave certificates; otherwise the lower envelope over mass-1/2
-    intervals, tagged ``candidate-lower-bound``).
+    1-D, on the finite radii ``r_grid`` (default 1025 up to 0.98 of the
+    way from the median to the right end): half-line tails at mass
+    exactly 1/2 (exact under the symmetric + log-concave certificates;
+    otherwise the lower envelope over 33 mass-1/2 intervals, tagged
+    ``candidate-lower-bound``).
 
     Finite spaces (n <= 22): exact, with the strict extension A_r; the
     worst tail runs over the admissible sets whose lightest member cannot
@@ -302,7 +299,7 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
     sets instead (``candidate-lower-bound``).
     """
     if isinstance(source, Measure1D):
-        return _conc_profile_1d(source, r_grid, interval_candidates)
+        return _conc_profile_1d(source, r_grid)
     if isinstance(source, DiscreteSpace):
         if source.n < 2:
             raise DomainError("a one-point space has no pairwise distance, so "
@@ -317,15 +314,13 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
 # profile-to-profile transforms
 # ---------------------------------------------------------------------------
 
-def _refined_window(xs: np.ndarray, lo: float, hi: float,
-                    target_cells: int = 40000, cluster: int = 65) -> np.ndarray:
-    """Integration grid on [lo, hi]: table nodes, a uniform fill at
-    roughly (hi - lo)/target_cells spacing, and a geometric cluster at the
-    left endpoint."""
+def _refined_window(xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Integration grid on [lo, hi]: table nodes, a uniform fill of 40,000
+    cells, and a geometric cluster of 65 points at the left endpoint."""
     base = xs[(xs > lo) & (xs < hi)]
-    fill = np.linspace(lo, hi, target_cells + 1)
+    fill = np.linspace(lo, hi, 40001)
     first = base[0] - lo if base.size else hi - lo
-    cluster_pts = lo + min(first, hi - lo) * np.geomspace(1e-9, 1.0, cluster)
+    cluster_pts = lo + min(first, hi - lo) * np.geomspace(1e-9, 1.0, 65)
     out = np.unique(np.concatenate(([lo, hi], base, fill, cluster_pts)))
     return out
 
@@ -577,15 +572,15 @@ def profile_from_csv(path: str, kind: str = "conc", step: bool = False) -> Profi
                    exactness=exactness, step=step)
 
 
-def profile_to_svg(profile: Profile, path: str, *, width: int = 640,
-                   height: int = 480) -> None:
-    """Plain SVG polyline of the finite part of a profile; no plotting deps."""
+def profile_to_svg(profile: Profile, path: str) -> None:
+    """Plain 640 x 480 SVG polyline of the finite part of a profile; no
+    plotting deps."""
     finite = np.isfinite(profile.values)
     xs = profile.inputs[finite]
     vs = profile.values[finite]
     if xs.size == 0:
         raise ValidationError("profile has no finite values to plot")
-    pad = 40
+    width, height, pad = 640, 480, 40
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(vs.min()), float(vs.max())
     xr = (x1 - x0) or 1.0

@@ -131,11 +131,10 @@ def _density_ratio_pair(rng: np.random.Generator, n: int,
     return space, mu2, cap
 
 
-def _gamma_shape_of(mu: Measure1D, v_min: float = 1e-7, n: int = 6145) -> Profile:
+def _gamma_shape_of(mu: Measure1D) -> Profile:
     """bound-gamma table gamma(x) = e^x * iso(e^{-x}) from the measure's
-    half-line iso profile."""
-    vs = np.geomspace(v_min, 0.5, n)
-    vs[-1] = 0.5
+    half-line iso profile at 6145 masses from 1e-7 to 1/2."""
+    vs = np.geomspace(1e-7, 0.5, 6145)
     prof = iso_profile_1d(mu, vs)
     xs = np.log(1.0 / vs)[::-1]
     vals = (prof.values / vs)[::-1]
@@ -145,7 +144,7 @@ def _gamma_shape_of(mu: Measure1D, v_min: float = 1e-7, n: int = 6145) -> Profil
 
 def _linear_iso_constant(mu: Measure1D) -> float:
     """Best D with iso(v) >= D v (exact for log-concave measures)."""
-    prof = iso_profile_1d(mu, np.geomspace(1e-6, 0.5, 513))
+    prof = iso_profile_1d(mu)
     return float(np.min(prof.values / prof.inputs))
 
 
@@ -493,8 +492,8 @@ def _suite_hierarchy(config, seed):
         mu = build_measure_1d(preset="gamma_p", p=p,
                               half_width=config.get("half_width"),
                               n_points=8192)
-        vs = np.geomspace(1e-6, 0.5, 513)
-        prof = iso_profile_1d(mu, vs)
+        prof = iso_profile_1d(mu)
+        vs = prof.inputs
         inv_q = 0.0 if math.isinf(q) else 1.0 / q
         ref = vs * np.log(1.0 / vs) ** inv_q
         ratios = prof.values / ref
@@ -695,10 +694,16 @@ _SUITES: dict[str, tuple[Callable, float, str | None]] = {
 SUITE_IDS = tuple(_SUITES)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # a seed sequence takes nonnegative integers only
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+
+
 def run_suite(suite_id: str, config: dict[str, Any] | None = None,
               *, seed: int = 0) -> SuiteReport:
     """Run one registered suite in this process, deterministically for the
     given seed."""
+    _check_seed(seed)
     if suite_id not in _SUITES:
         raise DomainError(f"unknown suite {suite_id!r}; known: {SUITE_IDS}")
     merged = dict(SUITE_DEFAULTS[suite_id])
@@ -719,6 +724,7 @@ def run_suites(suite_ids: list[str], *, seed: int = 0,
     another in this process when that is one; reports come back in input
     order and are byte-identical for any ``jobs``, as each suite seeds
     itself."""
+    _check_seed(seed)
     if jobs < 1:
         raise DomainError(f"jobs must be a positive integer, got {jobs}")
     workers = min(jobs, os.cpu_count() or 1, len(suite_ids))

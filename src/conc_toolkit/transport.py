@@ -272,10 +272,10 @@ def w1_discrete(space: DiscreteSpace, nu, mu) -> float:
 # 1-D transport costs (monotone coupling)
 # ---------------------------------------------------------------------------
 
-def _merged_nodes(mu: Measure1D, nu: Measure1D, extra: int = 4096) -> np.ndarray:
+def _merged_nodes(mu: Measure1D, nu: Measure1D) -> np.ndarray:
     lo = min(mu.support[0], nu.support[0])
     hi = max(mu.support[1], nu.support[1])
-    fill = np.linspace(lo, hi, extra)
+    fill = np.linspace(lo, hi, 4096)
     return np.unique(np.concatenate((mu.grid, nu.grid, fill)))
 
 
@@ -305,36 +305,39 @@ def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
     return float(np.trapezoid(np.abs(diff), xs))
 
 
-def _monotone_quantiles(mu: Measure1D, n_u: int = 8192) -> np.ndarray:
-    """q_mu on n_u midpoints of (0, 1): the lower quantile up to 1/2, the
-    upper one (of the mirrored mass) above it."""
-    u = (np.arange(n_u) + 0.5) / n_u
+# midpoints of (0, 1) on which the monotone coupling is evaluated
+_N_U = 8192
+
+
+def _monotone_quantiles(mu: Measure1D) -> np.ndarray:
+    """q_mu on the _N_U midpoints of (0, 1): the lower quantile up to 1/2,
+    the upper one (of the mirrored mass) above it."""
+    u = (np.arange(_N_U) + 0.5) / _N_U
     return np.where(u <= 0.5, mu.quantile(np.minimum(u, 0.5)),
                     mu.quantile_upper(np.maximum(1.0 - u, 0.0)))
 
 
-def _monotone_gap(mu: Measure1D, nu: Measure1D, n_u: int = 8192) -> np.ndarray:
-    """|q_mu - q_nu| on n_u midpoints of (0, 1): the displacement of the
-    monotone coupling, which is optimal for every convex cost of the
+def _monotone_gap(mu: Measure1D, nu: Measure1D) -> np.ndarray:
+    """|q_mu - q_nu| on the _N_U midpoints of (0, 1): the displacement of
+    the monotone coupling, which is optimal for every convex cost of the
     distance, so one gap serves every such cost."""
-    return np.abs(_monotone_quantiles(mu, n_u) - _monotone_quantiles(nu, n_u))
+    return np.abs(_monotone_quantiles(mu) - _monotone_quantiles(nu))
 
 
-def ws_1d(mu: Measure1D, nu: Measure1D, s: float, n_u: int = 8192) -> float:
+def ws_1d(mu: Measure1D, nu: Measure1D, s: float) -> float:
     """W_s = (int |q_mu - q_nu|^s du)^{1/s} via the monotone coupling."""
-    if s < 1:
-        raise DomainError("s must be >= 1")
-    return float(np.mean(_monotone_gap(mu, nu, n_u) ** s) ** (1.0 / s))
+    if not (1.0 <= s < math.inf):
+        raise DomainError(f"s must be a finite real >= 1, got {s}")
+    return float(np.mean(_monotone_gap(mu, nu) ** s) ** (1.0 / s))
 
 
-def wc_monotone_1d(mu: Measure1D, nu: Measure1D, spec: CostSpec, scale: float,
-                   n_u: int = 8192) -> float:
+def wc_monotone_1d(mu: Measure1D, nu: Measure1D, spec: CostSpec, scale: float) -> float:
     """Optimal transport cost for the cost phi_p(scale * |x - y|) on the
     line; the monotone coupling is optimal because the cost is convex in
     the distance."""
-    if scale < 0:
-        raise DomainError("scale must be nonnegative")
-    return float(np.mean(phi_p_eval(spec, scale * _monotone_gap(mu, nu, n_u))))
+    if not (0.0 <= scale < math.inf):
+        raise DomainError(f"scale must be a finite real >= 0, got {scale}")
+    return float(np.mean(phi_p_eval(spec, scale * _monotone_gap(mu, nu))))
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +362,13 @@ def _resample_1d(mu: Measure1D, xs: np.ndarray) -> Measure1D:
     return Measure1D(grid=xs, potential=mu.potential_at(xs), provenance={})
 
 
-def _kl_1d(nu: Measure1D, mu: Measure1D, outside_tol: float = 1e-10) -> float:
+def _kl_1d(nu: Measure1D, mu: Measure1D) -> float:
     """H(nu | mu) for window measures.
 
     Windows are truncations of ideal supports; nu-mass outside mu's
-    window below ``outside_tol`` is treated as truncation error rather
-    than genuine singularity, matching the sub-1e-12 tail budget of the
-    measure builders.
+    window below 1e-10 is treated as truncation error rather than genuine
+    singularity, matching the sub-1e-12 tail budget of the measure
+    builders.
     """
     n_lo, n_hi = nu.support
     m_lo, m_hi = mu.support
@@ -374,7 +377,7 @@ def _kl_1d(nu: Measure1D, mu: Measure1D, outside_tol: float = 1e-10) -> float:
         outside += float(nu.cdf(m_lo))
     if n_hi > m_hi:
         outside += float(nu.sf(m_hi))
-    if outside > outside_tol:
+    if outside > 1e-10:
         return math.inf  # nu puts real mass where mu has none
     lo, hi = max(n_lo, m_lo), min(n_hi, m_hi)
     if hi <= lo:
@@ -538,10 +541,11 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
     return family, w1, h, cost
 
 
-def _largest_scales(cost_at, entropy: np.ndarray, tol: float = 1e-4) -> np.ndarray:
-    """Largest D_k with cost_at([k], [D_k]) <= entropy[k] for every k, by
-    bisection on all k at once, one ``cost_at(idx, scales)`` query per
-    step; +oo where D = 2^59 is still feasible.
+def _largest_scales(cost_at, entropy: np.ndarray) -> np.ndarray:
+    """Largest D_k with cost_at([k], [D_k]) <= entropy[k] for every k, to
+    within 1e-4 (1 + D_k), by bisection on all k at once, one
+    ``cost_at(idx, scales)`` query per step; +oo where D = 2^59 is still
+    feasible.
 
     Each cost is nondecreasing in D, so each feasible set is an interval.
     """
@@ -556,7 +560,7 @@ def _largest_scales(cost_at, entropy: np.ndarray, tol: float = 1e-4) -> np.ndarr
         growing[idx[over]] = False
         hi[idx[~over]] *= 2.0
     while True:
-        idx = np.nonzero(~growing & (hi - lo > tol * (1.0 + hi)))[0]
+        idx = np.nonzero(~growing & (hi - lo > 1e-4 * (1.0 + hi)))[0]
         if idx.size == 0:
             return np.where(growing, math.inf, lo)
         mid = 0.5 * (lo[idx] + hi[idx])

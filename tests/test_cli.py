@@ -241,3 +241,42 @@ def test_one_d_commands_do_not_import_scipy(tmp_path):
                          env=env, capture_output=True, text=True, check=True, timeout=120)
     lines = out.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("[]", "0 []")
+
+
+def _measure_args(tmp_path, args):
+    """``args`` with M standing for a small gamma_2 measure file."""
+    m1 = tmp_path / "m1.json"
+    if "M" in args:
+        dispatch(["measure", "build", "--preset", "gamma_p", "--p", "2",
+                  "--grid-points", "65", "--out", str(m1)])
+    if "PHI" in args:
+        np.savetxt(tmp_path / "phi.csv", np.zeros((1, 65)), delimiter=",")
+    return [str(m1) if a == "M" else str(tmp_path / "phi.csv") if a == "PHI"
+            else a for a in args]
+
+
+_OUT = ["--out", "out.file"]
+
+
+@pytest.mark.filterwarnings("error")  # a numpy warning line counts as a second line
+@pytest.mark.parametrize("args", [
+    ["verify", "going-down-exact", "--seed", "-1", "--jobs", "2"],
+    ["profile", "iso", "--preset", "gamma_p", "--p", "2", "--grid-points", "-5", *_OUT],
+    ["measure", "derive", "--in", "M", "--mode", "density-ratio", "--phi", "PHI",
+     "--cap", "nan", *_OUT],
+    ["measure", "derive", "--in", "M", "--mode", "density-ratio", "--phi", "PHI",
+     "--cap", "inf", *_OUT],
+    ["transport", "wc", "--a", "M", "--b", "M", "--scale", "nan"],
+    ["transport", "wc", "--a", "M", "--b", "M", "--scale", "inf"],
+    ["profile", "conc", "--preset", "gamma_p", "--p", "2", "--r-max", "inf", *_OUT],
+    ["profile", "iso", "--preset", "gamma_p", "--p", "2", "--half-width", "inf", *_OUT],
+    ["profile", "iso", "--preset", "gaussian_restricted", "--a", "inf", *_OUT],
+    ["measure", "derive", "--in", "M", "--mode", "translate", "--t", "inf", *_OUT],
+], ids=["negative-seed", "negative-grid-points", "nan-cap", "inf-cap", "nan-scale",
+        "inf-scale", "inf-r-max", "inf-half-width", "inf-a", "inf-t"])
+def test_out_of_domain_number_exits_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    argv = _measure_args(tmp_path, args)
+    capsys.readouterr()
+    _assert_bad_input(capsys, argv)
+    assert not (tmp_path / "out.file").exists()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
     _e2,
+    _scaled_target,
     DiscreteSpace,
     Measure1D,
     atomize_1d,
@@ -148,6 +149,44 @@ def test_quantile_upper_matches_tail(gamma1):
     tails = np.array([0.25, 1e-3, 1e-8])
     xs = gamma1.quantile_upper(tails)
     np.testing.assert_allclose(gamma1.sf(xs), tails, rtol=1e-10)
+
+
+def _solve_mass_backward(v1, b, target):
+    """The right-end mass solve quantile_upper used before it became the
+    left-end one with the slope negated: tau >= 0 with unnormalized mass
+    over [x_hi - tau, x_hi] equal to target, the potential being
+    v1 - b (x_hi - x)."""
+    te = _scaled_target(v1, target)
+    b = np.asarray(b, dtype=float)
+    w = te * b
+    small = np.abs(w) < 1e-10
+    safe_b = np.where(np.abs(b) < 1e-300, 1.0, b)
+    with np.errstate(divide="ignore"):
+        direct = np.log1p(np.maximum(np.where(small, 0.0, w), -1.0)) / safe_b
+    linear = te * (1.0 - 0.5 * w)
+    return np.where(small, linear, direct)
+
+
+def _quantile_upper_backward(mu: Measure1D, tail: np.ndarray) -> np.ndarray:
+    """quantile_upper by the route through _solve_mass_backward."""
+    rev = mu.sf_nodes[::-1]
+    hi = np.clip(mu.sf_nodes.size - np.searchsorted(rev, tail, side="right"),
+                 1, mu.grid.size - 1)
+    i = hi - 1
+    rem = np.maximum((tail - mu.sf_nodes[hi]) * mu._z_shifted, 0.0)
+    tau = _solve_mass_backward(mu._shifted_potential[hi], mu._slopes[i], rem)
+    out = mu.grid[hi] - np.minimum(tau, mu._widths[i])
+    return np.where(tail >= 1.0, mu.grid[0], out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**measure_args, extra=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+def test_quantile_upper_equals_the_backward_solve_property(seed, n, extra):
+    mu = _random_measure(seed, n)
+    rng = np.random.default_rng(seed)
+    tails = np.concatenate([[0.0, 1.0], extra, 10.0 ** -rng.uniform(0.0, 300.0, 200),
+                            rng.uniform(0.0, 1.0, 100)])
+    assert np.array_equal(mu.quantile_upper(tails), _quantile_upper_backward(mu, tails))
 
 
 def test_symmetry_and_median(gamma1, gamma2):

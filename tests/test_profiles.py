@@ -119,8 +119,21 @@ class TestIsoProfile:
         with pytest.raises(DomainError):
             iso_profile_1d(gamma1, np.array([0.7]))
 
+    def test_nan_mass_rejected(self, gamma1):
+        with pytest.raises(DomainError):
+            iso_profile_1d(gamma1, [math.nan])
+
+    def test_default_masses(self, gamma1):
+        # the one statement of the default grid, which the suites read back
+        assert np.array_equal(iso_profile_1d(gamma1).inputs, np.geomspace(1e-6, 0.5, 513))
+
 
 class TestConcProfile1D:
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_radius_rejected(self, gamma1, bad):
+        with pytest.raises(DomainError, match="finite"):
+            conc_profile(gamma1, r_grid=[0.0, 1.0, bad])
+
     def test_gamma1_closed_form(self, gamma1):
         rs = np.linspace(0.0, 20.0, 401)
         prof = conc_profile(gamma1, r_grid=rs)

@@ -220,6 +220,12 @@ class TestMonotoneCost:
         nu = derive_measure(gamma2, "translate", t=2.0)
         assert ws_1d(gamma2, nu, 2.0) == pytest.approx(2.0, abs=1e-9)
 
+    @pytest.mark.parametrize("s", [math.inf, math.nan])
+    def test_ws_non_finite_order_rejected(self, gamma2, s):
+        # W_oo of identical measures is 0; the monotone route read it as 1
+        with pytest.raises(DomainError):
+            ws_1d(gamma2, gamma2, s)
+
 
 class TestDivergences:
     def test_discrete_example(self):
