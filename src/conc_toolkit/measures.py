@@ -127,9 +127,10 @@ def _solve_mass_forward(v0, b, target):
     b = np.asarray(b, dtype=float)
     w = te * b
     small = np.abs(w) < 1e-10
-    safe_b = np.where(np.abs(b) < 1e-300, 1.0, b)
+    # 1 in place of the slope only where the linear branch is taken: the
+    # direct one divides by b however small, as |te b| >= 1e-10 there
     with np.errstate(divide="ignore"):
-        direct = -np.log1p(-np.minimum(np.where(small, 0.0, w), 1.0)) / safe_b
+        direct = -np.log1p(-np.minimum(np.where(small, 0.0, w), 1.0)) / np.where(small, 1.0, b)
     linear = te * (1.0 + 0.5 * w)
     return np.where(small, linear, direct)
 

@@ -15,7 +15,6 @@ independent of how ``run_suites`` spreads the suites over worker processes
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import os
@@ -514,19 +513,29 @@ def _suite_hierarchy(config, seed):
 def _critical_rate(space: DiscreteSpace, mu: np.ndarray, verts: np.ndarray,
                    lam_grid: np.ndarray, rhs: np.ndarray) -> float:
     """Rate d at which some lam row of the Laplace side starts failing, by
-    bisection.  The rows that failed last are scored first, all rows only
-    if none of them fails: a row's score is the same float ops in any subset."""
-    failing = np.arange(0)
+    bisection, deciding every step as scoring all rows would.
+
+    A row that passes at a failing step keeps its slack rhs - sup there,
+    and once that slack exceeds tau = 1e-9 (1 + |rhs|) (|rhs| taken as 0
+    where rhs is infinite) the row is never scored again.  Every later
+    query is below that step's rate, as hi only decreases after the first
+    failure, and the exact sup is nondecreasing in the rate (lam d rounds
+    monotonically in d), so the row passes there in exact arithmetic.  The
+    sup is >= 0 (f = 0 is feasible) and below rhs, and the max-shifted
+    log-sum-exp computes it to about 1e-13 (1 + |rhs|), far below tau, so
+    the row passes in floats too: each step scores only the uncertified
+    rows, in one call (a row's score is the same float ops in any subset),
+    and d_crit is bit for bit the all-rows bisection's."""
+    tau = 1e-9 * (1.0 + np.where(np.isinf(rhs), 0.0, np.abs(rhs)))
+    slack = np.full(lam_grid.size, -np.inf)
 
     def fails(d: float) -> bool:
-        nonlocal failing
-        for rows in (failing, np.arange(lam_grid.size)):
-            sup = laplace_sup_discrete(space, mu, lam_grid[rows] * d, vertices=verts)[0]
-            bad = rows[~(sup <= rhs[rows])]
-            if bad.size:
-                failing = bad
-                return True
-        return False
+        rows = np.flatnonzero(~(slack > tau))
+        sup = laplace_sup_discrete(space, mu, lam_grid[rows] * d, vertices=verts)[0]
+        if np.all(sup <= rhs[rows]):
+            return False
+        slack[rows] = rhs[rows] - sup  # a failing row stays uncertified
+        return True
 
     lo, hi = 1e-3, 1.0
     while not fails(hi) and hi < 1e4:
@@ -675,20 +684,21 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
                    "tie_tol": 1e-4},
 }
 
-# per suite: its function, its in-process seconds at seed 7 on a 2-vCPU VM
-# (run_suites starts the longest first) and the scipy module a run of it in
-# a fresh process loads (scipy.optimize loads linalg, sparse and more)
-_SUITES: dict[str, tuple[Callable, float, str | None]] = {
-    "going-down-exact": (_suite_going_down_exact, 0.26, None),
-    "w1-fm-exact": (_suite_w1_fm_exact, 0.14, None),
-    "te-jensen-pointwise": (_suite_te_jensen, 0.47, "scipy.optimize"),
-    "iso-stability-shape": (_suite_iso_stability_shape, 0.32, None),
-    "logsob-stability": (_suite_logsob_stability, 0.89, None),
-    "w1-stability-chain": (_suite_w1_stability_chain, 0.18, None),
-    "conc-te-equiv": (_suite_conc_te_equiv, 0.53, "scipy.optimize"),
-    "te-equiv-shape": (_suite_te_equiv_shape, 0.47, None),
-    "hierarchy-gamma-p": (_suite_hierarchy, 0.03, "scipy.linalg"),
-    "bg-duality": (_suite_bg_duality, 1.27, None),
+# per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
+# run in a fresh process with the scipy modules it imports on first use
+# (run_suites starts the longest first; te-jensen-pointwise's 1.17 s holds
+# about 0.6 s of importing scipy.optimize)
+_SUITES: dict[str, tuple[Callable, float]] = {
+    "going-down-exact": (_suite_going_down_exact, 0.24),
+    "w1-fm-exact": (_suite_w1_fm_exact, 0.19),
+    "te-jensen-pointwise": (_suite_te_jensen, 1.17),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.46),
+    "logsob-stability": (_suite_logsob_stability, 0.99),
+    "w1-stability-chain": (_suite_w1_stability_chain, 0.22),
+    "conc-te-equiv": (_suite_conc_te_equiv, 0.22),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.40),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.28),
+    "bg-duality": (_suite_bg_duality, 0.56),
 }
 
 SUITE_IDS = tuple(_SUITES)
@@ -730,9 +740,6 @@ def run_suites(suite_ids: list[str], *, seed: int = 0,
     workers = min(jobs, os.cpu_count() or 1, len(suite_ids))
     if workers <= 1:
         return [run_suite(sid, seed=seed) for sid in suite_ids]
-    # imported here, not in each worker, so forked workers share its pages
-    for module in sorted({_SUITES[sid][2] for sid in suite_ids if sid in _SUITES} - {None}):
-        importlib.import_module(module)
     longest_first = sorted(suite_ids, key=lambda sid: -_SUITES.get(sid, (None, 0.0))[1])
     with ProcessPoolExecutor(max_workers=workers) as pool:
         reports = dict(zip(longest_first, pool.map(partial(run_suite, seed=seed),

@@ -268,6 +268,29 @@ def w1_discrete(space: DiscreteSpace, nu, mu) -> float:
     return wc_discrete_lp(space, nu, mu).cost
 
 
+def _line_order(space: DiscreteSpace) -> tuple[np.ndarray, np.ndarray] | None:
+    """(order, gaps) of a space whose metric is a line's: the points sorted
+    along the line, positions being the distances from the point farthest
+    from point 0 (an end point), and the n - 1 gaps between neighbours;
+    None if some distance is off |x_i - x_j| by more than 1e-12 x diameter."""
+    x = space.dist[int(np.argmax(space.dist[0]))]
+    if np.max(np.abs(np.abs(x[:, None] - x) - space.dist)) > 1e-12 * space.diameter:
+        return None
+    order = np.argsort(x)
+    return order, np.diff(x[order])
+
+
+def _line_potential(line, nu, mu) -> np.ndarray:
+    """A KR-optimal potential for W_1(nu, mu) on a line, with f(0) = 0: it
+    falls by the gap where F_nu > F_mu and rises where F_nu < F_mu, so by
+    summation by parts int f d(nu - mu) = sum |F_nu - F_mu| x gap = W_1."""
+    order, gaps = line
+    diff = np.cumsum(np.subtract(nu, mu, dtype=float)[order])[:-1]
+    f = np.empty(order.size)
+    f[order] = np.concatenate(([0.0], np.cumsum(-np.sign(diff) * gaps)))
+    return f - f[0]
+
+
 # ---------------------------------------------------------------------------
 # 1-D transport costs (monotone coupling)
 # ---------------------------------------------------------------------------
@@ -459,10 +482,14 @@ def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
                 w = np.where(inside, mu, 0.0)
                 out.append(w / mass)
     coord_fs = [d[j] for j in range(min(n, 4))]
-    try:
-        coord_fs.append(_kr_potential(space, out[0], mu)[1])
-    except ValidationError:
-        pass
+    line = _line_order(space)
+    if line is not None:
+        coord_fs.append(_line_potential(line, out[0], mu))
+    else:
+        try:
+            coord_fs.append(_kr_potential(space, out[0], mu)[1])
+        except ValidationError:
+            pass
     for f in coord_fs:
         for lam in (-2.0, -0.5, 0.5, 2.0):
             out.append(gibbs_tilt_discrete(mu, f, lam))
@@ -496,8 +523,9 @@ def witnesses_1d(mu: Measure1D) -> list[Measure1D]:
 # ---------------------------------------------------------------------------
 
 def _witness_table(source, mu, witnesses, max_witnesses: int):
-    """The witness family, W_1 and H(nu | mu) per witness, and ``cost(g,
-    idx, scales)``: the optimal cost of g(scale_k d), g convex, from
+    """The witness family, W_1 (in closed form when the metric is a line's,
+    ``_line_order``, else one LP) and H(nu | mu) per witness, and
+    ``cost(g, idx, scales)``: the optimal cost of g(scale_k d), g convex, from
     ``family[idx[k]]`` to the base.  The TE code's only substrate branch:
     one LP per query on a finite space, mean(g(scale |q_mu - q_nu|)) on the
     line, where each witness's gap serves every g and is built once, as are
@@ -515,7 +543,16 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
             return transport_costs(source, [family[i] for i in idx], base,
                                    [g(scale * source.dist) for scale in scales])
 
-        w1 = transport_costs(source, family, base, [source.dist] * len(family)).tolist()
+        line = _line_order(source)
+        if line is None:
+            w1 = transport_costs(source, family, base, [source.dist] * len(family))
+        else:  # sum of |F_nu - F_mu| x gap in line order, F the cumulative
+            # mass of the marginals the LP would check and clean
+            nus, mu_clean, _ = _transport_problem(source, family, base,
+                                                  [source.dist] * len(family))
+            order, gaps = line
+            w1 = np.abs(np.cumsum(nus[:, order] - mu_clean[order], axis=1)[:, :-1]) @ gaps
+        w1 = w1.tolist()
         h = [_kl_discrete(np.asarray(nu), base) for nu in family]
     elif isinstance(source, Measure1D):
         family = witnesses if witnesses is not None else witnesses_1d(source)

@@ -24,7 +24,7 @@ from conc_toolkit import laplace, suites, transport
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import ValidationError
 from conc_toolkit.laplace import laplace_sup_discrete, mean_zero_lipschitz_vertices
-from conc_toolkit.measures import DiscreteSpace
+from conc_toolkit.measures import DiscreteSpace, discrete_space_from_atoms
 from conc_toolkit.suites import _random_probability, _random_space
 from conc_toolkit.transport import (
     discrete_witnesses,
@@ -552,3 +552,118 @@ def test_critical_rate_equals_all_rows_bisection(seed, n, quadratic):
     rhs = base.rhs_log(lam_grid)
     assert (suites._critical_rate(space, mu, verts, lam_grid, rhs)
             == _critical_rate_all_rows(space, mu, verts, lam_grid, rhs))
+
+
+def _failing_first_rows_scored(space, mu, verts, lam_grid, rhs):
+    """Rows scored per bisection step by the loop that scored the rows
+    which failed last first, and all rows only if none of them failed."""
+    failing, per_step = np.arange(0), []
+
+    def fails(d):
+        nonlocal failing
+        scored = 0
+        for rows in (failing, np.arange(lam_grid.size)):
+            sup = laplace_sup_discrete(space, mu, lam_grid[rows] * d, vertices=verts)[0]
+            scored += rows.size
+            bad = rows[~(sup <= rhs[rows])]
+            if bad.size:
+                failing = bad
+                per_step.append(scored)
+                return True
+        per_step.append(scored)
+        return False
+
+    lo, hi = 1e-3, 1.0
+    while not fails(hi) and hi < 1e4:
+        hi *= 2.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    return per_step
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_critical_rate_scores_each_row_until_certified(seed, monkeypatch):
+    """Linear Phi, whose rhs is +oo above its slope: each step is one call
+    on the uncertified rows, never more rows than the failing-first loop
+    scored, and a row with rhs = +oo is not scored after the first failing
+    step, so the whole bisection scores far fewer rows."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, 5)
+    mu = space.weights
+    verts = mean_zero_lipschitz_vertices(space, mu)
+    lam_grid = np.concatenate([np.geomspace(0.05, 1.0, 17), np.linspace(1.2, 6.0, 25)])
+    xs = np.linspace(0.0, 50.0, 2049)
+    base = laplace.LaplaceBound(phi_x=xs, phi_vals=rng.uniform(0.3, 2.0) * xs, rate=1.0,
+                                eps=rng.uniform(0.0, 1.0), delta=rng.uniform(0.0, 0.7))
+    rhs = base.rhs_log(lam_grid)
+    assert np.isinf(rhs).any()
+    old = _failing_first_rows_scored(space, mu, verts, lam_grid, rhs)
+    calls = []
+    monkeypatch.setattr(suites, "laplace_sup_discrete", lambda space, mu, lam, vertices: (
+        calls.append(lam.size) or laplace_sup_discrete(space, mu, lam, vertices=vertices)))
+    d_crit = suites._critical_rate(space, mu, verts, lam_grid, rhs)
+    assert d_crit == _critical_rate_all_rows(space, mu, verts, lam_grid, rhs)
+    assert len(calls) == len(old)
+    assert all(0 < new <= was for new, was in zip(calls, old))
+    # the doubling ends on the first failing step, before the 40 halvings
+    assert all(new <= np.isfinite(rhs).sum() for new in calls[-40:])
+    assert sum(calls) < sum(old) / 2
+
+
+# ---------------------------------------------------------------------------
+# W_1 and its KR potential on a line metric against the LPs they skip
+# ---------------------------------------------------------------------------
+
+def _line_space(rng, n, zeros):
+    """n atoms on a line in shuffled order, ``zeros`` of them weightless."""
+    pos = rng.permutation(np.cumsum(rng.uniform(0.05, 1.0, n))) * rng.uniform(1e-3, 1e3)
+    return discrete_space_from_atoms(pos, _with_zeros(rng, n, zeros))
+
+
+def _with_zeros(rng, n, zeros):
+    w = _random_probability(rng, n)
+    w[rng.permutation(n)[:min(zeros, n - 1)]] = 0.0
+    return w / w.sum()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=9),
+       zeros=st.integers(min_value=0, max_value=3))
+def test_line_w1_equals_the_lp(seed, n, zeros):
+    rng = np.random.default_rng(seed)
+    space = _line_space(rng, n, zeros)
+    mu = space.weights
+    family = [_with_zeros(rng, n, zeros) for _ in range(4)] + list(np.eye(n))
+    assert transport._line_order(space) is not None
+    w1 = transport._witness_table(space, mu, family, 0)[1]
+    lp = transport_costs(space, family, mu, [space.dist] * len(family))
+    np.testing.assert_allclose(w1, lp, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=9),
+       zeros=st.integers(min_value=0, max_value=3))
+def test_line_potential_is_kr_optimal(seed, n, zeros):
+    rng = np.random.default_rng(seed)
+    space = _line_space(rng, n, zeros)
+    mu = space.weights
+    nu = _with_zeros(rng, n, zeros)
+    f = transport._line_potential(transport._line_order(space), nu, mu)
+    assert f[0] == 0.0
+    assert np.all(np.abs(f[:, None] - f[None]) <= space.dist + 1e-12 * space.diameter)
+    value, _ = transport._kr_potential(space, nu, mu)
+    assert float(np.dot(f, nu - mu)) == pytest.approx(value, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_line_order_only_on_line_metrics(seed):
+    rng = np.random.default_rng(seed)
+    assert transport._line_order(_random_space(rng, int(rng.integers(3, 9)))) is None
+    space = _line_space(rng, 6, 0)
+    order, gaps = transport._line_order(space)
+    assert np.all(gaps > 0)
+    off = space.dist.copy()
+    i, j = order[2], order[3]  # neighbours: no triangle runs through the pair
+    off[i, j] = off[j, i] = off[i, j] + 1e-6 * space.diameter
+    assert transport._line_order(DiscreteSpace(dist=off, weights=space.weights)) is None

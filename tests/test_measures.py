@@ -160,7 +160,7 @@ def _solve_mass_backward(v1, b, target):
     b = np.asarray(b, dtype=float)
     w = te * b
     small = np.abs(w) < 1e-10
-    safe_b = np.where(np.abs(b) < 1e-300, 1.0, b)
+    safe_b = np.where(small, 1.0, b)
     with np.errstate(divide="ignore"):
         direct = np.log1p(np.maximum(np.where(small, 0.0, w), -1.0)) / safe_b
     linear = te * (1.0 - 0.5 * w)
@@ -187,6 +187,19 @@ def test_quantile_upper_equals_the_backward_solve_property(seed, n, extra):
     tails = np.concatenate([[0.0, 1.0], extra, 10.0 ** -rng.uniform(0.0, 300.0, 200),
                             rng.uniform(0.0, 1.0, 100)])
     assert np.array_equal(mu.quantile_upper(tails), _quantile_upper_backward(mu, tails))
+
+
+def test_quantiles_on_a_window_wider_than_1e290():
+    """Slopes below 1e-300 whose mass solve takes the direct branch are
+    divided by, not replaced by 1, which put quantiles outside the support."""
+    mu = Measure1D(grid=[0.0, 1e305, 2e305], potential=[0.0, -5.0, 0.0])
+    u = np.array([0.1, 0.25, 0.4])
+    lower, upper = mu.quantile(u), mu.quantile_upper(u[::-1])
+    for xs in (lower, upper):
+        assert np.all(np.diff(xs) >= 0.0)
+        assert np.all((xs >= 0.0) & (xs <= 2e305))
+    np.testing.assert_allclose(mu.cdf(lower), u, rtol=1e-9)
+    np.testing.assert_allclose(mu.sf(upper), u[::-1], rtol=1e-9)
 
 
 def test_symmetry_and_median(gamma1, gamma2):

@@ -148,7 +148,8 @@ def test_run_suites_worker_count(monkeypatch):
     assert run_suites(list(SUITE_IDS), jobs=64) == [(sid, 0) for sid in SUITE_IDS]
     assert asked == [2, 3]
     assert sorted(started[-1]) == sorted(SUITE_IDS)
-    assert started[-1][0] == "bg-duality" and started[-1][-1] == "hierarchy-gamma-p"
+    seconds = [suites._SUITES[sid][1] for sid in started[-1]]
+    assert seconds == sorted(seconds, reverse=True)
     assert run_suites(ids, seed=4, jobs=1) == [(sid, 4) for sid in ids]
     assert run_suites(ids[:1], jobs=64) == [(ids[0], 0)]
     assert asked == [2, 3]
@@ -156,30 +157,31 @@ def test_run_suites_worker_count(monkeypatch):
         run_suites(ids, jobs=0)
 
 
-def test_line_suites_in_workers_leave_scipy_optimize_unloaded():
-    """Before it forks, run_suites imports only the scipy modules the
-    selected suites load: scipy.linalg for hierarchy-gamma-p, no LP solver
-    (a fresh interpreter, so no other test's imports count)."""
+def _fresh_python(script: str) -> list[str]:
+    """Words the script prints in a fresh interpreter running this package,
+    so no other test's imports count."""
     src = str(Path(suites.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout.split()
+
+
+def test_line_suites_in_workers_leave_scipy_optimize_unloaded():
+    """run_suites imports no scipy module before it forks, and these line
+    suites need no LP solver: scipy.optimize stays out of the parent."""
     script = (
         "import sys\n"
         "from conc_toolkit.suites import run_suites\n"
         "reports = run_suites(['w1-stability-chain', 'hierarchy-gamma-p'], jobs=2)\n"
         "print(all(r.passed for r in reports), 'scipy.optimize' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["True", "False"]
+    assert _fresh_python(script) == ["True", "False"]
 
 
 def test_vertex_suites_leave_scipy_unloaded():
     """w1-fm-exact and bg-duality take their exact values from the Lipschitz
     vertex walk, which is numpy alone: run_suites imports no scipy module
-    for them before it forks, and neither suite loads one in-process."""
-    src = str(Path(suites.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    before it forks, and neither suite loads one in-process."""
     script = (
         "import sys\n"
         "from conc_toolkit.suites import run_suite, run_suites\n"
@@ -190,6 +192,15 @@ def test_vertex_suites_leave_scipy_unloaded():
         "reports = [run_suite('w1-fm-exact', {'trials': 10}),\n"
         "           run_suite('bg-duality', {'trials': 5})]\n"
         "print(all(r.passed for r in reports), scipy())\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["True", "[]", "True", "[]"]
+    assert _fresh_python(script) == ["True", "[]", "True", "[]"]
+
+
+def test_conc_te_equiv_leaves_scipy_unloaded():
+    """conc-te-equiv's atoms lie on a line, where W_1 and its KR potential
+    have closed forms: the suite solves no LP and loads no scipy module."""
+    script = (
+        "import sys\n"
+        "from conc_toolkit.suites import run_suite\n"
+        "report = run_suite('conc-te-equiv')\n"
+        "print(report.passed, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _fresh_python(script) == ["True", "[]"]
