@@ -247,12 +247,6 @@ def _suite_w1_fm_exact(config, seed):
     return instances, summary, violations == 0
 
 
-# instances per te-jensen LP.  The suite alone at seeds 7, 3, 12, 0, 11 on
-# a 2-vCPU VM: batches of 10 (40 LPs) peak at 85 MB in 0.56-0.61 s, one LP
-# per instance at 83 MB in 1.6-1.9 s, and one LP of all 400 at 119 MB
-_TE_JENSEN_BATCH = 10
-
-
 def _suite_te_jensen(config, seed):
     p_grid = config["p_grid"]
     trials = config["trials_per_p"]
@@ -270,8 +264,7 @@ def _suite_te_jensen(config, seed):
                                     for s in s_grid[p]]
             instances.append({"p": p, "n": n, "scale": scale})
             lps.append((space, [nu] * len(costs), space.weights, costs))
-    solved = [out for start in range(0, len(lps), _TE_JENSEN_BATCH)
-              for out in _transport_lps(lps[start:start + _TE_JENSEN_BATCH])]
+    solved = _transport_lps(lps)
     violations = 0
     for inst, (_, lp_costs, _) in zip(instances, solved):
         p = inst["p"]
@@ -686,19 +679,18 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 
 # per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
 # run in a fresh process with the scipy modules it imports on first use
-# (run_suites starts the longest first; te-jensen-pointwise's 1.17 s holds
-# about 0.6 s of importing scipy.optimize)
+# (median of 5; run_suites starts the longest first)
 _SUITES: dict[str, tuple[Callable, float]] = {
-    "going-down-exact": (_suite_going_down_exact, 0.24),
-    "w1-fm-exact": (_suite_w1_fm_exact, 0.19),
-    "te-jensen-pointwise": (_suite_te_jensen, 1.17),
-    "iso-stability-shape": (_suite_iso_stability_shape, 0.46),
-    "logsob-stability": (_suite_logsob_stability, 0.99),
-    "w1-stability-chain": (_suite_w1_stability_chain, 0.22),
-    "conc-te-equiv": (_suite_conc_te_equiv, 0.22),
-    "te-equiv-shape": (_suite_te_equiv_shape, 0.40),
-    "hierarchy-gamma-p": (_suite_hierarchy, 0.28),
-    "bg-duality": (_suite_bg_duality, 0.56),
+    "going-down-exact": (_suite_going_down_exact, 0.32),
+    "w1-fm-exact": (_suite_w1_fm_exact, 0.20),
+    "te-jensen-pointwise": (_suite_te_jensen, 0.33),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.51),
+    "logsob-stability": (_suite_logsob_stability, 1.02),
+    "w1-stability-chain": (_suite_w1_stability_chain, 0.19),
+    "conc-te-equiv": (_suite_conc_te_equiv, 0.25),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.39),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.32),
+    "bg-duality": (_suite_bg_duality, 0.65),
 }
 
 SUITE_IDS = tuple(_SUITES)

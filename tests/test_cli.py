@@ -243,6 +243,25 @@ def test_one_d_commands_do_not_import_scipy(tmp_path):
     assert (lines[0], lines[-1]) == ("[]", "0 []")
 
 
+def test_verify_finite_suites_do_not_import_scipy():
+    """The finite-space suites run on numpy alone: the vertex walk, the
+    line metric's closed forms and the numpy transportation simplex leave
+    every scipy module unloaded in a fresh interpreter."""
+    src = str(Path(conc_toolkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env.pop("CONC_TOOLKIT_JOBS", None)
+    script = (
+        "import sys\n"
+        "from conc_toolkit.cli import dispatch\n"
+        "rc = dispatch(['verify', 'going-down-exact', 'w1-fm-exact', 'te-jensen-pointwise',\n"
+        "               'conc-te-equiv', 'bg-duality', '--seed', '7', '--jobs', '1'])\n"
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.splitlines()[-1] == "0 []"
+
+
 def _measure_args(tmp_path, args):
     """``args`` with M standing for a small gamma_2 measure file."""
     m1 = tmp_path / "m1.json"

@@ -3,10 +3,11 @@ and bg-duality's array work against its loops.
 
 Spaces are drawn like the suites draw them (``suites._random_space``) with
 n <= 6, or as planar spaces and shortest-path metrics with n <= 8 for the
-Lipschitz vertices; the LP stays the cross-check oracle on the test side,
-and so does the qhull halfspace intersection the vertex walk replaced.
-The LP matrices built from their index structure are checked against
-test-side copies of the generic sparse builds they replace.
+Lipschitz vertices; the LP stays the cross-check oracle on the test side
+(a lone HiGHS LP for the numpy transportation simplex), and so does the
+qhull halfspace intersection the vertex walk replaced.  The LP matrices
+built from their index structure are checked against test-side copies of
+the generic sparse builds they replace.
 """
 
 import math
@@ -329,25 +330,14 @@ def _kron_marginal_rows(k, n):
 
 
 def _captured_transport_lp(seed, k, n):
-    """(A_eq, costs, result) of the one HiGHS LP that ``transport_costs``
+    """(A_eq, costs, result) of the lone HiGHS LP that ``transport._lone_lp``
     solves for K random marginals on a random n-point space."""
     rng = np.random.default_rng(seed)
     space = _random_space(rng, n)
     nus = [_random_probability(rng, n) for _ in range(k)]
     costs = np.array([space.dist ** rng.uniform(1.0, 2.0) for _ in range(k)])
-    calls = []
-    solve = transport.linprog
-
-    def recording(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        calls.append((kwargs["A_eq"], res))
-        return res
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(transport, "linprog", recording)
-        transport_costs(space, nus, space.weights, costs)
-    a_eq, res = calls[-1]
-    return a_eq, costs, res
+    lp = transport._block_lp(transport._transport_problem(space, nus, space.weights, costs))
+    return lp["A_eq"], costs, transport.linprog(method="highs", **lp)
 
 
 blocks = st.integers(min_value=1, max_value=5)
@@ -393,8 +383,75 @@ def test_lipschitz_rows_equal_coo_build(seed, n):
 
 
 # ---------------------------------------------------------------------------
-# transportation LPs on different spaces in one block-diagonal LP
+# the numpy transportation simplex against lone HiGHS LPs
 # ---------------------------------------------------------------------------
+
+def _highs_costs(problem) -> np.ndarray:
+    """Optimal costs of a cleaned problem's plans from one HiGHS LP."""
+    res = transport._solve_lp(what="transport LP", reject=lambda res: None,
+                              **transport._block_lp(problem))
+    return transport._plans(problem, res.x)[1]
+
+
+def _marginal(rng, n, kind):
+    """A weight vector of one kind: random, with zero entries, a point
+    mass, or uniform (whose partial sums tie with other uniform ones)."""
+    if kind == "point":
+        return np.eye(n)[rng.integers(n)]
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    w = _random_probability(rng, n)
+    if kind == "zeros":
+        w[rng.permutation(n)[:n // 2]] = 0.0
+    return w / w.sum()
+
+
+kinds = st.sampled_from(["random", "zeros", "point", "uniform"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=transport._SIMPLEX_MAX_N),
+       nu_kinds=st.lists(kinds, min_size=1, max_size=4), mu_kind=kinds,
+       scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_simplex_costs_equal_lone_highs_lps(seed, n, nu_kinds, mu_kind, scale):
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    mu = _marginal(rng, n, mu_kind)
+    nus = [_marginal(rng, n, kind) for kind in nu_kinds]
+    costs = [scale * space.dist ** rng.uniform(1.0, 3.0) for _ in nus]
+    problem = transport._transport_problem(space, nus, mu, costs)
+    x, duals = transport._transport_simplex([problem])[0]
+    assert transport._unsound(problem, x, duals) == [None] * len(nus)
+    np.testing.assert_allclose(transport._plans(problem, x)[1], _highs_costs(problem),
+                               rtol=1e-12, atol=1e-15 * scale)
+
+
+def test_certificate_names_each_fault():
+    """``_unsound`` rejects, per plan, a NaN, a negative entry that keeps
+    the marginals, duals with a negative reduced cost, and a feasible plan
+    off complementary slackness with the optimal duals (the independent
+    coupling); the simplex's own plans pass."""
+    rng = np.random.default_rng(4)
+    space = _random_space(rng, 4)
+    nu = _random_probability(rng, 4)
+    problem = transport._transport_problem(space, [nu] * 5, space.weights, [space.dist] * 5)
+    x, duals = transport._transport_simplex([problem])[0]
+    assert transport._unsound(problem, x, duals) == [None] * 5
+    x, duals = x.copy(), duals.copy()
+    x[1, 0, 0] = np.nan
+    x[2] = np.outer(nu, space.weights)
+    x[3] = x[2]
+    t = x[3, 0, 0] + 1e-6  # one cycle: the marginals stay, entry (0, 0) is -1e-6
+    x[3, [0, 1], [0, 1]] -= t
+    x[3, [0, 1], [1, 0]] += t
+    duals[4] += 5e-8  # every reduced cost falls by 1e-7
+    why = transport._unsound(problem, x, duals)
+    assert why[0] is None
+    assert why[1].startswith("plan violates marginals (nan")
+    assert why[2].startswith("plan breaks complementary slackness")
+    assert why[3].startswith("plan has a negative entry")
+    assert why[4].startswith("plan is not optimal")
+
 
 def _mixed_problems(seed, sizes, n_costs):
     """One (space, nus, mu, costs) problem per size, on its own random
@@ -411,10 +468,13 @@ def _mixed_problems(seed, sizes, n_costs):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=seeds, sizes=st.lists(st.integers(min_value=1, max_value=8),
+@given(seed=seeds, sizes=st.lists(st.integers(min_value=1, max_value=8)
+                                  | st.just(transport._SIMPLEX_MAX_N + 1),
                                   min_size=2, max_size=6),
        n_costs=st.integers(min_value=1, max_value=4))
 def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
+    """Problems of mixed sizes in one call, some of them above the
+    simplex's size limit: each one's costs are those of its lone HiGHS LP."""
     problems = _mixed_problems(seed, sizes, n_costs)
     batched = transport._transport_lps(problems)
     assert len(batched) == len(problems)
@@ -422,68 +482,116 @@ def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
         n = problem[0].n
         assert plans.shape == (n_costs, n, n)
         assert np.all(resid <= 1e-9)
-        np.testing.assert_allclose(costs, transport_costs(*problem),
+        np.testing.assert_allclose(costs, _highs_costs(transport._transport_problem(*problem)),
                                    rtol=1e-12, atol=1e-15)
 
 
+def test_only_problems_above_the_size_limit_reach_highs(monkeypatch):
+    """n = ``_SIMPLEX_MAX_N`` solves in numpy; one point more is one HiGHS
+    LP at the first options, whose plan passes the same certificate."""
+    calls = _recording_linprog(monkeypatch)
+    rng = np.random.default_rng(3)
+    for n, want in ((transport._SIMPLEX_MAX_N, []),
+                    (transport._SIMPLEX_MAX_N + 1, [(2 * transport._SIMPLEX_MAX_N + 2,
+                                                     transport._LP_FIRST)])):
+        space = _random_space(rng, n)
+        plan = wc_discrete_lp(space, _random_probability(rng, n), space.weights)
+        assert calls == want
+        assert plan.marginal_residual <= 1e-9
+        calls.clear()
+
+
+def _spoiled_simplex(monkeypatch, spoil):
+    """``transport._transport_simplex`` with ``spoil(out)`` changing its
+    (plans, duals) per problem in place."""
+    real = transport._transport_simplex
+
+    def spoiled(problems):
+        out = real(problems)
+        spoil(out)
+        return out
+
+    monkeypatch.setattr(transport, "_transport_simplex", spoiled)
+
+
+def _recording_linprog(monkeypatch, spoil=lambda res, options: None):
+    """(rows, options) of every HiGHS call, each result passed to
+    ``spoil(res, options)`` first."""
+    real, calls = transport.linprog, []
+
+    def recording(c, **kw):
+        res = real(c, **kw)
+        calls.append((kw["A_eq"].shape[0], kw["options"]))
+        spoil(res, kw["options"])
+        return res
+
+    monkeypatch.setattr(transport, "linprog", recording)
+    return calls
+
+
 def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
-    """A batch whose part for one problem breaks the reduced-cost
-    certificate, by 1e-7 against that problem's own max |c| but not
-    against the batch's, keeps the other parts; that problem alone goes
-    through ``_solve_lp``'s route (default options, then ``_LP_RETRY``),
-    and a fault that persists raises."""
+    """A simplex plan whose duals break the reduced-cost certificate, by
+    1e-7 against that plan's own max |c| but not against the 1e6-scaled
+    costs of another problem, is solved alone: one plan of n = 4 goes
+    through ``_solve_lp``'s route (first options, then ``_LP_RETRY``), the
+    other plans keep their simplex costs, and a fault that persists
+    raises."""
     problems = _mixed_problems(5, [3, 4, 5], 2)
     space, nus, mu, costs = problems[2]
     problems[2] = (space, nus, mu, [1e6 * c for c in costs])
-    want = [transport_costs(*problem) for problem in problems]
-    real = transport.linprog
-    calls = []
-    spoil = {48: slice(12, 28), 16: slice(0, 16)}  # the n = 4 problem's duals
+    want = [_highs_costs(transport._transport_problem(*problem)) for problem in problems]
+    kept = transport._transport_lps(problems)
 
-    def spoiling(c, *, retry_too, **kw):
-        res = real(c, **kw)
-        rows = kw["A_eq"].shape[0]
-        calls.append((rows, kw["options"]))
-        if kw["options"] is None or retry_too:
-            res.eqlin.marginals[spoil[rows]] += 5e-8  # reduced costs fall by 1e-7
-        return res
+    def spoil(out):
+        out[1][1][1] += 5e-8  # plan 1 of the n = 4 problem: reduced costs fall by 1e-7
 
-    monkeypatch.setattr(transport, "linprog", partial(spoiling, retry_too=False))
+    def spoil_lp(res, options, retry_too):
+        if options is transport._LP_FIRST or retry_too:
+            res.eqlin.marginals[:] += 5e-8
+
+    _spoiled_simplex(monkeypatch, spoil)
+    calls = _recording_linprog(monkeypatch, partial(spoil_lp, retry_too=False))
     out = transport._transport_lps(problems)
-    assert calls == [(48, None), (16, None), (16, transport._LP_RETRY)]
+    assert calls == [(8, transport._LP_FIRST), (8, transport._LP_RETRY)]
     for (_, costs, _), lone in zip(out, want):
         np.testing.assert_allclose(costs, lone, rtol=1e-12)
+    for k, (_, costs, _) in enumerate(out):
+        keep = [0, 1] if k != 1 else [0]
+        np.testing.assert_array_equal(costs[keep], kept[k][1][keep])
 
-    monkeypatch.setattr(transport, "linprog", partial(spoiling, retry_too=True))
+    calls = _recording_linprog(monkeypatch, partial(spoil_lp, retry_too=True))
     with pytest.raises(ValidationError, match="transport LP failed: plan is not optimal"):
         transport._transport_lps(problems)
+    assert calls == [(8, transport._LP_FIRST), (8, transport._LP_RETRY)]
 
 
 def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
-    """te-jensen-pointwise at seed 12: in the LP of instances 390-399 the
-    part of instance 393 breaks the reduced-cost certificate (-5.5e-8) at
-    a cost 4.4e-9 off the optimum; it alone is solved again, and, as a
-    lone LP, needs the retry too, which gives the lone LP's costs."""
+    """te-jensen-pointwise at seed 12 hands all 400 instances to one
+    ``_transport_lps`` call, which the simplex solves with no HiGHS call
+    (instance 393 needed HiGHS's retry in the block LP); when instance
+    393's W_1 plan is spoiled (half its mass), that plan alone is solved by
+    one lone HiGHS LP and every cost is unchanged."""
     batches = []
-    batched = suites._transport_lps
+    real = suites._transport_lps
     monkeypatch.setattr(suites, "_transport_lps",
-                        lambda problems: batches.append(problems) or batched(problems))
-    suites.run_suite("te-jensen-pointwise", seed=12)
-    batch = batches[39]
-    assert batch[3][0].n == 5
-    calls = []
-    real = transport.linprog
+                        lambda problems: batches.append(problems) or real(problems))
+    calls = _recording_linprog(monkeypatch)
+    summary = suites.run_suite("te-jensen-pointwise", seed=12).summary
+    (batch,) = batches
+    assert len(batch) == 400 and batch[393][0].n == 5
+    assert calls == []
+    clean = real(batch)
 
-    def recording(c, **kw):
-        calls.append((kw["A_eq"].shape[0], kw["options"]))
-        return real(c, **kw)
+    def halve(out):
+        out[393][0][0] *= 0.5
 
-    monkeypatch.setattr(transport, "linprog", recording)
-    out = transport._transport_lps(batch)
-    assert calls[1:] == [(40, None), (40, transport._LP_RETRY)]
-    for problem, (_, costs, _) in zip(batch, out):
-        np.testing.assert_allclose(costs, transport_costs(*problem), rtol=1e-12)
-    np.testing.assert_array_equal(out[3][1], transport_costs(*batch[3]))
+    _spoiled_simplex(monkeypatch, halve)
+    out = real(batch)
+    assert calls == [(10, transport._LP_FIRST)]
+    for (_, costs, _), (_, want, _) in zip(out, clean):
+        np.testing.assert_allclose(costs, want, rtol=1e-12)
+    assert suites.run_suite("te-jensen-pointwise", seed=12).summary == summary
+    assert calls == [(10, transport._LP_FIRST)] * 2
 
 
 # ---------------------------------------------------------------------------

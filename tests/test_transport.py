@@ -19,6 +19,7 @@ from conc_toolkit.transport import (
     kr_dual,
     psi1_metric_bound,
     te_constant_estimate,
+    transport_costs,
     w1_1d,
     w1_discrete,
     wc_discrete_lp,
@@ -104,12 +105,31 @@ class TestDiscreteLP:
         with pytest.raises(ValidationError, match="infeasible"):
             wc_discrete_lp(s, np.array([0.5, 0.6]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", ["nan-nu", "inf-cost", "nan-cost"])
+    def test_non_finite_input_rejected(self, bad):
+        rng = np.random.default_rng(3)
+        s = random_space(rng, 4)
+        nu = random_probability(rng, 4)
+        cost = s.dist.copy()
+        if bad == "nan-nu":
+            nu[1] = np.nan
+        else:
+            cost[0, 2] = np.inf if bad == "inf-cost" else np.nan
+        with pytest.raises(ValidationError, match="must be finite"):
+            wc_discrete_lp(s, nu, s.weights, cost=cost)
+        with pytest.raises(ValidationError, match="must be finite"):
+            transport_costs(s, [s.weights, nu], s.weights, [s.dist, cost])
+
     def test_off_marginal_plan_is_retried_then_rejected(self, monkeypatch):
+        """A problem above the simplex's size limit is one HiGHS LP: a plan
+        off its marginals is solved again with the retry options, and one
+        that stays off raises."""
         from conc_toolkit import transport
 
         rng = np.random.default_rng(2)
-        s = random_space(rng, 4)
-        nu = random_probability(rng, 4)
+        n = transport._SIMPLEX_MAX_N + 1
+        s = random_space(rng, n)
+        nu = random_probability(rng, n)
         real = transport.linprog
         options = []
 
@@ -123,7 +143,7 @@ class TestDiscreteLP:
 
         monkeypatch.setattr(transport, "linprog", halved_first)
         plan = wc_discrete_lp(s, nu, s.weights)
-        assert options == [None, transport._LP_RETRY]
+        assert options == [transport._LP_FIRST, transport._LP_RETRY]
         assert plan.marginal_residual <= 1e-9
         assert plan.cost == pytest.approx(w1_discrete(s, nu, s.weights), abs=1e-12)
 
