@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from .costs import _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, _cell_partial_mass
 from .profiles import LOG2, invert_monotone
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = [
     "LaplaceBound",
@@ -302,20 +298,6 @@ def herbst_laplace(rho: float) -> tuple[LaplaceBound, ConcBound]:
 # ---------------------------------------------------------------------------
 # exact sup over 1-Lipschitz mean-zero functions (finite spaces)
 # ---------------------------------------------------------------------------
-
-def _lipschitz_rows(space: DiscreteSpace) -> tuple[sparse.csr_matrix, np.ndarray]:
-    """(A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
-    over the ordered pairs i != j: row (i, j) holds +1 at i and -1 at j."""
-    from scipy import sparse
-
-    ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
-    m = ii.size
-    a_ub = sparse.csr_matrix(
-        (np.tile([1.0, -1.0], m), np.column_stack([ii, jj]).ravel(),
-         np.arange(0, 2 * m + 1, 2)),
-        shape=(m, space.n))
-    return a_ub, space.dist[ii, jj]
-
 
 # the largest space whose Lipschitz polytope is enumerated; a generic
 # metric's has C(2n - 2, n - 1) vertices, 3,432 at n = 8, and the walk's

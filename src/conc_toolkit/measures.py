@@ -270,7 +270,7 @@ class Measure1D:
     def quantile(self, u) -> float | np.ndarray:
         """Left-tail quantile: x with F(x) = u (accurate for small u)."""
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0) | (u > 1)):
+        if not np.all((u >= 0) & (u <= 1)):
             raise DomainError("quantile argument must lie in [0, 1]")
         i = np.clip(np.searchsorted(self.cdf_nodes, u, side="right") - 1, 0, self.grid.size - 2)
         rem = (u - self.cdf_nodes[i]) * self._z_shifted
@@ -283,7 +283,7 @@ class Measure1D:
     def quantile_upper(self, tail) -> float | np.ndarray:
         """Right-tail quantile: x with 1 - F(x) = tail (accurate for small tail)."""
         tail = np.asarray(tail, dtype=float)
-        if np.any((tail < 0) | (tail > 1)):
+        if not np.all((tail >= 0) & (tail <= 1)):
             raise DomainError("tail mass must lie in [0, 1]")
         # sf_nodes is decreasing; locate cell whose right node has sf <= tail.
         rev = self.sf_nodes[::-1]

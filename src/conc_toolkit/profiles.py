@@ -296,11 +296,15 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
     worst tail runs over the admissible sets whose lightest member cannot
     be dropped, each updated as the pairs join balls at the breakpoints
     (the distinct pairwise distances).  ``exact=False`` samples admissible
-    sets instead (``candidate-lower-bound``).
+    sets instead (``candidate-lower-bound``).  The radii are the
+    breakpoints, so an ``r_grid`` raises ValidationError.
     """
     if isinstance(source, Measure1D):
         return _conc_profile_1d(source, r_grid)
     if isinstance(source, DiscreteSpace):
+        if r_grid is not None:
+            raise ValidationError("r_grid is for a Measure1D; a finite space's "
+                                  "profile is taken at its breakpoints")
         if source.n < 2:
             raise DomainError("a one-point space has no pairwise distance, so "
                               "its concentration profile has no radius")

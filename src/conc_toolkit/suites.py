@@ -266,7 +266,7 @@ def _suite_te_jensen(config, seed):
             lps.append((space, [nu] * len(costs), space.weights, costs))
     solved = _transport_lps(lps)
     violations = 0
-    for inst, (_, lp_costs, _) in zip(instances, solved):
+    for inst, (_, lp_costs, _, _) in zip(instances, solved):
         p = inst["p"]
         spec_p = CostSpec(p)
         w1, *w_costs = lp_costs.tolist()

@@ -1,20 +1,22 @@
 """Transport costs, entropy divergences and derived best-constant bounds.
 
-Finite spaces get exact linear-programming oracles (transportation LP and
-its Kantorovich dual), and the exact first-moment constant as a maximum
-over the vertices of the Lipschitz polytope; 1-D measures use the
-monotone (quantile) coupling, which is optimal for every convex cost of
-the distance on the line.
+Finite spaces get exact linear-programming oracles (the transportation
+LP, and from its certified duals a Kantorovich potential), and the exact
+first-moment constant as a maximum over the vertices of the Lipschitz
+polytope; 1-D measures use the monotone (quantile) coupling, which is
+optimal for every convex cost of the distance on the line.
 
 Transportation LPs with n <= ``_SIMPLEX_MAX_N`` points are solved by a
 transportation simplex in numpy, every plan of one size in one batch;
-larger ones, and the Kantorovich dual LP, by HiGHS (``scipy.optimize``,
-imported on first use).  Every plan, whichever solver made it, must pass
-one certificate (``_unsound``): marginals to 1e-9, no entry below
--1e-12 x mass, no reduced cost below -1e-12 max |c| from its own duals, and
-complementary slackness to 1e-12 max |c| x mass.  A numpy plan that fails
-it is solved again alone by HiGHS (``_solve_lp``: first options, then the
-retry options, then ValidationError).
+larger ones, and the plans that fail the certificate, by HiGHS
+(``scipy.optimize``, imported on first use).  Every plan, whichever solver
+made it, must pass one certificate (``_unsound``): marginals to 1e-9, no
+entry below -1e-12 x mass, no reduced cost below -1e-12 max |c| from its
+own duals, and complementary slackness to 1e-12 max |c| x mass.  A numpy
+plan that fails it is solved again alone by HiGHS (``_lone_lp``: first
+options, then the retry options, then ValidationError).  ``kr_dual``'s
+potential is the c-transform f(i) = min_j d(i, j) - v_j of the certified
+column duals v, so W_1 and its dual come from one solve.
 
 All "best constant" estimators here are one-sided by construction and say
 so in their :class:`~conc_toolkit.reports.ConstantEntry` metadata: a
@@ -32,7 +34,7 @@ import numpy as np
 
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .laplace import _lipschitz_rows, mean_zero_lipschitz_vertices
+from .laplace import mean_zero_lipschitz_vertices
 from .measures import DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
 
@@ -83,19 +85,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as solve
 
     return solve(*args, **kwargs)
-
-
-def _solve_lp(c, *, what: str, reject, **constraints):
-    """HiGHS solve of min c.x under ``constraints`` (linprog keywords).
-    ``_LP_FIRST`` gives vertex-exact solutions (duality gaps ~1e-16 here);
-    a failed solve, or one ``reject(res)`` names a reason against, is
-    retried once with ``_LP_RETRY`` before ValidationError."""
-    for options in (_LP_FIRST, _LP_RETRY):
-        res = linprog(c, method="highs", options=options, **constraints)
-        problem = reject(res) if res.success else res.message
-        if problem is None:
-            return res
-    raise ValidationError(f"{what} failed: {problem}")
 
 
 # ---------------------------------------------------------------------------
@@ -297,34 +286,45 @@ def _transport_simplex(problems) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _lone_lp(problem) -> np.ndarray:
-    """A problem's plans from one HiGHS LP through ``_solve_lp``."""
-    return _solve_lp(what="transport LP", reject=lambda res: next(filter(None, _unsound(
-        problem, res.x, res.eqlin.marginals)), None), **_block_lp(problem)).x
+def _lone_lp(problem) -> tuple[np.ndarray, np.ndarray]:
+    """(plans, duals) of a problem from one HiGHS LP.  ``_LP_FIRST`` gives
+    vertex-exact solutions (duality gaps ~1e-16 here); a failed solve, or a
+    plan that fails ``_unsound``, is retried once with ``_LP_RETRY`` before
+    ValidationError."""
+    lp = _block_lp(problem)
+    for options in (_LP_FIRST, _LP_RETRY):
+        res = linprog(method="highs", options=options, **lp)
+        why = next(filter(None, _unsound(problem, res.x, res.eqlin.marginals)),
+                   None) if res.success else res.message
+        if why is None:
+            return res.x, res.eqlin.marginals
+    raise ValidationError(f"transport LP failed: {why}")
 
 
-def _transport_lps(problems) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _transport_lps(problems) -> list[tuple[np.ndarray, ...]]:
     """Transportation LPs given as problems (space, nus, mu, costs), each
     on its own space.  Problems with n <= ``_SIMPLEX_MAX_N`` go to the numpy
     transportation simplex (``_transport_simplex``), all of one size in one
     batch; each of their plans must pass ``_unsound`` (marginals, sign,
     reduced costs and complementary slackness from its own duals), and a
-    plan that fails is solved alone by HiGHS through ``_solve_lp`` (first
-    options, then the retry, then ValidationError).  A larger problem is
-    one HiGHS LP, under the same certificate.  Returns ``_plans`` per
-    problem."""
+    plan that fails is solved alone by ``_lone_lp`` (first options, then the
+    retry, then ValidationError).  A larger problem is one HiGHS LP, under
+    the same certificate.  Returns ``_plans`` per problem, followed by the
+    certified duals (K, 2n): u of the rows (``nus``), then v of the columns
+    (``mu``)."""
     problems = [_transport_problem(*p) for p in problems]
     solved = iter(_transport_simplex([p for p in problems if p[1].size <= _SIMPLEX_MAX_N]))
     out = []
     for p in problems:
         if p[1].size > _SIMPLEX_MAX_N:
-            x = _lone_lp(p)
+            x, duals = _lone_lp(p)
         else:
             x, duals = next(solved)
             for k, why in enumerate(_unsound(p, x, duals)):
                 if why is not None:
-                    x[k] = _lone_lp((p[0][k:k + 1], p[1], p[2][k:k + 1])).reshape(x[k].shape)
-        out.append(_plans(p, x))
+                    x_k, duals[k] = _lone_lp((p[0][k:k + 1], p[1], p[2][k:k + 1]))
+                    x[k] = x_k.reshape(x[k].shape)
+        out.append((*_plans(p, x), duals.reshape(len(p[0]), -1)))
     return out
 
 
@@ -339,7 +339,7 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
     """Exact optimum of the transportation LP for an arbitrary cost matrix
     (defaults to the metric itself, i.e. W_1)."""
     c = space.dist if cost is None else cost
-    plans, costs, resid = _transport_lps([(space, [nu], mu, [c])])[0]
+    plans, costs, resid, _ = _transport_lps([(space, [nu], mu, [c])])[0]
     plan = plans[0]
     rows, cols = np.nonzero(plan > 1e-15)
     return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
@@ -347,27 +347,23 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
                          n=space.n)
 
 
-def _kr_potential(space: DiscreteSpace, nu, mu) -> tuple[float, np.ndarray]:
-    """(value, potential) of the dual LP of W_1: max int f d(nu - mu) over
-    f(0) = 0, f(i) - f(j) <= d(i, j); re-solved if a row breaks by > 1e-12 diam."""
-    a_ub, b_ub = _lipschitz_rows(space)
-    bounds = [(0.0, 0.0)] + [(None, None)] * (space.n - 1)  # shift-invariant
-
-    def off_lipschitz(res) -> str | None:
-        worst = float(np.max(a_ub @ res.x - b_ub, initial=0.0))
-        return (f"potential breaks a Lipschitz bound ({worst:.3g})"
-                if worst > 1e-12 * space.diameter else None)
-
-    res = _solve_lp(np.subtract(mu, nu, dtype=float), what="dual LP",
-                    reject=off_lipschitz, A_ub=a_ub, b_ub=b_ub, bounds=bounds)
-    return float(-res.fun), res.x
-
-
 def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
-    """Kantorovich duality for W_1: the transportation LP and its dual."""
-    primal = wc_discrete_lp(space, nu, mu).cost
-    dual, potential = _kr_potential(space, nu, mu)
-    return KRDualResult(primal=primal, dual=dual, potential=potential)
+    """Kantorovich duality for W_1 from one transportation LP: its cost, and
+    the c-transform f(i) = min_j d(i, j) - v_j of its column duals v,
+    shifted to f(0) = 0.  f >= u on the rows and f <= -v on the columns,
+    and f is 1-Lipschitz, so int f d(nu - mu) = W_1: f is a KR-optimal
+    potential (Villani, Optimal Transport: Old and New, ch. 5).  A
+    potential off the Lipschitz bound by more than 1e-12 x diameter (a
+    space whose triangle inequality fails by more) raises ValidationError."""
+    _, costs, _, duals = _transport_lps([(space, [nu], mu, [space.dist])])[0]
+    f = np.min(space.dist - duals[0, space.n:], axis=1)
+    f -= f[0]
+    worst = float(np.max(f[:, None] - f[None, :] - space.dist))
+    if not worst <= 1e-12 * space.diameter:
+        raise ValidationError(f"potential breaks a Lipschitz bound ({worst:.3g})")
+    return KRDualResult(primal=float(costs[0]),
+                        dual=float(np.dot(f, np.subtract(nu, mu, dtype=float))),
+                        potential=f)
 
 
 def w1_discrete(space: DiscreteSpace, nu, mu) -> float:
@@ -531,7 +527,9 @@ def divergences(nu, mu) -> DivergenceReport:
 
     Inputs are either two weight vectors on a common finite space or two
     Measure1D objects.  Mutually singular parts produce the +oo sentinel;
-    atoms with zero mass follow the 0 log 0 = 0 convention.
+    atoms with zero mass follow the 0 log 0 = 0 convention.  A weight
+    vector must be finite and nonnegative and sum to 1 to within 1e-9
+    (ValidationError).
     """
     if isinstance(nu, Measure1D) and isinstance(mu, Measure1D):
         return DivergenceReport(h_nu_mu=_kl_1d(nu, mu), h_mu_nu=_kl_1d(mu, nu),
@@ -540,6 +538,10 @@ def divergences(nu, mu) -> DivergenceReport:
     b = np.asarray(mu, dtype=float)
     if a.shape != b.shape:
         raise ValidationError("weight vectors must have equal length")
+    for w in (a, b):
+        if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):  # NaN, inf fail
+            raise ValidationError("weight vectors must be finite, nonnegative "
+                                  "and sum to 1")
     return DivergenceReport(
         h_nu_mu=_kl_discrete(a, b),
         h_mu_nu=_kl_discrete(b, a),
@@ -593,7 +595,7 @@ def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
         coord_fs.append(_line_potential(line, out[0], mu))
     else:
         try:
-            coord_fs.append(_kr_potential(space, out[0], mu)[1])
+            coord_fs.append(kr_dual(space, out[0], mu).potential)
         except ValidationError:
             pass
     for f in coord_fs:
@@ -800,8 +802,8 @@ class Psi1Bound:
 
 
 def _lip_constant(space: DiscreteSpace, g: np.ndarray) -> float:
-    a_ub, b_ub = _lipschitz_rows(space)
-    return float(np.max(np.abs(a_ub @ g) / b_ub))
+    off = ~np.eye(space.n, dtype=bool)
+    return float(np.max(np.abs(g[:, None] - g[None, :])[off] / space.dist[off]))
 
 
 def _psi1_value(space: DiscreteSpace, nu, mu, g: np.ndarray) -> float:

@@ -4,15 +4,20 @@ and bg-duality's array work against its loops.
 Spaces are drawn like the suites draw them (``suites._random_space``) with
 n <= 6, or as planar spaces and shortest-path metrics with n <= 8 for the
 Lipschitz vertices; the LP stays the cross-check oracle on the test side
-(a lone HiGHS LP for the numpy transportation simplex), and so does the
-qhull halfspace intersection the vertex walk replaced.  The LP matrices
-built from their index structure are checked against test-side copies of
-the generic sparse builds they replace.
+(a lone HiGHS LP for the numpy transportation simplex, the inequality-form
+dual LP on dense Lipschitz rows for ``kr_dual``'s c-transform), and so
+does the qhull halfspace intersection the vertex walk replaced.  The LP
+matrices built from their index structure are checked against test-side
+copies of the generic sparse builds they replace.
 """
 
 import math
+import os
+import subprocess
+import sys
 from functools import partial
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +53,31 @@ def _space_and_family(seed, n):
     return rng, space, family
 
 
+def _lipschitz_rows(space):
+    """Dense (A_ub, b_ub) of the 1-Lipschitz constraints f(i) - f(j) <= d(i, j)
+    over the ordered pairs i != j, row-major: row (i, j) holds +1 at i and
+    -1 at j."""
+    ii, jj = np.nonzero(~np.eye(space.n, dtype=bool))
+    a_ub = np.zeros((ii.size, space.n))
+    a_ub[np.arange(ii.size), ii] = 1.0
+    a_ub[np.arange(ii.size), jj] = -1.0
+    return a_ub, space.dist[ii, jj]
+
+
+def _lipschitz_lp_max(space, c):
+    """max <f, c> over the Lipschitz polytope with f_0 pinned to 0, by one
+    HiGHS LP on ``_lipschitz_rows``.  It runs at feasibility tolerances of
+    1e-10: at HiGHS's defaults it may break a Lipschitz row by ~1e-8 and
+    overshoot the maximum."""
+    a_ub, b_ub = _lipschitz_rows(space)
+    res = linprog(-np.asarray(c, dtype=float), A_ub=a_ub, b_ub=b_ub, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10},
+                  bounds=[(0.0, 0.0)] + [(None, None)] * (space.n - 1))
+    assert res.success
+    return -res.fun
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=seeds, n=sizes)
 @example(seed=12083420, n=5)  # HiGHS stopped on a block LP basis with a reduced cost of -1e-7
@@ -80,31 +110,42 @@ def test_w1_lp_equals_kr_dual_and_vertex_maximum(seed, n):
         assert kr.dual == pytest.approx(vertex_max, abs=1e-9)
 
 
-def test_discrete_witnesses_solve_only_the_dual_lp(monkeypatch):
-    """The KR potential of the witness family needs the dual LP alone, not
-    the primal transportation LP (the only one with equality rows)."""
-    calls = []
-    solve = transport.linprog
-
-    def recording(*args, **kwargs):
-        calls.append(kwargs)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "linprog", recording)
-    _, space, _ = _space_and_family(3, 5)
+def test_kr_potential_needs_no_scipy(monkeypatch):
+    """On a space of n <= ``_SIMPLEX_MAX_N`` points that is not a line,
+    ``kr_dual`` and the witness family take the KR potential from the numpy
+    simplex's duals: no HiGHS call, and no scipy module in a fresh
+    interpreter."""
+    calls = _recording_linprog(monkeypatch)
+    space = _planar_space(3, 9)
+    assert transport._line_order(space) is None
+    kr_dual(space, np.eye(9)[4], space.weights)
     discrete_witnesses(space, space.weights)
-    assert calls
-    assert all(kw.get("A_eq") is None for kw in calls)
+    assert calls == []
+
+    src = str(Path(transport.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from conc_toolkit.measures import DiscreteSpace\n"
+        "from conc_toolkit.transport import discrete_witnesses, kr_dual\n"
+        "pts = np.random.default_rng(3).normal(size=(9, 2))\n"
+        "space = DiscreteSpace(dist=np.linalg.norm(pts[:, None] - pts[None], axis=2),\n"
+        "                      weights=np.full(9, 1 / 9))\n"
+        "kr_dual(space, np.eye(9)[4], space.weights)\n"
+        "print(len(discrete_witnesses(space, space.weights)),\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    count, modules = out.stdout.split(maxsplit=1)
+    assert int(count) > 0 and modules.strip() == "[]"
 
 
 def _first_moment_per_pattern(space):
     """One LP per admissible sign pattern, strict first-wins maximum."""
     n, w = space.n, space.weights
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    a_ub = np.zeros((len(pairs), n))
-    for row, (i, j) in enumerate(pairs):
-        a_ub[row, i], a_ub[row, j] = 1.0, -1.0
-    b_ub = np.array([space.dist[i, j] for i, j in pairs])
+    a_ub, b_ub = _lipschitz_rows(space)
     sign_bounds = {1: (0.0, None), 0: (0.0, 0.0), -1: (None, 0.0)}
     best = 0.0
     for pattern in product((1, 0, -1), repeat=n):
@@ -191,8 +232,8 @@ def _qhull_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
     from scipy.spatial import HalfspaceIntersection, QhullError
 
     diam = space.diameter
-    a_ub, b_ub = laplace._lipschitz_rows(space)
-    rows = a_ub[:, 1:].toarray()
+    a_ub, b_ub = _lipschitz_rows(space)
+    rows = a_ub[:, 1:]
     for bounds in (b_ub / diam, np.round(b_ub / diam, 12)):
         try:
             g = HalfspaceIntersection(np.column_stack([rows, -bounds]),
@@ -252,22 +293,15 @@ def test_all_vertices_at_distance_ratio_1e5(seed, n):
 @example(seed=0, n=7, log_ratio=5.960464477539063e-08)  # default LP broke a row by 1.5e-8
 def test_vertex_maximum_equals_lp_maximum(seed, n, log_ratio):
     """max <f, c> over the Lipschitz polytope by LP (f_0 pinned to 0)
-    equals the maximum over the enumerated vertices, for mean-zero c.
-    The LP runs at feasibility tolerances of 1e-10: at HiGHS's defaults
-    it may break a Lipschitz row by ~1e-8 and overshoot the maximum."""
+    equals the maximum over the enumerated vertices, for mean-zero c."""
     space = _scaled_metric(seed, n, 10.0**log_ratio)
     verts = mean_zero_lipschitz_vertices(space, space.weights)
-    a_ub, b_ub = laplace._lipschitz_rows(space)
     rng = np.random.default_rng(seed + 1)
     for _ in range(3):
         c = rng.normal(size=n)
         c -= c.mean()
-        res = linprog(-c, A_ub=a_ub, b_ub=b_ub, method="highs",
-                      options={"primal_feasibility_tolerance": 1e-10,
-                               "dual_feasibility_tolerance": 1e-10},
-                      bounds=[(0.0, 0.0)] + [(None, None)] * (n - 1))
-        assert res.success
-        assert float(np.max(verts @ c)) == pytest.approx(-res.fun, rel=1e-9, abs=1e-12)
+        assert float(np.max(verts @ c)) == pytest.approx(_lipschitz_lp_max(space, c),
+                                                         rel=1e-9, abs=1e-12)
 
 
 def _laplace_sup_per_lambda(mu, lams, verts):
@@ -366,30 +400,15 @@ def test_reduced_costs_equal_sparse_transpose_product(seed, k, n):
         assert np.array_equal(transport._reduced_costs(costs, y), want)
 
 
-@settings(max_examples=20, deadline=None)
-@given(seed=seeds, n=points)
-def test_lipschitz_rows_equal_coo_build(seed, n):
-    space = _random_space(np.random.default_rng(seed), n)
-    a_ub, b_ub = laplace._lipschitz_rows(space)
-    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
-    m = ii.size
-    old = sparse.csr_matrix(
-        (np.concatenate([np.ones(m), -np.ones(m)]),
-         (np.concatenate([np.arange(m), np.arange(m)]), np.concatenate([ii, jj]))),
-        shape=(m, n))
-    assert a_ub.shape == old.shape
-    assert (a_ub != old).nnz == 0
-    assert np.array_equal(b_ub, space.dist[ii, jj])
-
-
 # ---------------------------------------------------------------------------
 # the numpy transportation simplex against lone HiGHS LPs
 # ---------------------------------------------------------------------------
 
 def _highs_costs(problem) -> np.ndarray:
     """Optimal costs of a cleaned problem's plans from one HiGHS LP."""
-    res = transport._solve_lp(what="transport LP", reject=lambda res: None,
-                              **transport._block_lp(problem))
+    res = transport.linprog(method="highs", options=transport._LP_FIRST,
+                            **transport._block_lp(problem))
+    assert res.success
     return transport._plans(problem, res.x)[1]
 
 
@@ -478,9 +497,9 @@ def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
     problems = _mixed_problems(seed, sizes, n_costs)
     batched = transport._transport_lps(problems)
     assert len(batched) == len(problems)
-    for problem, (plans, costs, resid) in zip(problems, batched):
+    for problem, (plans, costs, resid, duals) in zip(problems, batched):
         n = problem[0].n
-        assert plans.shape == (n_costs, n, n)
+        assert plans.shape == (n_costs, n, n) and duals.shape == (n_costs, 2 * n)
         assert np.all(resid <= 1e-9)
         np.testing.assert_allclose(costs, _highs_costs(transport._transport_problem(*problem)),
                                    rtol=1e-12, atol=1e-15)
@@ -533,7 +552,7 @@ def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
     """A simplex plan whose duals break the reduced-cost certificate, by
     1e-7 against that plan's own max |c| but not against the 1e6-scaled
     costs of another problem, is solved alone: one plan of n = 4 goes
-    through ``_solve_lp``'s route (first options, then ``_LP_RETRY``), the
+    through ``_lone_lp``'s route (first options, then ``_LP_RETRY``), the
     other plans keep their simplex costs, and a fault that persists
     raises."""
     problems = _mixed_problems(5, [3, 4, 5], 2)
@@ -553,9 +572,9 @@ def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
     calls = _recording_linprog(monkeypatch, partial(spoil_lp, retry_too=False))
     out = transport._transport_lps(problems)
     assert calls == [(8, transport._LP_FIRST), (8, transport._LP_RETRY)]
-    for (_, costs, _), lone in zip(out, want):
+    for (_, costs, _, _), lone in zip(out, want):
         np.testing.assert_allclose(costs, lone, rtol=1e-12)
-    for k, (_, costs, _) in enumerate(out):
+    for k, (_, costs, _, _) in enumerate(out):
         keep = [0, 1] if k != 1 else [0]
         np.testing.assert_array_equal(costs[keep], kept[k][1][keep])
 
@@ -588,7 +607,7 @@ def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
     _spoiled_simplex(monkeypatch, halve)
     out = real(batch)
     assert calls == [(10, transport._LP_FIRST)]
-    for (_, costs, _), (_, want, _) in zip(out, clean):
+    for (_, costs, _, _), (_, want, _, _) in zip(out, clean):
         np.testing.assert_allclose(costs, want, rtol=1e-12)
     assert suites.run_suite("te-jensen-pointwise", seed=12).summary == summary
     assert calls == [(10, transport._LP_FIRST)] * 2
@@ -759,9 +778,34 @@ def test_line_potential_is_kr_optimal(seed, n, zeros):
     nu = _with_zeros(rng, n, zeros)
     f = transport._line_potential(transport._line_order(space), nu, mu)
     assert f[0] == 0.0
-    assert np.all(np.abs(f[:, None] - f[None]) <= space.dist + 1e-12 * space.diameter)
-    value, _ = transport._kr_potential(space, nu, mu)
-    assert float(np.dot(f, nu - mu)) == pytest.approx(value, rel=1e-12, abs=1e-15)
+    a_ub, b_ub = _lipschitz_rows(space)
+    assert np.all(a_ub @ f <= b_ub + 1e-12 * space.diameter)
+    assert float(np.dot(f, nu - mu)) == pytest.approx(_lipschitz_lp_max(space, nu - mu),
+                                                      rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=2, max_value=40), line=st.booleans(),
+       zeros=st.integers(min_value=0, max_value=3))
+@example(seed=0, n=transport._SIMPLEX_MAX_N, line=False, zeros=2)
+@example(seed=1, n=transport._SIMPLEX_MAX_N + 1, line=False, zeros=2)
+@example(seed=2, n=40, line=True, zeros=3)
+def test_kr_dual_equals_the_dual_lp(seed, n, line, zeros):
+    """``kr_dual``'s c-transform of the certified plan's column duals
+    against the inequality-form dual LP it replaced, on both sides of
+    ``_SIMPLEX_MAX_N``, on planar and line metrics: the same value to
+    1e-12, f(0) = 0, 1-Lipschitz to 1e-12 x diameter, no duality gap."""
+    rng = np.random.default_rng(seed)
+    space = _line_space(rng, n, zeros) if line else _planar_space(seed, n)
+    mu = space.weights
+    nu = _with_zeros(rng, n, zeros)
+    kr = kr_dual(space, nu, mu)
+    f = kr.potential
+    assert kr.dual == pytest.approx(_lipschitz_lp_max(space, nu - mu), rel=1e-12, abs=1e-15)
+    assert f[0] == 0.0
+    a_ub, b_ub = _lipschitz_rows(space)
+    assert np.all(a_ub @ f <= b_ub + 1e-12 * space.diameter)
+    assert kr.gap <= 1e-12 * (1.0 + kr.primal)
 
 
 @pytest.mark.parametrize("seed", range(5))

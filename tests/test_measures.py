@@ -222,6 +222,17 @@ def test_nonintegrable_potential_rejected():
         build_measure_1d(grid=xs, potential=vs)
 
 
+@pytest.mark.parametrize("level", [math.nan, -0.1, 1.1, [0.5, math.nan]],
+                         ids=["nan", "negative", "above-1", "nan-in-array"])
+def test_quantile_level_outside_unit_interval_rejected(level):
+    """A NaN level is not in [0, 1]: both quantiles raise, as for -0.1."""
+    mu = build_measure_1d(preset="gamma_p", p=2, n_points=301)
+    with pytest.raises(DomainError, match="quantile argument"):
+        mu.quantile(level)
+    with pytest.raises(DomainError, match="tail mass"):
+        mu.quantile_upper(level)
+
+
 def test_preset_p_range():
     with pytest.raises(DomainError):
         build_measure_1d(preset="gamma_p", p=0.5)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conc_toolkit.errors import DomainError, UnsupportedSizeError
+from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationError
 from conc_toolkit.measures import (
     build_discrete_space,
     build_measure_1d,
@@ -183,6 +183,15 @@ class TestConcProfileDiscrete:
         s = build_discrete_space(np.zeros((1, 1)), np.ones(1))
         with pytest.raises(DomainError, match="one-point space"):
             conc_profile(s, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_r_grid_rejected(self, exact):
+        """A finite space's profile is taken at its breakpoints: an r_grid
+        raises instead of being ignored."""
+        s = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                                 np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="r_grid"):
+            conc_profile(s, r_grid=np.linspace(0.0, 2.0, 5), exact=exact)
 
     def test_size_cap(self):
         n = 23

@@ -194,6 +194,16 @@ class TestKRDual:
                          - s.dist)
             assert lip <= 1e-8
 
+    def test_potential_off_lipschitz_raises(self):
+        """DiscreteSpace tolerates a triangle inequality broken by up to
+        1e-9; there no potential is both 1-Lipschitz and optimal, and the
+        c-transform of the plan's duals, which meets the plan's cost, breaks
+        a Lipschitz bound by 5e-10 > 1e-12 x diameter."""
+        d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
+        s = build_discrete_space(d, np.full(3, 1.0 / 3.0))
+        with pytest.raises(ValidationError, match="breaks a Lipschitz bound"):
+            kr_dual(s, np.eye(3)[0], np.eye(3)[2])
+
 
 class TestW11D:
     def test_identity(self, gamma2):
@@ -286,6 +296,19 @@ class TestDivergences:
             b = random_probability(rng, n)
             rep = divergences(a, b)
             assert rep.d_tv <= math.sqrt(0.5 * rep.h_nu_mu) + 1e-12
+
+    @pytest.mark.parametrize("nu", [[2.0, 2.0], [1.5, -0.5], [math.nan, 1.0],
+                                    [math.inf, 0.0], [0.5, 0.5 + 1e-8]],
+                             ids=["sum-4", "negative", "nan", "inf", "sum-off-1e-8"])
+    def test_bad_weight_vector_rejected(self, nu):
+        """No negative entropy (H = -1.386 for [2, 2] against [0.5, 0.5]) and
+        no NaN: such weights raise, as does a sum off 1 by more than the
+        1e-9 the LPs allow, on either side."""
+        for a, b in ((nu, [0.5, 0.5]), ([0.5, 0.5], nu)):
+            with pytest.raises(ValidationError, match="weight vectors must be"):
+                divergences(np.array(a), np.array(b))
+        rep = divergences(np.array([0.5, 0.5 + 1e-10]), np.array([0.5, 0.5]))
+        assert rep.h_nu_mu > 0.0
 
 
 class TestTEEstimates:
