@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .costs import _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .measures import DiscreteSpace, Measure1D, _cell_partial_mass
+from .measures import DiscreteSpace, Measure1D, _cell_partial_mass, _float_array
 from .profiles import LOG2, invert_monotone
 
 __all__ = [
@@ -386,6 +387,70 @@ def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return g
 
 
+def _checked_weights(mu, n: int) -> np.ndarray:
+    """``mu`` as n finite nonnegative weights, or ValidationError."""
+    mu = _float_array(mu, "mu")
+    if mu.shape != (n,):
+        raise ValidationError(f"mu must hold one weight per point: shape ({n},), "
+                              f"got {mu.shape}")
+    if not np.all((mu >= 0) & np.isfinite(mu)):
+        raise ValidationError("mu must be finite and nonnegative")
+    return mu
+
+
+def _lse_scores(lam: np.ndarray, f: np.ndarray, logw: np.ndarray) -> np.ndarray:
+    """log sum_i exp(lam f_i + logw_i) per lam and vertex, (L, V), from f
+    (n, V) and logw (n,), or per-lam vertex sets f (n, L, V), logw (n, L, 1):
+    a max-shifted log-sum-exp in (L, V) array ops, one point at a time.  It
+    sums fewer than 8 points left to right, as numpy's reduction does, and
+    more through numpy's pairwise sum, so each entry takes the same float
+    ops in any batch as in one (L, V, n) reduction."""
+    x = [lam[:, None] * fi + wi for fi, wi in zip(f, logw)]
+    m = x[0].copy()
+    for xi in x[1:]:
+        np.maximum(m, xi, out=m)
+    for xi in x:
+        np.exp(np.subtract(xi, m, out=xi), out=xi)
+    if len(x) >= 8:
+        return m + np.log(np.stack(x, axis=-1).sum(axis=-1))
+    total = x[0]
+    for xi in x[1:]:
+        total += xi
+    return m + np.log(total)
+
+
+def _sup_scorer(mus: list, verts: list) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """For weights ``mus[k]`` and vertex sets ``verts[k]``, each checked
+    once here: (owner, lam) -> one sup per pair, bit for bit
+    ``laplace_sup_discrete(., mus[owner], lam, vertices=verts[owner])``.
+    One log-sum-exp per point count n, over blocks of <= 2^16 entries; a
+    short vertex set is padded with its first vertex, which keeps the max."""
+    mus = [_checked_weights(m, np.shape(v)[1]) for m, v in zip(mus, verts)]
+    n_of = np.array([mu.size for mu in mus])
+    local, groups = np.zeros(len(mus), dtype=int), []
+    for n in np.unique(n_of):
+        members = np.flatnonzero(n_of == n)
+        local[members] = np.arange(members.size)
+        top = max(len(verts[k]) for k in members)
+        padded = np.stack([np.concatenate([verts[k], np.repeat(verts[k][:1],
+                                                               top - len(verts[k]), 0)]).T
+                           for k in members], axis=1)  # (n, members, top)
+        logw = np.log(np.maximum(np.stack([mus[k] for k in members], axis=1), 1e-300))
+        groups.append((n, padded, logw, max(1, 2**16 // (n * top))))
+
+    def score(owner: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        out = np.empty(lam.shape)
+        for n, padded, logw, block in groups:
+            rows = np.flatnonzero(n_of[owner] == n)
+            for start in range(0, rows.size, block):
+                r = rows[start:start + block]
+                g = local[owner[r]]
+                out[r] = _lse_scores(lam[r], padded[:, g], logw[:, g, None]).max(axis=1)
+        return out
+
+    return score
+
+
 def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
                          vertices: np.ndarray | None = None, seed: int = 0,
                          ) -> tuple[np.ndarray, str, np.ndarray]:
@@ -394,12 +459,16 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
     Exact up to ``_VERTEX_CAP`` points (the objective is convex in f, so the
     sup over the mean-zero Lipschitz polytope is attained at a vertex);
     local search from 32 random starts with ``exact=False``, flagged "lower".
+    ``mu`` must hold one finite nonnegative weight per point
+    (ValidationError), and every lam must be finite (DomainError).
 
     Returns (values over the lam grid, exactness flag, best f per lam).
     """
-    mu = np.asarray(mu, dtype=float)
-    lam_arr = np.atleast_1d(np.asarray(lam, dtype=float))
     n = space.n
+    mu = _checked_weights(mu, n)
+    lam_arr = np.atleast_1d(_float_array(lam, "lam"))
+    if not np.all(np.isfinite(lam_arr)):
+        raise DomainError("lam must be finite")
     if exact:
         verts = vertices if vertices is not None else mean_zero_lipschitz_vertices(
             space, mu)
@@ -414,10 +483,6 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
             cand.append(g - np.dot(mu, g))
         verts = np.asarray(cand)
         flag = "lower"
-    logw = np.log(np.maximum(mu, 1e-300))
-    # (lam, vertex, point) scores; max-shifted log-sum-exp over the points
-    scores = lam_arr[:, None, None] * verts[None] + logw
-    m = scores.max(axis=2, keepdims=True)
-    ls = m[..., 0] + np.log(np.exp(scores - m).sum(axis=2))
+    ls = _lse_scores(lam_arr, verts.T, np.log(np.maximum(mu, 1e-300)))
     j = np.argmax(ls, axis=1)
     return ls[np.arange(lam_arr.size), j], flag, verts[j]

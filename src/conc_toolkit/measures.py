@@ -593,36 +593,40 @@ class DiscreteSpace:
         d = _float_array(self.dist, "dist")
         w = _float_array(self.weights, "weights")
         for name, values in (("dist", d), ("weights", w)):
-            if not np.all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 raise ValidationError(f"{name} must hold finite numbers only")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
         n = d.shape[0]
         if w.shape != (n,):
             raise ValidationError("weights length must match the point count")
-        if not np.allclose(d, d.T, atol=_SPACE_TOL, rtol=0.0):
+        if np.abs(d - d.T).max(initial=0.0) > _SPACE_TOL:
             raise ValidationError("distance matrix must be symmetric")
-        if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
+        if (np.abs(np.diag(d)) > _SPACE_TOL).any():
             raise ValidationError("dist(i, i) must be 0")
         # the tolerated asymmetry and diagonal must not count: keep the upper
         # triangle, mirrored, on a copy (``d`` may be the caller's array)
         upper = np.triu(d, 1)
         d = upper + upper.T
-        off = d + np.eye(n) * 1.0
-        if np.any(off <= 0.0):
+        off = d + np.eye(n)
+        if (off <= 0.0).any():
             i, j = np.argwhere(off <= 0)[0]
             raise ValidationError(f"dist({i}, {j}) must be positive for i != j")
-        if np.any(w < -_SPACE_TOL):
+        if (w < -_SPACE_TOL).any():
             i = int(np.argmin(w))
             raise ValidationError(f"negative weight at point {i}")
         if abs(w.sum() - 1.0) > 1e-9:
             raise ValidationError(f"weights sum to {w.sum():.12g}, expected 1")
-        # Triangle inequality d[i,j] <= d[i,k] + d[k,j], one k at a time so
-        # no n^3 temporary is built.
-        for k in range(n):
-            slack = d - (d[:, k][:, None] + d[k, :][None, :])
-            if np.any(slack > _SPACE_TOL):
-                i, j = np.argwhere(slack > _SPACE_TOL)[0]
+        # Triangle inequality d[i,j] <= d[i,k] + d[k,j], over blocks of k of
+        # at most 2^16 entries (one k at a time at n = 200), so no n^3
+        # temporary is built; the violation named is the first (k, i, j).
+        step = max(1, 2**16 // max(n * n, 1))
+        for k0 in range(0, n, step):
+            ks = slice(k0, k0 + step)
+            slack = d - (d[:, ks].T[:, :, None] + d[ks, None, :])
+            if (slack > _SPACE_TOL).any():
+                k, i, j = np.argwhere(slack > _SPACE_TOL)[0]
+                k += k0
                 raise ValidationError(
                     f"triangle inequality violated by triple ({i}, {k}, {j}): "
                     f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")

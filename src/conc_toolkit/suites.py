@@ -11,12 +11,18 @@ Suites are deterministic given a seed: per-instance generators are spawned
 from a single seed sequence, so reports are byte-identical across runs and
 independent of how ``run_suites`` spreads the suites over worker processes
 (up to min(jobs, CPU count, number of suites); in-process for one).
+
+The finite-space suites work on arrays where their instances allow it:
+te-jensen-pointwise solves all its plans in one simplex call, bg-duality
+bisects each round's instances in lockstep, and going-down-exact takes
+each instance's margins at all radii at once.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -31,6 +37,7 @@ from .laplace import (
     LaplaceBound,
     _pinned_lipschitz_vertices,
     _recentred,
+    _sup_scorer,
     herbst_laplace,
     laplace_sup_discrete,
     mean_zero_lipschitz_vertices,
@@ -185,6 +192,16 @@ def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
 # suite implementations
 # ---------------------------------------------------------------------------
 
+def _margin_tally(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, float | None]:
+    """(margins lhs - rhs below -1e-9, least finite margin or None if there
+    is none); a NaN margin (inf - inf) counts as neither."""
+    with np.errstate(invalid="ignore"):
+        margins = lhs - rhs
+    bad = int(np.count_nonzero(margins < -1e-9))
+    finite = margins[np.isfinite(margins)]
+    return bad, float(finite.min()) if finite.size else None
+
+
 def _suite_going_down_exact(config, seed):
     trials = config["trials"]
     n_max = config["n_max"]
@@ -201,18 +218,9 @@ def _suite_going_down_exact(config, seed):
         rs = np.concatenate([k1.inputs,
                              0.5 * (k1.inputs[:-1] + k1.inputs[1:]),
                              [space.diameter * 1.5]])
-        worst = math.inf
-        bad = 0
-        for r in rs:
-            lhs = k2.at(r + r1)
-            rhs = k1.at(r) - cap
-            margin = lhs - rhs
-            if margin < -1e-9:
-                bad += 1
-            if math.isfinite(margin):
-                worst = min(worst, margin)
+        bad, worst = _margin_tally(k2.at(rs + r1), k1.at(rs) - cap)
         return {"n": n, "cap": cap, "r1": r1, "violations": bad,
-                "worst_margin": None if math.isinf(worst) else worst}
+                "worst_margin": worst}
 
     instances = [one(i) for i in range(trials)]
     violations = sum(i["violations"] for i in instances)
@@ -503,10 +511,13 @@ def _suite_hierarchy(config, seed):
     return instances, summary, passed
 
 
-def _critical_rate(space: DiscreteSpace, mu: np.ndarray, verts: np.ndarray,
-                   lam_grid: np.ndarray, rhs: np.ndarray) -> float:
-    """Rate d at which some lam row of the Laplace side starts failing, by
-    bisection, deciding every step as scoring all rows would.
+def _critical_rates(mus: list, verts: list, rhs: np.ndarray,
+                    lam_grid: np.ndarray) -> np.ndarray:
+    """Per instance k (weights ``mus[k]``, vertices ``verts[k]``, Laplace
+    side ``rhs[k]`` on ``lam_grid``), the rate d at which some lam row of
+    the Laplace side starts failing, by bisection, deciding every step as
+    scoring all rows would.  The bisections run in lockstep: each step
+    scores every unfinished instance's uncertified rows in one call.
 
     A row that passes at a failing step keeps its slack rhs - sup there,
     and once that slack exceeds tau = 1e-9 (1 + |rhs|) (|rhs| taken as 0
@@ -516,36 +527,48 @@ def _critical_rate(space: DiscreteSpace, mu: np.ndarray, verts: np.ndarray,
     monotonically in d), so the row passes there in exact arithmetic.  The
     sup is >= 0 (f = 0 is feasible) and below rhs, and the max-shifted
     log-sum-exp computes it to about 1e-13 (1 + |rhs|), far below tau, so
-    the row passes in floats too: each step scores only the uncertified
-    rows, in one call (a row's score is the same float ops in any subset),
-    and d_crit is bit for bit the all-rows bisection's."""
+    the row passes in floats too: a row's score is the same float ops in
+    any subset and any batch, and each d_crit is bit for bit the all-rows
+    bisection's."""
+    score = _sup_scorer(mus, verts)
     tau = 1e-9 * (1.0 + np.where(np.isinf(rhs), 0.0, np.abs(rhs)))
-    slack = np.full(lam_grid.size, -np.inf)
-
-    def fails(d: float) -> bool:
-        rows = np.flatnonzero(~(slack > tau))
-        sup = laplace_sup_discrete(space, mu, lam_grid[rows] * d, vertices=verts)[0]
-        if np.all(sup <= rhs[rows]):
-            return False
-        slack[rows] = rhs[rows] - sup  # a failing row stays uncertified
-        return True
-
-    lo, hi = 1e-3, 1.0
-    while not fails(hi) and hi < 1e4:
-        hi *= 2.0
-    for _ in range(40):
+    slack = np.full(rhs.shape, -np.inf)
+    lo, hi = np.full(len(mus), 1e-3), np.ones(len(mus))
+    halvings = np.full(len(mus), -1)  # -1 while hi doubles
+    while np.any(halvings < 40):
+        growing, halving = halvings < 0, (halvings >= 0) & (halvings < 40)
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+        d = np.where(growing, hi, mid)
+        owner, row = np.nonzero(~(slack > tau) & (growing | halving)[:, None])
+        sup = score(owner, lam_grid[row] * d[owner])
+        fails = np.bincount(owner[~(sup <= rhs[owner, row])], minlength=len(mus)) > 0
+        hit = fails[owner]  # a failing row stays uncertified
+        slack[owner[hit], row[hit]] = rhs[owner[hit], row[hit]] - sup[hit]
+        grow = growing & ~fails & (hi < 1e4)
+        halvings[growing & ~grow] = 0
+        hi = np.where(grow, 2.0 * hi, np.where(halving & fails, mid, hi))
+        lo = np.where(halving & ~fails, mid, lo)
+        halvings[halving] += 1
     return 0.5 * (lo + hi)
 
 
-def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
-                 config) -> dict[str, Any]:
+def _gain_order(verts: np.ndarray, tilts: np.ndarray, mu: np.ndarray,
+                rate: float) -> np.ndarray:
+    """Flat (v, l) indices of the Gibbs tilts nu = tilts[v, l] by transport
+    gain rate <verts[v], nu - mu>, largest first, ties in index order."""
+    gain = rate * ((tilts - mu) @ verts[:, :, None])[..., 0]
+    return np.argsort(-gain.ravel(), kind="stable")
+
+
+def _bg_draw(rng: np.random.Generator, lam_grid: np.ndarray, config) -> tuple:
+    """A bg-duality instance up to its critical rate, as (rng, space, verts,
+    a, quadratic, base, rhs): the generator, which draws the rest, a random
+    space and its mean-zero Lipschitz vertices, a random convex Phi, a x^2
+    (quadratic) or a x on a generous window, its LaplaceBound ``base`` and
+    that bound's rhs on ``lam_grid``."""
     n = int(rng.integers(3, config["n_max"] + 1))
     space = _random_space(rng, n)
-    mu = space.weights
-    verts = mean_zero_lipschitz_vertices(space, mu)
-    # random convex Phi: a x^2 or a x on a generous window
+    verts = mean_zero_lipschitz_vertices(space, space.weights)
     a = float(rng.uniform(0.3, 2.0))
     quadratic = bool(rng.random() < 0.5)
     xs = np.linspace(0.0, 50.0 if not quadratic else 15.0, 2049)
@@ -554,9 +577,13 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
     delta = float(rng.uniform(0.0, 0.7))
     base = LaplaceBound(phi_x=xs, phi_vals=phi_vals, rate=1.0, eps=eps,
                         delta=delta)
-    rhs = base.rhs_log(lam_grid)
+    return rng, space, verts, a, quadratic, base, base.rhs_log(lam_grid)
 
-    d_crit = _critical_rate(space, mu, verts, lam_grid, rhs)
+
+def _bg_instance(drawn: tuple, d_crit: float, lam_grid: np.ndarray,
+                 config) -> dict[str, Any]:
+    rng, space, verts, a, quadratic, base, rhs = drawn
+    n, mu, eps, delta = space.n, space.weights, base.eps, base.delta
     factor = float(rng.uniform(0.6, 1.6))
     rate = d_crit * factor
 
@@ -569,10 +596,8 @@ def _bg_instance(rng: np.random.Generator, lam_grid: np.ndarray,
     te_margin = -math.inf
     tilts = gibbs_tilt_discrete(mu, verts[:, None, :],
                                 np.asarray(config["witness_lams"])[:, None] * rate)
-    top = [(rate * float(np.dot(f, nu - mu)), nu)
-           for f, row in zip(verts, tilts) for nu in row]
-    top.sort(key=lambda t: -t[0])
-    witnesses = [nu for _, nu in top[: config["witness_cap"]]]
+    top = _gain_order(verts, tilts, mu, rate)[: config["witness_cap"]]
+    witnesses = list(tilts.reshape(-1, n)[top])
     # targeted witnesses: the Gibbs tilts realizing the variational identity
     # at the most-violating Laplace grid points (these are exactly the
     # measures the duality proof constructs from a Laplace failure)
@@ -631,17 +656,21 @@ def _suite_bg_duality(config, seed):
                                np.linspace(1.2, 6.0, 25)])
     seeds = np.random.SeedSequence(seed).spawn(4 * trials)
     instances = []
-    disagreements = 0
     draw = 0
+    # each round draws as many instances as still lack a verdict, bisects
+    # them in lockstep and judges them in draw order; razor-edge instances
+    # are re-drawn in the next round, not judged
     while len(instances) < trials and draw < 4 * trials:
-        rng = np.random.default_rng(seeds[draw])
-        draw += 1
-        inst = _bg_instance(rng, lam_grid, config)
-        if inst["near_tie"]:
-            continue  # razor-edge instances are re-drawn, not judged
-        instances.append(inst)
-        if not inst["agree"]:
-            disagreements += 1
+        batch = [_bg_draw(np.random.default_rng(s), lam_grid, config)
+                 for s in seeds[draw:draw + trials - len(instances)]]
+        draw += len(batch)
+        _, spaces, verts, _, _, _, rhs = zip(*batch)
+        rates = _critical_rates([s.weights for s in spaces], verts, np.array(rhs), lam_grid)
+        for drawn, d_crit in zip(batch, rates.tolist()):
+            inst = _bg_instance(drawn, d_crit, lam_grid, config)
+            if not inst["near_tie"]:
+                instances.append(inst)
+    disagreements = sum(not inst["agree"] for inst in instances)
     summary = {"disagreements": disagreements, "judged": len(instances),
                "redraws": draw - len(instances)}
     return instances, summary, disagreements == 0 and len(instances) == trials
@@ -679,21 +708,31 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 
 # per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
 # run in a fresh process with the scipy modules it imports on first use
-# (median of 5; run_suites starts the longest first)
+# (median of 5; run_suites starts the longest first); the finite suites'
+# times are from after their array rewrite, the line suites' are older
 _SUITES: dict[str, tuple[Callable, float]] = {
-    "going-down-exact": (_suite_going_down_exact, 0.32),
-    "w1-fm-exact": (_suite_w1_fm_exact, 0.20),
-    "te-jensen-pointwise": (_suite_te_jensen, 0.33),
+    "going-down-exact": (_suite_going_down_exact, 0.21),
+    "w1-fm-exact": (_suite_w1_fm_exact, 0.17),
+    "te-jensen-pointwise": (_suite_te_jensen, 0.26),
     "iso-stability-shape": (_suite_iso_stability_shape, 0.51),
     "logsob-stability": (_suite_logsob_stability, 1.02),
     "w1-stability-chain": (_suite_w1_stability_chain, 0.19),
-    "conc-te-equiv": (_suite_conc_te_equiv, 0.25),
+    "conc-te-equiv": (_suite_conc_te_equiv, 0.20),
     "te-equiv-shape": (_suite_te_equiv_shape, 0.39),
     "hierarchy-gamma-p": (_suite_hierarchy, 0.32),
-    "bg-duality": (_suite_bg_duality, 0.65),
+    "bg-duality": (_suite_bg_duality, 0.36),
 }
 
 SUITE_IDS = tuple(_SUITES)
+
+# the least value of each integer config entry of the finite suites: one
+# instance, and room for the smallest point count a suite draws
+_CONFIG_FLOORS: dict[str, dict[str, int]] = {
+    "going-down-exact": {"trials": 1, "n_max": 3},
+    "w1-fm-exact": {"trials": 1, "n_max": 2},
+    "te-jensen-pointwise": {"trials_per_p": 1},
+    "bg-duality": {"trials": 1, "n_max": 3, "witness_cap": 1},
+}
 
 
 def _check_seed(seed: int) -> None:
@@ -714,6 +753,11 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
         if unknown:
             raise DomainError(f"unknown config keys for {suite_id}: {unknown}")
         merged.update(config)
+    for key, least in _CONFIG_FLOORS.get(suite_id, {}).items():
+        value = merged[key]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise DomainError(f"{suite_id} config {key!r} must be an integer >= {least}, "
+                              f"got {value!r}")
     instances, summary, passed = _SUITES[suite_id][0](merged, seed)
     return SuiteReport(suite_id=suite_id, seed=seed, config=merged,
                        instances=instances, summary=summary, passed=passed)

@@ -35,7 +35,7 @@ import numpy as np
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import mean_zero_lipschitz_vertices
-from .measures import DiscreteSpace, Measure1D, derive_measure
+from .measures import DiscreteSpace, Measure1D, _float_array, derive_measure
 from .reports import ConstantEntry
 
 __all__ = [
@@ -528,16 +528,19 @@ def divergences(nu, mu) -> DivergenceReport:
     Inputs are either two weight vectors on a common finite space or two
     Measure1D objects.  Mutually singular parts produce the +oo sentinel;
     atoms with zero mass follow the 0 log 0 = 0 convention.  A weight
-    vector must be finite and nonnegative and sum to 1 to within 1e-9
-    (ValidationError).
+    vector must be 1-D, finite and nonnegative and sum to 1 to within 1e-9,
+    and a Measure1D pairs only with a Measure1D (ValidationError).
     """
-    if isinstance(nu, Measure1D) and isinstance(mu, Measure1D):
+    if isinstance(nu, Measure1D) or isinstance(mu, Measure1D):
+        if not (isinstance(nu, Measure1D) and isinstance(mu, Measure1D)):
+            raise ValidationError("divergences takes two Measure1D objects or two "
+                                  "weight vectors, not one of each")
         return DivergenceReport(h_nu_mu=_kl_1d(nu, mu), h_mu_nu=_kl_1d(mu, nu),
                                 d_tv=_tv_1d(nu, mu))
-    a = np.asarray(nu, dtype=float)
-    b = np.asarray(mu, dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError("weight vectors must have equal length")
+    a = _float_array(nu, "nu")
+    b = _float_array(mu, "mu")
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValidationError("weight vectors must be 1-D and of equal length")
     for w in (a, b):
         if not (np.all(w >= 0) and abs(w.sum() - 1.0) <= 1e-9):  # NaN, inf fail
             raise ValidationError("weight vectors must be finite, nonnegative "
@@ -567,6 +570,16 @@ def tilt_measure_1d(mu: Measure1D, lam: float) -> Measure1D:
     """Gibbs tilt by the coordinate: density proportional to e^{lam x}."""
     return Measure1D(grid=mu.grid.copy(), potential=mu.potential - lam * mu.grid,
                      provenance={"source": "tilt", "lam": lam})
+
+
+def _distinct(rows: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
+    """The rows, in order, that are 1e-12 away from mu in l1 and from every
+    row kept before them in max-abs, by one pairwise max-abs matrix."""
+    near = np.abs(rows[:, None] - rows[None]).max(axis=2) < 1e-12
+    keep = ~(np.abs(rows - mu).sum(axis=1) < 1e-12)
+    for k in range(len(rows)):
+        keep[k] &= not (near[k, :k] & keep[:k]).any()
+    return list(rows[keep])
 
 
 def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
@@ -601,13 +614,7 @@ def discrete_witnesses(space: DiscreteSpace, mu: np.ndarray,
     for f in coord_fs:
         for lam in (-2.0, -0.5, 0.5, 2.0):
             out.append(gibbs_tilt_discrete(mu, f, lam))
-    uniq: list[np.ndarray] = []
-    for w in out:
-        if np.abs(w - mu).sum() < 1e-12:
-            continue
-        if any(np.abs(w - u).max() < 1e-12 for u in uniq):
-            continue
-        uniq.append(w)
+    uniq = _distinct(np.array(out), mu)
     if max_witnesses and len(uniq) > max_witnesses:
         idx = np.linspace(0, len(uniq) - 1, max_witnesses).astype(int)
         uniq = [uniq[i] for i in idx]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conc_toolkit.errors import DomainError, UnsupportedSizeError
+from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationError
 from conc_toolkit.laplace import (
     ConcBound,
     LaplaceBound,
@@ -261,6 +261,45 @@ class TestLipschitzVertices:
                                              exact=False)
         assert flag == "lower"
         assert vals[0] >= 0.0
+
+
+class TestLaplaceSupInput:
+    """Bad input raises a ToolkitError where it enters, before the vertex
+    enumeration: no numpy matmul error, no NaN, no RuntimeWarning."""
+
+    @pytest.mark.parametrize("mu", [[1.0], [0.3, 0.3, 0.4], [[0.5, 0.5]]],
+                             ids=["short", "long", "2-d"])
+    def test_wrong_length_weights(self, mu):
+        with pytest.raises(ValidationError, match=r"one weight per point: shape \(2,\)"):
+            laplace_sup_discrete(TWO_POINT, np.array(mu), np.array([1.0]))
+
+    @pytest.mark.parametrize("mu", [[1.5, -0.5], [math.nan, 1.0], [math.inf, 0.0]],
+                             ids=["negative", "nan", "inf"])
+    def test_negative_or_non_finite_weights(self, mu):
+        for exact in (True, False):
+            with pytest.raises(ValidationError, match="finite and nonnegative"):
+                laplace_sup_discrete(TWO_POINT, np.array(mu), np.array([1.0]), exact=exact)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_lambda(self, lam):
+        """Raised under warnings-as-errors too: the check comes before any
+        arithmetic that could warn."""
+        for lams in (lam, np.array([0.5, lam])):
+            with pytest.raises(DomainError, match="lam must be finite"):
+                laplace_sup_discrete(TWO_POINT, TWO_POINT.weights, lams)
+
+    def test_non_numeric_input(self):
+        with pytest.raises(ValidationError, match="lam must hold numbers"):
+            laplace_sup_discrete(TWO_POINT, TWO_POINT.weights, "x")
+        with pytest.raises(ValidationError, match="mu must hold numbers"):
+            laplace_sup_discrete(TWO_POINT, ["a", "b"], [1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_valid_input_warns_nothing(self):
+        vals, flag, _ = laplace_sup_discrete(TWO_POINT, TWO_POINT.weights,
+                                             np.array([0.0, 1.0, 40.0]))
+        assert flag == "exact" and np.all(np.isfinite(vals))
 
 
 class TestRoundTrip:

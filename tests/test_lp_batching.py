@@ -644,6 +644,32 @@ def test_gibbs_tilt_grid_equals_one_at_a_time(seed, n, zeros):
             assert np.array_equal(nu, _gibbs_tilt_one(mu, f, lam))
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=3, max_value=6))
+def test_gain_order_equals_the_sorted_list(seed, n):
+    """One stable argsort over the gain array ranks the Gibbs tilts as
+    bg-duality's sorted list of (rate <f, nu - mu>, nu) did.  The gains now
+    come from one matmul in place of one dot per tilt, so they may differ
+    in the last bits (about n eps |gain|), and tilts whose gains tie to
+    that precision may swap: at every rank the list's gains agree to 1e-12
+    of the largest.  Rates up to 20 saturate tilts into near point masses,
+    where such ties occur."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    mu = space.weights
+    verts = mean_zero_lipschitz_vertices(space, mu)
+    rate = rng.uniform(0.05, 20.0)
+    tilts = transport.gibbs_tilt_discrete(
+        mu, verts[:, None, :], np.array([0.25, 0.5, 1.0, 2.0, 4.0])[:, None] * rate)
+    gains = np.array([rate * float(np.dot(f, nu - mu)) for f, row in zip(verts, tilts)
+                      for nu in row])
+    want = sorted(range(gains.size), key=lambda k: -gains[k])
+    got = suites._gain_order(verts, tilts, mu, rate)
+    assert sorted(got.tolist()) == list(range(gains.size))
+    np.testing.assert_allclose(gains[got], gains[want], rtol=0.0,
+                               atol=1e-12 * np.abs(gains).max())
+
+
 def _critical_rate_all_rows(space, mu, verts, lam_grid, rhs):
     """bg-duality's bisection scoring every lam row at every step."""
     def sup_vals(d):
@@ -677,7 +703,7 @@ def test_critical_rate_equals_all_rows_bisection(seed, n, quadratic):
                                 rate=1.0, eps=rng.uniform(0.0, 1.0),
                                 delta=rng.uniform(0.0, 0.7))
     rhs = base.rhs_log(lam_grid)
-    assert (suites._critical_rate(space, mu, verts, lam_grid, rhs)
+    assert (suites._critical_rates([mu], [verts], rhs[None], lam_grid)[0]
             == _critical_rate_all_rows(space, mu, verts, lam_grid, rhs))
 
 
@@ -711,10 +737,10 @@ def _failing_first_rows_scored(space, mu, verts, lam_grid, rhs):
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_critical_rate_scores_each_row_until_certified(seed, monkeypatch):
-    """Linear Phi, whose rhs is +oo above its slope: each step is one call
-    on the uncertified rows, never more rows than the failing-first loop
-    scored, and a row with rhs = +oo is not scored after the first failing
-    step, so the whole bisection scores far fewer rows."""
+    """Linear Phi, whose rhs is +oo above its slope: each step is one
+    scorer call on the uncertified rows, never more rows than the
+    failing-first loop scored, and a row with rhs = +oo is not scored after
+    the first failing step, so the whole bisection scores far fewer rows."""
     rng = np.random.default_rng(seed)
     space = _random_space(rng, 5)
     mu = space.weights
@@ -727,9 +753,13 @@ def test_critical_rate_scores_each_row_until_certified(seed, monkeypatch):
     assert np.isinf(rhs).any()
     old = _failing_first_rows_scored(space, mu, verts, lam_grid, rhs)
     calls = []
-    monkeypatch.setattr(suites, "laplace_sup_discrete", lambda space, mu, lam, vertices: (
-        calls.append(lam.size) or laplace_sup_discrete(space, mu, lam, vertices=vertices)))
-    d_crit = suites._critical_rate(space, mu, verts, lam_grid, rhs)
+
+    def counting_scorer(mus, verts):
+        score = laplace._sup_scorer(mus, verts)
+        return lambda owner, lam: calls.append(lam.size) or score(owner, lam)
+
+    monkeypatch.setattr(suites, "_sup_scorer", counting_scorer)
+    d_crit = suites._critical_rates([mu], [verts], rhs[None], lam_grid)[0]
     assert d_crit == _critical_rate_all_rows(space, mu, verts, lam_grid, rhs)
     assert len(calls) == len(old)
     assert all(0 < new <= was for new, was in zip(calls, old))
@@ -819,3 +849,94 @@ def test_line_order_only_on_line_metrics(seed):
     i, j = order[2], order[3]  # neighbours: no triangle runs through the pair
     off[i, j] = off[j, i] = off[i, j] + 1e-6 * space.diameter
     assert transport._line_order(DiscreteSpace(dist=off, weights=space.weights)) is None
+
+
+def _sup_batch(seed):
+    """Mixed point counts 2-8 with unequal vertex sets: planar and line
+    spaces (the line's polytope has fewer vertices), some with a weightless
+    point, and leading subsets of a vertex set."""
+    rng = np.random.default_rng(seed)
+    spaces, mus, verts = [], [], []
+    for n in rng.permutation(np.arange(2, 9)):
+        for space in (_random_space(rng, n),
+                      discrete_space_from_atoms(rng.normal(size=n), _random_probability(rng, n))):
+            mu = space.weights.copy()
+            if rng.random() < 0.3:
+                mu[0] = 0.0
+                mu /= mu.sum()
+            v = mean_zero_lipschitz_vertices(space, mu)
+            spaces += [space, space]
+            mus += [mu, mu]
+            verts += [v, v[:int(rng.integers(1, len(v) + 1))]]
+    return rng, spaces, mus, verts
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=seeds)
+def test_sup_scorer_equals_laplace_sup_discrete(seed):
+    """The lockstep's batched scorer, one log-sum-exp per point count over
+    padded vertex sets, equals one laplace_sup_discrete call per instance
+    bit for bit, for any owner order and any lam, 0 included."""
+    rng, spaces, mus, verts = _sup_batch(seed)
+    owner = rng.integers(0, len(mus), size=400)
+    lam = rng.uniform(0.0, 12.0, size=400) * (rng.random(400) < 0.95)
+    got = laplace._sup_scorer(mus, verts)(owner, lam)
+    assert len({len(v) for v, s in zip(verts, spaces) if s.n == 6}) > 1
+    for k, (space, mu, v) in enumerate(zip(spaces, mus, verts)):
+        mine = owner == k
+        want = laplace_sup_discrete(space, mu, lam[mine], vertices=v)[0]
+        assert np.array_equal(got[mine], want)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=seeds, size=st.integers(min_value=2, max_value=12))
+def test_lockstep_critical_rates_equal_one_at_a_time(seed, size):
+    """Bisections in lockstep, which end at different steps (hi doubles a
+    different number of times), give each instance the rate its own
+    all-rows bisection gives."""
+    rng = np.random.default_rng(seed)
+    lam_grid = np.concatenate([np.geomspace(0.05, 1.0, 17), np.linspace(1.2, 6.0, 25)])
+    spaces, verts, rhs = [], [], []
+    for _ in range(size):
+        space = _random_space(rng, int(rng.integers(3, 7)))
+        quadratic = rng.random() < 0.5
+        xs = np.linspace(0.0, 15.0 if quadratic else 50.0, 2049)
+        a = rng.uniform(0.3, 2.0) * 10.0 ** rng.uniform(-2.0, 2.0)
+        base = laplace.LaplaceBound(phi_x=xs, phi_vals=a * xs**2 if quadratic else a * xs,
+                                    rate=1.0, eps=rng.uniform(0.0, 1.0),
+                                    delta=rng.uniform(0.0, 0.7))
+        spaces.append(space)
+        verts.append(mean_zero_lipschitz_vertices(space, space.weights))
+        rhs.append(base.rhs_log(lam_grid))
+    rates = suites._critical_rates([s.weights for s in spaces], verts, np.array(rhs),
+                                   lam_grid)
+    for space, v, r, got in zip(spaces, verts, rhs, rates):
+        assert got == _critical_rate_all_rows(space, space.weights, v, lam_grid, r)
+
+
+def _distinct_loop(rows, mu):
+    """The witness dedup as a loop over the kept list."""
+    uniq = []
+    for w in rows:
+        if np.abs(w - mu).sum() < 1e-12:
+            continue
+        if any(np.abs(w - u).max() < 1e-12 for u in uniq):
+            continue
+        uniq.append(w)
+    return uniq
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, n=st.integers(min_value=1, max_value=9))
+def test_witness_dedup_equals_the_loop(seed, n):
+    """Planted repeats, near repeats (5e-13 and 2e-12 apart) and copies of
+    mu: one pairwise matrix keeps the rows the loop keeps, in its order."""
+    rng = np.random.default_rng(seed)
+    mu = _random_probability(rng, n)
+    base = [_random_probability(rng, n) for _ in range(6)] + [mu, mu + 4e-13]
+    rows = [base[int(rng.integers(len(base)))] + rng.choice([0.0, 5e-13, 2e-12])
+            for _ in range(int(rng.integers(1, 30)))]
+    got = transport._distinct(np.array(rows), mu)
+    want = _distinct_loop(rows, mu)
+    assert len(got) == len(want)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))

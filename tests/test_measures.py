@@ -445,3 +445,48 @@ def test_partial_moment_exponential(gamma1):
     # int_0^oo x e^{-x}/2 dx = 1/2
     val = gamma1.partial_moment(0.0, gamma1.support[1])
     assert val == pytest.approx(0.5, abs=1e-10)
+
+
+def _triangle_k_loop(d):
+    """The triangle check one k at a time, as DiscreteSpace ran it: None, or
+    the message naming the first violating triple in (k, i, j) order."""
+    for k in range(len(d)):
+        slack = d - (d[:, k][:, None] + d[k, :][None, :])
+        if np.any(slack > 1e-9):
+            i, j = np.argwhere(slack > 1e-9)[0]
+            return (f"triangle inequality violated by triple ({i}, {k}, {j}): "
+                    f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       n=st.one_of(st.integers(3, 12), st.sampled_from([90, 140])),
+       stretch=st.one_of(st.floats(0.05, 3.0), st.sampled_from([1.0 + 5e-10, 1.0 + 2e-9])))
+def test_blocked_triangle_check_equals_the_k_loop(seed, n, stretch):
+    """One entry of a planar metric scaled by ``stretch``: the blocked check
+    accepts and rejects as the k-loop does and names the same triple, also
+    across blocks (n = 90 and 140 take 6 and 3 values of k per block)."""
+    rng = np.random.default_rng(seed)
+    space = _random_space(rng, n)
+    i, j = rng.choice(n, size=2, replace=False)
+    d = space.dist.copy()
+    d[i, j] = d[j, i] = d[i, j] * stretch
+    want = _triangle_k_loop(d)
+    if want is None:
+        assert np.array_equal(build_discrete_space(d, space.weights).dist, d)
+    else:
+        with pytest.raises(ValidationError) as err:
+            build_discrete_space(d, space.weights)
+        assert str(err.value) == want
+
+
+def test_space_of_200_points_builds():
+    rng = np.random.default_rng(3)
+    space = _random_space(rng, 200)
+    assert build_discrete_space(space.dist, space.weights).n == 200
+    d = space.dist.copy()
+    d[0, 199] = d[199, 0] = 3.0 * d[0, 199]
+    with pytest.raises(ValidationError) as err:
+        build_discrete_space(d, space.weights)
+    assert str(err.value) == _triangle_k_loop(d)

@@ -1,13 +1,17 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conc_toolkit import suites
 from conc_toolkit.errors import DomainError
+from conc_toolkit.measures import DiscreteSpace
+from conc_toolkit.profiles import LOG2, conc_profile
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
 
 
@@ -204,3 +208,125 @@ def test_conc_te_equiv_leaves_scipy_unloaded():
         "report = run_suite('conc-te-equiv')\n"
         "print(report.passed, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert _fresh_python(script) == ["True", "[]"]
+
+
+@pytest.mark.parametrize("suite_id, key, value", [
+    ("going-down-exact", "trials", -1), ("going-down-exact", "trials", 0),
+    ("going-down-exact", "n_max", 1), ("going-down-exact", "n_max", 2),
+    ("going-down-exact", "trials", 2.5), ("going-down-exact", "trials", True),
+    ("w1-fm-exact", "trials", -1), ("w1-fm-exact", "n_max", 1),
+    ("te-jensen-pointwise", "trials_per_p", 0), ("te-jensen-pointwise", "trials_per_p", "3"),
+    ("bg-duality", "trials", -1), ("bg-duality", "n_max", 2),
+    ("bg-duality", "witness_cap", 0), ("bg-duality", "witness_cap", None),
+])
+def test_finite_suite_config_values_checked(suite_id, key, value):
+    """Counts are integers >= 1 and n_max leaves room for the smallest point
+    count the suite draws; anything else raises DomainError naming the key
+    before an instance is drawn."""
+    with pytest.raises(DomainError, match=f"config '{key}' must be an integer >= "):
+        run_suite(suite_id, {key: value})
+
+
+def test_finite_suite_config_floors_run():
+    """The least allowed values run."""
+    assert run_suite("going-down-exact", {"trials": 1, "n_max": 3}).passed
+    assert run_suite("w1-fm-exact", {"trials": 1, "n_max": 2}).passed
+    assert run_suite("te-jensen-pointwise", {"trials_per_p": 1}).passed
+    assert run_suite("bg-duality", {"trials": 1, "n_max": 3, "witness_cap": 1}).passed
+
+
+def _margins_loop(lhs_at, rhs_at, rs):
+    """going-down-exact's tally one radius at a time, as it ran before."""
+    worst, bad = math.inf, 0
+    for r in rs:
+        margin = lhs_at(r) - rhs_at(r)
+        if margin < -1e-9:
+            bad += 1
+        if math.isfinite(margin):
+            worst = min(worst, margin)
+    return bad, None if math.isinf(worst) else worst
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", range(6))
+def test_going_down_margins_equal_the_scalar_loop(seed):
+    """On instances drawn as the suite draws them, and on margins with
+    +-inf, inf - inf and NaN entries: the array tally counts and takes the
+    least finite margin as the loop did, without a warning."""
+    rng = np.random.default_rng(seed)
+    space, mu2, cap = suites._density_ratio_pair(rng, int(rng.integers(3, 11)))
+    k1 = conc_profile(space)
+    k2 = conc_profile(DiscreteSpace(dist=space.dist, weights=mu2))
+    above = k1.inputs[k1.values > LOG2 + cap]
+    r1 = float(above[0]) if above.size else float(space.diameter * (1 + 1e-9))
+    rs = np.concatenate([k1.inputs, 0.5 * (k1.inputs[:-1] + k1.inputs[1:]),
+                         [space.diameter * 1.5]])
+    want = _margins_loop(lambda r: k2.at(r + r1), lambda r: k1.at(r) - cap, rs)
+    assert suites._margin_tally(k2.at(rs + r1), k1.at(rs) - cap) == want
+    picks = np.array([math.inf, -math.inf, math.nan, 0.0, -1e-9, -2e-9, 1.5, -3.0])
+    lhs, rhs = rng.choice(picks, 40), rng.choice(picks, 40)
+    want = _margins_loop(lambda r: float(lhs[int(r)]), lambda r: float(rhs[int(r)]),
+                         np.arange(40.0))
+    assert suites._margin_tally(lhs, rhs) == want
+    inf = np.full(3, math.inf)
+    assert suites._margin_tally(inf, inf) == (0, None)
+
+
+def _bg_one_draw_at_a_time(config, seed):
+    """bg-duality judging one draw at a time, as it ran before its rounds:
+    the instances judged and the number of draws made."""
+    trials = config["trials"]
+    lam_grid = np.concatenate([np.geomspace(0.05, 1.0, 17), np.linspace(1.2, 6.0, 25)])
+    seeds = np.random.SeedSequence(seed).spawn(4 * trials)
+    instances, draw = [], 0
+    while len(instances) < trials and draw < 4 * trials:
+        drawn = suites._bg_draw(np.random.default_rng(seeds[draw]), lam_grid, config)
+        draw += 1
+        d_crit = suites._critical_rates([drawn[1].weights], [drawn[2]], drawn[-1][None],
+                                        lam_grid)[0]
+        inst = suites._bg_instance(drawn, float(d_crit), lam_grid, config)
+        if not inst["near_tie"]:
+            instances.append(inst)
+    return instances, draw
+
+
+@pytest.mark.parametrize("tie_tol, judged", [(0.5, 6), (50.0, 0)])
+def test_bg_rounds_judge_as_one_draw_at_a_time(tie_tol, judged):
+    """A wide tie band forces redraws, which run as later rounds (and, at
+    50, exhaust the 4 x trials draws): the rounds judge the same instances
+    in the same order and count the same redraws."""
+    config = dict(SUITE_DEFAULTS["bg-duality"], trials=6, tie_tol=tie_tol)
+    rep = run_suite("bg-duality", config, seed=3)
+    want, draws = _bg_one_draw_at_a_time(config, 3)
+    assert json.dumps(rep.instances) == json.dumps(want)
+    assert rep.summary["judged"] == judged == len(want)
+    assert rep.summary["redraws"] == draws - judged > 0
+    assert rep.passed == (judged == 6)
+
+
+FINITE_SUITES = ("going-down-exact", "w1-fm-exact", "te-jensen-pointwise",
+                 "conc-te-equiv", "bg-duality")
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference" / "summaries.json"
+
+
+def _agrees(got, want) -> bool:
+    """Floats to 1e-9 relative, everything else exactly."""
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(_agrees(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(_agrees(g, w) for g, w in zip(got, want)))
+    if isinstance(want, float) and isinstance(got, (int, float)) and not isinstance(got, bool):
+        return got == want or math.isclose(got, want, rel_tol=1e-9)
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_finite_summaries_match_the_bench_reference(seed):
+    """The five finite suites' summaries, as ``verify`` prints them, agree
+    with the benchmark's stored reference (read, never written)."""
+    want = json.loads(REFERENCE.read_text(encoding="utf-8"))[str(seed)]
+    for sid in FINITE_SUITES:
+        got = json.loads(json.dumps(run_suite(sid, seed=seed).summary, default=str))
+        assert _agrees(got, want[sid]), (sid, got, want[sid])

@@ -311,6 +311,20 @@ class TestDivergences:
         assert rep.h_nu_mu > 0.0
 
 
+    def test_measure_paired_with_weights_rejected(self, gamma2):
+        """A Measure1D pairs only with a Measure1D, in either order."""
+        for a, b in ((gamma2, np.array([0.5, 0.5])), (np.array([0.5, 0.5]), gamma2)):
+            with pytest.raises(ValidationError, match="not one of each"):
+                divergences(a, b)
+
+    def test_two_dimensional_weights_rejected(self):
+        w = np.full((2, 2), 0.25)
+        with pytest.raises(ValidationError, match="1-D"):
+            divergences(w, w)
+        with pytest.raises(ValidationError, match="numbers only"):
+            divergences(np.array(["a", "b"]), np.array([0.5, 0.5]))
+
+
 class TestTEEstimates:
     def test_two_point_weak_te_example(self):
         s = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
