@@ -593,7 +593,7 @@ class DiscreteSpace:
         d = _float_array(self.dist, "dist")
         w = _float_array(self.weights, "weights")
         for name, values in (("dist", d), ("weights", w)):
-            if not np.isfinite(values).all():
+            if not np.all(np.isfinite(values)):
                 raise ValidationError(f"{name} must hold finite numbers only")
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValidationError("distance matrix must be square")
@@ -602,17 +602,17 @@ class DiscreteSpace:
             raise ValidationError("weights length must match the point count")
         if np.abs(d - d.T).max(initial=0.0) > _SPACE_TOL:
             raise ValidationError("distance matrix must be symmetric")
-        if (np.abs(np.diag(d)) > _SPACE_TOL).any():
+        if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
             raise ValidationError("dist(i, i) must be 0")
         # the tolerated asymmetry and diagonal must not count: keep the upper
         # triangle, mirrored, on a copy (``d`` may be the caller's array)
         upper = np.triu(d, 1)
         d = upper + upper.T
-        off = d + np.eye(n)
-        if (off <= 0.0).any():
+        off = d + np.eye(n) * 1.0
+        if np.any(off <= 0.0):
             i, j = np.argwhere(off <= 0)[0]
             raise ValidationError(f"dist({i}, {j}) must be positive for i != j")
-        if (w < -_SPACE_TOL).any():
+        if np.any(w < -_SPACE_TOL):
             i = int(np.argmin(w))
             raise ValidationError(f"negative weight at point {i}")
         if abs(w.sum() - 1.0) > 1e-9:
@@ -624,7 +624,7 @@ class DiscreteSpace:
         for k0 in range(0, n, step):
             ks = slice(k0, k0 + step)
             slack = d - (d[:, ks].T[:, :, None] + d[ks, None, :])
-            if (slack > _SPACE_TOL).any():
+            if np.any(slack > _SPACE_TOL):
                 k, i, j = np.argwhere(slack > _SPACE_TOL)[0]
                 k += k0
                 raise ValidationError(

@@ -574,11 +574,16 @@ def tilt_measure_1d(mu: Measure1D, lam: float) -> Measure1D:
 
 def _distinct(rows: np.ndarray, mu: np.ndarray) -> list[np.ndarray]:
     """The rows, in order, that are 1e-12 away from mu in l1 and from every
-    row kept before them in max-abs, by one pairwise max-abs matrix."""
-    near = np.abs(rows[:, None] - rows[None]).max(axis=2) < 1e-12
+    row kept before them in max-abs.  Each block of rows is compared with
+    the rows up to it in one max-abs array of at most 2^16 entries (or one
+    row's worth, rows x n), so no rows x rows x n temporary is built."""
+    count, n = rows.shape
     keep = ~(np.abs(rows - mu).sum(axis=1) < 1e-12)
-    for k in range(len(rows)):
-        keep[k] &= not (near[k, :k] & keep[:k]).any()
+    step = max(1, 2**16 // (count * n))
+    for k0 in range(0, count, step):
+        near = np.abs(rows[k0:k0 + step, None] - rows[None, :k0 + step]).max(axis=2) < 1e-12
+        for k in range(k0, min(k0 + step, count)):
+            keep[k] &= not (near[k - k0, :k] & keep[:k]).any()
     return list(rows[keep])
 
 
