@@ -177,10 +177,13 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
 
     ``mu`` is a Measure1D (f = node values; exact for the grid model) or a
     weight vector (f = point values).  lam may be a scalar or array.
-    L(0) = 0 identically and L is convex in lam.
+    L(0) = 0 identically and L is convex in lam.  Weights must be finite
+    and nonnegative (ValidationError), and every lam finite (DomainError).
     """
     lam = np.asarray(lam, dtype=float)
     f = np.asarray(f, dtype=float)
+    if not np.all(np.isfinite(lam)):
+        raise DomainError("lam must be finite")
     if not np.all(np.isfinite(f)):
         raise ValidationError("integrand values must be finite")
     if isinstance(mu, Measure1D):
@@ -189,6 +192,8 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
         w = np.asarray(mu, dtype=float)
         if w.shape != f.shape:
             raise ValidationError("weights and values must be equal length")
+        if not np.all((w >= 0) & np.isfinite(w)):
+            raise ValidationError("weights must be finite and nonnegative")
         from scipy.special import logsumexp
 
         logw = np.log(np.maximum(w, 1e-300)).ravel()

@@ -87,12 +87,13 @@ def _e2(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     small = np.abs(u) < 1e-2
     out = np.empty_like(u)
-    # each form only on its own elements: the series' powers cost more
-    # than the closed form
+    # each form only on its own elements; the series' powers are products,
+    # since numpy's pow for s**3 and s**4 costs more than the closed form
     d = u[~small]
     out[~small] = (1.0 - (1.0 + d) * np.exp(-d)) / (d * d)
     s = u[small]
-    out[small] = 0.5 - s / 3.0 + s * s / 8.0 - s**3 / 30.0 + s**4 / 144.0
+    s2 = s * s
+    out[small] = 0.5 - s / 3.0 + s2 / 8.0 - s2 * s / 30.0 + s2 * s2 / 144.0
     return out
 
 

@@ -178,6 +178,8 @@ def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
         hi *= 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # converged: later steps change nothing
+            break
         if attained(mid) < target_d:
             lo = mid
         else:
@@ -712,19 +714,19 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 }
 
 # per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
-# run in a fresh process with the scipy modules it imports on first use
-# (median of 5; run_suites starts the longest first); the finite suites'
-# times are from after their array rewrite, the line suites' are older
+# run in a fresh process, imports on first use included (median of 5;
+# run_suites starts the longest first); the finite suites' times date from
+# their array rewrite, the line suites' from the scipy-free eigensolve
 _SUITES: dict[str, tuple[Callable, float]] = {
     "going-down-exact": (_suite_going_down_exact, 0.21),
     "w1-fm-exact": (_suite_w1_fm_exact, 0.17),
     "te-jensen-pointwise": (_suite_te_jensen, 0.26),
-    "iso-stability-shape": (_suite_iso_stability_shape, 0.51),
-    "logsob-stability": (_suite_logsob_stability, 1.02),
-    "w1-stability-chain": (_suite_w1_stability_chain, 0.19),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.43),
+    "logsob-stability": (_suite_logsob_stability, 0.42),
+    "w1-stability-chain": (_suite_w1_stability_chain, 0.20),
     "conc-te-equiv": (_suite_conc_te_equiv, 0.20),
-    "te-equiv-shape": (_suite_te_equiv_shape, 0.39),
-    "hierarchy-gamma-p": (_suite_hierarchy, 0.32),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.26),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.14),
     "bg-duality": (_suite_bg_duality, 0.43),
 }
 

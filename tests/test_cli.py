@@ -1,13 +1,8 @@
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import conc_toolkit
 from conc_toolkit.cli import dispatch
 
 
@@ -221,45 +216,37 @@ def test_plot_non_numeric_profile_value_exits_2(tmp_path, capsys):
                                "--out", str(tmp_path / "x.svg")])
 
 
-def test_one_d_commands_do_not_import_scipy(tmp_path):
-    """scipy is imported where it is called: neither the CLI's import nor a
-    1-D profile loads it (a fresh interpreter, so no other test's imports
-    count)."""
-    src = str(Path(conc_toolkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+def test_one_d_commands_do_not_import_scipy(tmp_path, fresh_python):
+    """scipy is imported where it is called: neither the CLI's import, nor
+    a 1-D profile, nor a line measure's constants (whose Poincare gap is a
+    Sturm bisection) load any scipy module."""
     script = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
+        "from conc_toolkit.cli import dispatch\n"
+        "def run(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return dispatch(list(args))\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "from conc_toolkit.cli import dispatch\n"
         "print(scipy_modules())\n"
-        "rc = dispatch(['profile', 'iso', '--preset', 'gamma_p', '--p', '1.5',\n"
-        "               '--out', sys.argv[1]])\n"
-        "print(rc, scipy_modules())\n")
-    out = subprocess.run([sys.executable, "-c", script, str(tmp_path / "iso.csv")],
-                         env=env, capture_output=True, text=True, check=True, timeout=120)
-    lines = out.stdout.splitlines()
-    assert (lines[0], lines[-1]) == ("[]", "0 []")
+        "print(run('profile', 'iso', '--preset', 'gamma_p', '--p', '1.5',\n"
+        f"          '--out', {str(tmp_path / 'iso.csv')!r}), scipy_modules())\n"
+        "print(run('constants', 'all', '--preset', 'gamma_p', '--p', '2',\n"
+        f"          '--out', {str(tmp_path / 'consts.json')!r}), scipy_modules())\n")
+    assert fresh_python(script) == ["[]", "0", "[]", "0", "[]"]
 
 
-def test_verify_finite_suites_do_not_import_scipy():
+def test_verify_finite_suites_do_not_import_scipy(fresh_python):
     """The finite-space suites run on numpy alone: the vertex walk, the
     line metric's closed forms and the numpy transportation simplex leave
     every scipy module unloaded in a fresh interpreter."""
-    src = str(Path(conc_toolkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    env.pop("CONC_TOOLKIT_JOBS", None)
     script = (
         "import sys\n"
         "from conc_toolkit.cli import dispatch\n"
         "rc = dispatch(['verify', 'going-down-exact', 'w1-fm-exact', 'te-jensen-pointwise',\n"
         "               'conc-te-equiv', 'bg-duality', '--seed', '7', '--jobs', '1'])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    assert fresh_python(script)[-2:] == ["0", "[]"]
 
 
 def _measure_args(tmp_path, args):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conc_toolkit import functional
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.functional import (
     GridFunction,
     _exp_family_ratio,
+    _second_eigenvalue,
     functional_inequality_eval,
     logsob_constant_1d,
     poincare_constant_1d,
@@ -54,6 +56,75 @@ class TestPoincare:
         m = build_measure_1d(grid=xs, potential=xs**2 / 2)
         with pytest.raises(DomainError):
             poincare_constant_1d(m)
+
+
+EPS = np.finfo(float).eps
+
+
+def _norm1(d, e):
+    """||T||_1 of the symmetric tridiagonal matrix (d, e)."""
+    return float(np.max(np.abs(d) + np.abs(np.append(e, 0.0))
+                        + np.abs(np.insert(e, 0, 0.0))))
+
+
+@pytest.fixture(scope="module")
+def gamma_p_tridiagonals():
+    """The 8 (d, e) pairs poincare_constant_1d solves on gamma_p,
+    p in {1, 1.5, 2, 3}, 8,192 points: each fine grid and its coarsening."""
+    seen, solve = [], functional._second_eigenvalue
+
+    def record(d, e):
+        seen.append((d, e))
+        return solve(d, e)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(functional, "_second_eigenvalue", record)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            poincare_constant_1d(build_measure_1d(preset="gamma_p", p=p, n_points=8192))
+    return seen
+
+
+def _random_tridiagonal(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 201))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    d, e = rng.normal(0.0, scale, n), rng.normal(0.0, scale, n - 1)
+    if seed % 3 == 0:
+        e[rng.random(n - 1) < 0.2] = 0.0  # the matrix splits into blocks
+    if seed % 5 == 0:
+        d = np.round(d)  # repeated diagonal entries
+    return d, e
+
+
+def test_second_eigenvalue_agrees_with_lapack_bisection(gamma_p_tridiagonals):
+    """Against dstebz (scipy, a test-only oracle), whose own tolerance is
+    ulp * ||T||_1: on the gamma_p matrices and on random tridiagonals."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    pairs = gamma_p_tridiagonals + [_random_tridiagonal(s) for s in range(100)]
+    assert [d.size for d, _ in gamma_p_tridiagonals] == [8191, 4095] * 4
+    for d, e in pairs:
+        want = eigvalsh_tridiagonal(d, e, select="i", select_range=(1, 1))[0]
+        got = _second_eigenvalue(d, e)
+        assert abs(got - want) <= EPS * _norm1(d, e) + 4 * EPS * abs(want)
+
+
+def test_second_eigenvalue_agrees_with_a_dense_eigensolve():
+    """Against numpy's dense eigvalsh, backward stable to about
+    n * ulp * ||T||, for n <= 200."""
+    for seed in range(100):
+        d, e = _random_tridiagonal(seed)
+        want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[1]
+        assert abs(_second_eigenvalue(d, e) - want) <= d.size * EPS * _norm1(d, e)
+
+
+@pytest.mark.parametrize("bad", ["d", "e"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_second_eigenvalue_rejects_non_finite_entries(bad, value):
+    d, e = np.full(5, 2.0), np.full(4, -1.0)
+    (d if bad == "d" else e)[2] = value
+    with pytest.raises(ValidationError, match="finite"):
+        _second_eigenvalue(d, e)
 
 
 class TestLogSobolev:

@@ -61,6 +61,19 @@ class TestLogLaplace:
         assert slope == pytest.approx(gamma2.integrate_nodes(f), abs=1e-8)
 
 
+    @pytest.mark.parametrize("bad", [-0.1, np.nan, np.inf])
+    def test_rejects_a_negative_or_non_finite_weight(self, bad):
+        with pytest.raises(ValidationError, match="weights"):
+            log_laplace(np.array([0.5, 0.5 - bad, bad]), np.array([0.0, 1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_lam(self, gamma2, lam):
+        with pytest.raises(DomainError, match="lam"):
+            log_laplace(np.array([0.3, 0.7]), np.array([0.0, 1.0]), lam)
+        with pytest.raises(DomainError, match="lam"):
+            log_laplace(gamma2, np.tanh(gamma2.grid), [0.5, lam])
+
+
 class TestGibbs:
     def test_zero_psi(self):
         chk = gibbs_check(np.array([0.5, 0.5]), np.zeros(2))

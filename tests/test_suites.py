@@ -1,8 +1,5 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,28 +158,22 @@ def test_run_suites_worker_count(monkeypatch):
         run_suites(ids, jobs=0)
 
 
-def _fresh_python(script: str) -> list[str]:
-    """Words the script prints in a fresh interpreter running this package,
-    so no other test's imports count."""
-    src = str(Path(suites.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True, timeout=120).stdout.split()
-
-
-def test_line_suites_in_workers_leave_scipy_optimize_unloaded():
-    """run_suites imports no scipy module before it forks, and these line
-    suites need no LP solver: scipy.optimize stays out of the parent."""
+def test_line_suites_in_workers_leave_scipy_optimize_unloaded(fresh_python):
+    """run_suites imports no scipy module before it forks, and the line
+    suites need none: no LP solver, and hierarchy-gamma-p's Poincare gap is
+    a Sturm bisection.  No scipy module loads in the parent or in-process."""
     script = (
         "import sys\n"
-        "from conc_toolkit.suites import run_suites\n"
+        "from conc_toolkit.suites import run_suite, run_suites\n"
+        "def scipy():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "reports = run_suites(['w1-stability-chain', 'hierarchy-gamma-p'], jobs=2)\n"
-        "print(all(r.passed for r in reports), 'scipy.optimize' in sys.modules)\n")
-    assert _fresh_python(script) == ["True", "False"]
+        "print(all(r.passed for r in reports), scipy())\n"
+        "print(run_suite('hierarchy-gamma-p').passed, scipy())\n")
+    assert fresh_python(script) == ["True", "[]", "True", "[]"]
 
 
-def test_vertex_suites_leave_scipy_unloaded():
+def test_vertex_suites_leave_scipy_unloaded(fresh_python):
     """w1-fm-exact and bg-duality take their exact values from the Lipschitz
     vertex walk, which is numpy alone: run_suites imports no scipy module
     before it forks, and neither suite loads one in-process."""
@@ -196,10 +187,10 @@ def test_vertex_suites_leave_scipy_unloaded():
         "reports = [run_suite('w1-fm-exact', {'trials': 10}),\n"
         "           run_suite('bg-duality', {'trials': 5})]\n"
         "print(all(r.passed for r in reports), scipy())\n")
-    assert _fresh_python(script) == ["True", "[]", "True", "[]"]
+    assert fresh_python(script) == ["True", "[]", "True", "[]"]
 
 
-def test_conc_te_equiv_leaves_scipy_unloaded():
+def test_conc_te_equiv_leaves_scipy_unloaded(fresh_python):
     """conc-te-equiv's atoms lie on a line, where W_1 and its KR potential
     have closed forms: the suite solves no LP and loads no scipy module."""
     script = (
@@ -207,7 +198,7 @@ def test_conc_te_equiv_leaves_scipy_unloaded():
         "from conc_toolkit.suites import run_suite\n"
         "report = run_suite('conc-te-equiv')\n"
         "print(report.passed, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    assert _fresh_python(script) == ["True", "[]"]
+    assert fresh_python(script) == ["True", "[]"]
 
 
 @pytest.mark.parametrize("suite_id, key, value", [
