@@ -189,15 +189,16 @@ def _exp_family_ratio(mu: Measure1D, lam: float) -> float:
 
     log M(lam) and the mean of the tilted measure come from one pass over
     the cells, in the expressions (and order) of ``Measure1D.log_mgf_nodes``,
-    ``Measure1D.__post_init__`` and ``Measure1D.partial_moment``, so they
-    are the floats those give without a tilted ``Measure1D`` being built.
+    ``measures._cells`` (which ``Measure1D.__post_init__`` uses) and
+    ``Measure1D.partial_moment``, so they are the floats those give without
+    a tilted ``Measure1D`` being built.
     """
-    shift, v_left, slopes, m0 = mu._tilted_cells(mu.grid, lam)
+    shift, shifted, slopes, m0 = mu._tilted_cells(mu.grid, lam)
     z_u = float(m0.sum())
     if not math.isfinite(z_u) or z_u <= 0.0:
         raise ValidationError("non-integrable potential: mass diverges on grid")
     log_m = math.log(z_u) - shift - mu.log_z
-    m1 = _cell_partial_moment(v_left, slopes, mu._widths)
+    m1 = _cell_partial_moment(shifted[:-1], slopes, mu._widths)
     mean_tilted = float(np.sum(mu.grid[:-1] * m0 + m1) / z_u)
     ent = lam * mean_tilted - log_m  # Ent(e^{lam x}) / int e^{lam x} dmu
     if ent <= 0:

@@ -72,7 +72,8 @@ class _PhiBound:
     def phi_at(self, x) -> np.ndarray:
         return np.interp(np.asarray(x, dtype=float), self.phi_x, self.phi_vals)
 
-    def phi_inv_at(self, y: float) -> float:
+    def phi_inv_at(self, y) -> float | np.ndarray:
+        """Phi^{-1}(y) per y: a float for a scalar, else an array."""
         return invert_monotone(self.phi_x, self.phi_vals, y)
 
 
@@ -190,14 +191,11 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
         out = [mu.log_mgf_nodes(f, la) for la in lam.ravel()]
     else:
         w = np.asarray(mu, dtype=float)
-        if w.shape != f.shape:
-            raise ValidationError("weights and values must be equal length")
+        if w.shape != f.shape or w.size == 0:
+            raise ValidationError("weights and values must be equal length, and nonempty")
         if not np.all((w >= 0) & np.isfinite(w)):
             raise ValidationError("weights must be finite and nonnegative")
-        from scipy.special import logsumexp
-
-        logw = np.log(np.maximum(w, 1e-300)).ravel()
-        out = logsumexp(lam.reshape(-1, 1) * f.ravel() + logw, axis=1)
+        out = _lse_scores(lam.ravel(), f.reshape(-1, 1), np.log(np.maximum(w, 1e-300)).ravel())
     return _shaped(lam, out)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -109,6 +110,15 @@ def _cell_partial_moment(v0, b, t):
     return np.exp(-np.asarray(v0, dtype=float)) * t * t * _e2(np.asarray(b) * t)
 
 
+def _cells(potential: np.ndarray, widths: np.ndarray):
+    """(shift, potential - shift, slopes, unnormalised masses) of the
+    exp-linear cells of a piecewise-linear potential, shifted to minimum 0."""
+    shift = float(potential.min())
+    shifted = potential - shift
+    slopes = np.diff(potential) / widths
+    return shift, shifted, slopes, _cell_partial_mass(shifted[:-1], slopes, widths)
+
+
 def _scaled_target(v, target):
     """target * exp(v) computed in log space so that huge potentials with
     correspondingly tiny targets cannot overflow."""
@@ -184,10 +194,7 @@ class Measure1D:
         object.__setattr__(self, "potential", pot)
 
         widths = np.diff(grid)
-        slopes = np.diff(pot) / widths
-        v_shift = float(pot.min())
-        shifted = pot - v_shift
-        cell_mass_u = _cell_partial_mass(shifted[:-1], slopes, widths)
+        v_shift, shifted, slopes, cell_mass_u = _cells(pot, widths)
         z_u = float(cell_mass_u.sum())
         if not math.isfinite(z_u) or z_u <= 0.0:
             raise ValidationError("non-integrable potential: mass diverges on grid")
@@ -376,15 +383,11 @@ class Measure1D:
         return math.log(total) - shift - self.log_z
 
     def _tilted_cells(self, values: np.ndarray, lam: float):
-        """(shift, left potentials, slopes, unnormalized masses) of the cells
-        under the tilted potential V - lam * values, shifted to minimum 0."""
+        """``_cells`` of the tilted potential V - lam * values."""
         tilted = self.potential - lam * values
         if not np.all(np.isfinite(tilted)):
             raise ValidationError("tilted potential has nonfinite values")
-        shift = float(tilted.min())
-        v_left = tilted[:-1] - shift
-        slopes = np.diff(tilted) / self._widths
-        return shift, v_left, slopes, _cell_partial_mass(v_left, slopes, self._widths)
+        return _cells(tilted, self._widths)
 
     # -- serialization -------------------------------------------------------
 
@@ -497,6 +500,10 @@ def build_measure_1d(
     raise ValidationError(f"unknown preset {preset!r}")
 
 
+# the keywords each derive mode requires
+_DERIVE_KEYS = {"density-ratio": ("phi", "cap"), "restrict": ("a", "b"), "translate": ("t",)}
+
+
 def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
     """Derive a perturbed measure from ``mu1``.
 
@@ -510,6 +517,11 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
         keeps the certificate.
     ``translate``: shift the support by ``t``.
     """
+    if mode not in _DERIVE_KEYS:
+        raise ValidationError(f"unknown derive mode {mode!r}")
+    missing = [key for key in _DERIVE_KEYS[mode] if key not in kwargs]
+    if missing:
+        raise ValidationError(f"derive mode {mode!r} requires {', '.join(missing)}")
     if mode == "density-ratio":
         phi = np.asarray(kwargs["phi"], dtype=float)
         cap = float(kwargs["cap"])
@@ -517,19 +529,16 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
             raise DomainError(f"cap D must be finite, got {cap}")
         if phi.shape != mu1.grid.shape:
             raise ValidationError("phi must be tabulated on the same grid")
-        mu2 = Measure1D(grid=mu1.grid.copy(), potential=mu1.potential - phi,
-                        provenance={})
         # sup log(d mu2/d mu1) = sup phi - log int e^phi d mu1
-        shift = float(np.max(phi))
-        log_norm = mu1.log_mgf_nodes(phi, 1.0)
-        attained = shift - log_norm
+        attained = float(np.max(phi)) - mu1.log_mgf_nodes(phi, 1.0)
         if attained > cap + 1e-9:
             raise ValidationError(
                 f"density-ratio cap violated after normalization: "
                 f"attained {attained:.6g} > D = {cap:.6g}")
-        prov = {"source": "density-ratio", "cap": cap, "attained": float(attained),
+        prov = {"source": "density-ratio", "cap": cap, "attained": attained,
                 "parent": mu1.provenance}
-        return Measure1D(grid=mu2.grid, potential=mu2.potential, provenance=prov)
+        return Measure1D(grid=mu1.grid.copy(), potential=mu1.potential - phi,
+                         provenance=prov)
 
     if mode == "restrict":
         a = float(kwargs["a"])
@@ -550,15 +559,12 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
                 "parent": mu1.provenance}
         return Measure1D(grid=xs, potential=vs, provenance=prov)
 
-    if mode == "translate":
-        t = float(kwargs["t"])
-        if not math.isfinite(t):
-            raise DomainError(f"translation t must be finite, got {t}")
-        prov = {"source": "translate", "t": t, "parent": mu1.provenance}
-        return Measure1D(grid=mu1.grid + t, potential=mu1.potential.copy(),
-                         provenance=prov)
-
-    raise ValidationError(f"unknown derive mode {mode!r}")
+    t = float(kwargs["t"])  # translate
+    if not math.isfinite(t):
+        raise DomainError(f"translation t must be finite, got {t}")
+    prov = {"source": "translate", "t": t, "parent": mu1.provenance}
+    return Measure1D(grid=mu1.grid + t, potential=mu1.potential.copy(),
+                     provenance=prov)
 
 
 def check_semi_convexity(mu: Measure1D, kappa: float) -> tuple[bool, float, float]:
@@ -673,8 +679,8 @@ def atomize_1d(mu: Measure1D, m: int) -> tuple[np.ndarray, np.ndarray]:
     two measures atomized at the same levels agree with the continuum
     values to within the (rare) sign-straddling cells.
     """
-    if m < 2:
-        raise DomainError("need at least 2 atoms")
+    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
+        raise DomainError(f"need an integer number of atoms >= 2, got {m!r}")
     edges = mu.quantile(np.linspace(0.0, 1.0, m + 1))
     edges[0], edges[-1] = mu.support
     pos = np.empty(m)

@@ -121,23 +121,26 @@ class Profile:
         return float(self.inputs[0]), float(self.inputs[-1])
 
 
-def invert_monotone(xs: np.ndarray, ys: np.ndarray, target: float) -> float:
-    """Leftmost x with ys(x) = target for a nondecreasing table ys."""
+def invert_monotone(xs: np.ndarray, ys: np.ndarray, target) -> float | np.ndarray:
+    """Leftmost x with ys(x) = target for a nondecreasing table ys, per
+    target (a float for a scalar target, else an array of its shape); one
+    within 1e-15 below a node, at or below ys[0] or on a flat run maps to it."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if target < ys[0] - 1e-12 or target > ys[-1] + 1e-12:
+    target = np.asarray(target, dtype=float)
+    outside = (target < ys[0] - 1e-12) | (target > ys[-1] + 1e-12)
+    if np.any(outside):
         raise DomainError(
-            f"inversion target {target:.6g} outside table range "
+            f"inversion target {target[outside][0]:.6g} outside table range "
             f"[{ys[0]:.6g}, {ys[-1]:.6g}]")
-    idx = int(np.searchsorted(ys, target, side="left"))
-    idx = min(idx, ys.size - 1)
-    if ys[idx] <= target + 1e-15 or idx == 0:
-        return float(xs[idx])
-    y0, y1 = ys[idx - 1], ys[idx]
-    if y1 <= y0:
-        return float(xs[idx])
-    t = (target - y0) / (y1 - y0)
-    return float(xs[idx - 1] + t * (xs[idx] - xs[idx - 1]))
+    idx = np.minimum(np.searchsorted(ys, target, side="left"), ys.size - 1)
+    lo = np.maximum(idx - 1, 0)
+    y0, y1 = ys[lo], ys[idx]
+    snap = (y1 <= target + 1e-15) | (idx == 0) | (y1 <= y0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # only where snapped
+        t = (target - y0) / (y1 - y0)
+        out = np.where(snap, xs[idx], xs[lo] + t * (xs[idx] - xs[lo]))
+    return _shaped(target, out)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +495,8 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
     certified = profile.exactness == "exact"
     quality = "certified" if certified else "heuristic"
     if template == "p-exp-conc":
-        if p is None:
-            raise DomainError("p-exp-conc template requires p")
+        if p is None or not (1.0 <= p < math.inf):
+            raise DomainError(f"p-exp-conc template requires a finite p >= 1, got {p}")
         mask = (profile.inputs > 0) & np.isfinite(profile.values)
         if not np.any(mask):
             raise DomainError("no usable grid points in the profile")

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+from .errors import ValidationError
+
 __all__ = ["ConstantEntry", "ConstantsReport"]
 
 _DIRECTIONS = ("upper", "lower", "two-sided")
@@ -35,7 +37,7 @@ class ConstantEntry:
 
     def __post_init__(self) -> None:
         if self.direction not in _DIRECTIONS:
-            raise ValueError(f"direction must be one of {_DIRECTIONS}")
+            raise ValidationError(f"direction {self.direction!r} is not one of {_DIRECTIONS}")
 
     def to_json_dict(self) -> dict[str, Any]:
         return {

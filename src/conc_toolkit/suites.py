@@ -26,7 +26,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import Any, Callable
 
 import numpy as np
@@ -129,10 +129,7 @@ def _density_ratio_pair(rng: np.random.Generator, n: int,
     """(space with mu1 weights, mu2 weights, attained log-ratio cap D)."""
     space = _random_space(rng, n)
     phi = rng.normal(scale=rng.uniform(0.2, 1.5), size=n)
-    logw = phi + np.log(space.weights)
-    logw -= logw.max()
-    mu2 = np.exp(logw)
-    mu2 /= mu2.sum()
+    mu2 = gibbs_tilt_discrete(space.weights, phi, 1.0)
     with np.errstate(divide="ignore"):
         cap = float(np.max(np.log(mu2 / space.weights)))
     return space, mu2, cap
@@ -169,9 +166,9 @@ def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
     cap close to target_d: tilt by -a |x - t| and bisect on a."""
     t = float(rng.uniform(*mu.quantile(np.array([0.2, 0.8]))))
 
+    @cache  # an early stop leaves a_star at an endpoint already evaluated
     def attained(a: float) -> float:
-        phi = -a * np.abs(mu.grid - t)
-        return -mu.log_mgf_nodes(phi, 1.0)
+        return -mu.log_mgf_nodes(-a * np.abs(mu.grid - t), 1.0)
 
     lo, hi = 0.0, 1.0
     while attained(hi) < target_d and hi < 1e4:
@@ -185,10 +182,9 @@ def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
         else:
             hi = mid
     a_star = 0.5 * (lo + hi)
-    phi = -a_star * np.abs(mu.grid - t)
     cap = attained(a_star)
-    mu2 = derive_measure(mu, "density-ratio", phi=phi, cap=cap + 1e-9)
-    return mu2, float(cap)
+    return derive_measure(mu, "density-ratio", phi=-a_star * np.abs(mu.grid - t),
+                          cap=cap + 1e-9), cap
 
 
 # ---------------------------------------------------------------------------
@@ -205,57 +201,45 @@ def _margin_tally(lhs: np.ndarray, rhs: np.ndarray) -> tuple[int, float | None]:
     return bad, float(finite.min()) if finite.size else None
 
 
-def _suite_going_down_exact(config, seed):
-    trials = config["trials"]
-    n_max = config["n_max"]
-    seeds = np.random.SeedSequence(seed).spawn(trials)
-
-    def one(idx: int) -> dict:
-        rng = np.random.default_rng(seeds[idx])
-        n = int(rng.integers(3, n_max + 1))
-        space, mu2, cap = _density_ratio_pair(rng, n)
-        k1 = conc_profile(space)
-        k2 = conc_profile(DiscreteSpace(dist=space.dist, weights=mu2))
-        above = k1.inputs[k1.values > LOG2 + cap]
-        r1 = float(above[0]) if above.size else float(space.diameter * (1 + 1e-9))
-        rs = np.concatenate([k1.inputs,
-                             0.5 * (k1.inputs[:-1] + k1.inputs[1:]),
-                             [space.diameter * 1.5]])
-        bad, worst = _margin_tally(k2.at(rs + r1), k1.at(rs) - cap)
-        return {"n": n, "cap": cap, "r1": r1, "violations": bad,
-                "worst_margin": worst}
-
-    instances = [one(i) for i in range(trials)]
+def _exact_trials(one: Callable, config, seed):
+    """An exact finite suite: ``one(rng, n_max)`` once per trial, each on
+    its own child of the seed's sequence, and the violations they report."""
+    instances = [one(np.random.default_rng(s), config["n_max"])
+                 for s in np.random.SeedSequence(seed).spawn(config["trials"])]
     violations = sum(i["violations"] for i in instances)
-    summary = {"violations": violations, "trials": trials}
+    summary = {"violations": violations, "trials": config["trials"]}
     return instances, summary, violations == 0
 
 
-def _suite_w1_fm_exact(config, seed):
-    trials = config["trials"]
-    n_max = config["n_max"]
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+def _going_down_instance(rng: np.random.Generator, n_max: int) -> dict:
+    n = int(rng.integers(3, n_max + 1))
+    space, mu2, cap = _density_ratio_pair(rng, n)
+    k1 = conc_profile(space)
+    k2 = conc_profile(DiscreteSpace(dist=space.dist, weights=mu2))
+    above = k1.inputs[k1.values > LOG2 + cap]
+    r1 = float(above[0]) if above.size else float(space.diameter * (1 + 1e-9))
+    rs = np.concatenate([k1.inputs,
+                         0.5 * (k1.inputs[:-1] + k1.inputs[1:]),
+                         [space.diameter * 1.5]])
+    bad, worst = _margin_tally(k2.at(rs + r1), k1.at(rs) - cap)
+    return {"n": n, "cap": cap, "r1": r1, "violations": bad,
+            "worst_margin": worst}
 
-    def one(idx: int) -> dict:
-        rng = np.random.default_rng(seeds[idx])
-        n = int(rng.integers(2, n_max + 1))
-        space = _random_space(rng, n)
-        mu2 = _random_probability(rng, n)
-        # one vertex enumeration serves both first-moment values and W_1
-        pinned = _pinned_lipschitz_vertices(space)
-        verts = _recentred(pinned, space.weights)
-        inv1, _ = _first_moment_exact(verts, space.weights)
-        inv2, _ = _first_moment_exact(_recentred(pinned, mu2), mu2)
-        # W_1 by Kantorovich-Rubinstein duality, as in bg-duality's te_term
-        w1 = float(np.max(verts @ (mu2 - space.weights)))
-        gap = abs(inv2 - inv1) - w1
-        return {"n": n, "one_over_d_1": inv1, "one_over_d_2": inv2,
-                "w1": w1, "slack": -gap, "violations": int(gap > 1e-9)}
 
-    instances = [one(i) for i in range(trials)]
-    violations = sum(i["violations"] for i in instances)
-    summary = {"violations": violations, "trials": trials}
-    return instances, summary, violations == 0
+def _w1_fm_instance(rng: np.random.Generator, n_max: int) -> dict:
+    n = int(rng.integers(2, n_max + 1))
+    space = _random_space(rng, n)
+    mu2 = _random_probability(rng, n)
+    # one vertex enumeration serves both first-moment values and W_1
+    pinned = _pinned_lipschitz_vertices(space)
+    verts = _recentred(pinned, space.weights)
+    inv1, _ = _first_moment_exact(verts, space.weights)
+    inv2, _ = _first_moment_exact(_recentred(pinned, mu2), mu2)
+    # W_1 by Kantorovich-Rubinstein duality, as in bg-duality's _te_margins
+    w1 = float(np.max(verts @ (mu2 - space.weights)))
+    gap = abs(inv2 - inv1) - w1
+    return {"n": n, "one_over_d_1": inv1, "one_over_d_2": inv2,
+            "w1": w1, "slack": -gap, "violations": int(gap > 1e-9)}
 
 
 def _suite_te_jensen(config, seed):
@@ -565,6 +549,18 @@ def _gain_order(verts: np.ndarray, tilts: np.ndarray, mu: np.ndarray,
     return np.argsort(-(rate * gain), kind="stable")
 
 
+def _te_margins(nus, mu: np.ndarray, verts: np.ndarray, rate: float,
+                base: LaplaceBound) -> tuple[np.ndarray, np.ndarray]:
+    """Margins rate W_1(nu, mu) - Phi^{-1}(H + delta) - eps of the witnesses
+    nu (probability vectors) with finite H = H(nu | mu), in witness order,
+    and those H.  W_1 is the Kantorovich-Rubinstein max of <f, nu - mu> over
+    the vertices, one matvec per witness: a batched matmul rounds differently."""
+    h = np.array([_kl_discrete(nu, mu) for nu in nus])
+    finite = np.isfinite(h)
+    w1 = np.array([np.max(verts @ (nu - mu)) for nu, keep in zip(nus, finite) if keep])
+    return rate * w1 - base.phi_inv_at(h[finite] + base.delta) - base.eps, h[finite]
+
+
 def _bg_draw(rng: np.random.Generator, lam_grid: np.ndarray, config) -> tuple:
     """A bg-duality instance up to its critical rate, as (rng, space, verts,
     a, quadratic, base, rhs): the generator, which draws the rest, a random
@@ -588,7 +584,7 @@ def _bg_draw(rng: np.random.Generator, lam_grid: np.ndarray, config) -> tuple:
 def _bg_instance(drawn: tuple, d_crit: float, lam_grid: np.ndarray,
                  config) -> dict[str, Any]:
     rng, space, verts, a, quadratic, base, rhs = drawn
-    n, mu, eps, delta = space.n, space.weights, base.eps, base.delta
+    n, mu, delta = space.n, space.weights, base.delta
     factor = float(rng.uniform(0.6, 1.6))
     rate = d_crit * factor
 
@@ -598,55 +594,38 @@ def _bg_instance(drawn: tuple, d_crit: float, lam_grid: np.ndarray,
 
     # transport-entropy side over the Gibbs witnesses of the same (f, lam)
     # grid plus the point masses, with exact W_1
-    te_margin = -math.inf
     tilts = gibbs_tilt_discrete(mu, verts[:, None, :],
                                 np.asarray(config["witness_lams"])[:, None] * rate)
     top = _gain_order(verts, tilts, mu, rate)[: config["witness_cap"]]
-    witnesses = list(tilts.reshape(-1, n)[top])
     # targeted witnesses: the Gibbs tilts realizing the variational identity
     # at the most-violating Laplace grid points (these are exactly the
     # measures the duality proof constructs from a Laplace failure)
     worst = np.argsort(rhs - sup)[:3]
-    witnesses += list(gibbs_tilt_discrete(mu, arg_f[worst], lam_grid[worst, None] * rate))
-    witnesses += list(np.eye(n))  # point masses
-    def te_term(nu: np.ndarray, h: float) -> float:
-        # W_1 by Kantorovich-Rubinstein duality: the max of <f, nu - mu>
-        # over the polytope's vertices, no LP
-        w1 = float(np.max(verts @ (nu - mu)))
-        return rate * w1 - base.phi_inv_at(h + delta) - eps
-
-    # H(nu | mu) straight from _kl_discrete: the witnesses are probability
-    # vectors built here, and divergences' checks, H(mu | nu) and TV go unread
-    binding_h = []
-    for nu in witnesses:
-        h = _kl_discrete(nu, mu)
-        if not math.isfinite(h):
-            continue
-        margin = te_term(nu, h)
-        binding_h.append((margin, h))
-        te_margin = max(te_margin, margin)
+    witnesses = np.concatenate([
+        tilts.reshape(-1, n)[top],
+        gibbs_tilt_discrete(mu, arg_f[worst], lam_grid[worst, None] * rate),
+        np.eye(n)])  # point masses
+    margins, h = _te_margins(witnesses, mu, verts, rate, base)
+    te_margin = float(np.max(margins, initial=-math.inf))
 
     # second exchange round: a transport-entropy failure at entropy H
     # forces a Laplace failure at the Young-equality frequency lam*(H +
     # delta), and a Laplace failure found there in turn names a new Gibbs
     # witness; after this round each side has seen the other's binding
     # frequencies and the fail/fail agreement is forced by the duality.
-    binding_h.sort(key=lambda t: -t[0])
-    lam_extra = []
-    for _, h in binding_h[:3]:
-        y = h + delta
-        lam_extra.append(2.0 * math.sqrt(a * y) if quadratic else a)
-    lam_extra = np.array([la for la in lam_extra if la > 1e-9])
+    y = h[np.argsort(-margins, kind="stable")[:3]] + delta
+    lam_extra = 2.0 * np.sqrt(a * y) if quadratic else np.full(y.size, a)
+    lam_extra = lam_extra[lam_extra > 1e-9]
     if lam_extra.size:
         sup_x, _, arg_x = laplace_sup_discrete(space, mu, lam_extra * rate,
                                                vertices=verts)
         rhs_x = base.rhs_log(lam_extra)
         laplace_margin = max(laplace_margin, float(np.max(sup_x - rhs_x)))
-        for k in np.nonzero(sup_x > rhs_x)[0]:
-            nu = gibbs_tilt_discrete(mu, arg_x[k], lam_extra[k] * rate)
-            h = _kl_discrete(nu, mu)
-            if math.isfinite(h):
-                te_margin = max(te_margin, te_term(nu, h))
+        fails = sup_x > rhs_x
+        extra, _ = _te_margins(gibbs_tilt_discrete(mu, arg_x[fails],
+                                                   lam_extra[fails, None] * rate),
+                               mu, verts, rate, base)
+        te_margin = max(te_margin, float(np.max(extra, initial=-math.inf)))
     laplace_ok = laplace_margin <= 0.0
     te_ok = te_margin <= 0.0
     return {"n": n, "rate": rate, "factor": factor,
@@ -718,8 +697,8 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 # run_suites starts the longest first); the finite suites' times date from
 # their array rewrite, the line suites' from the scipy-free eigensolve
 _SUITES: dict[str, tuple[Callable, float]] = {
-    "going-down-exact": (_suite_going_down_exact, 0.21),
-    "w1-fm-exact": (_suite_w1_fm_exact, 0.17),
+    "going-down-exact": (partial(_exact_trials, _going_down_instance), 0.21),
+    "w1-fm-exact": (partial(_exact_trials, _w1_fm_instance), 0.17),
     "te-jensen-pointwise": (_suite_te_jensen, 0.26),
     "iso-stability-shape": (_suite_iso_stability_shape, 0.43),
     "logsob-stability": (_suite_logsob_stability, 0.42),

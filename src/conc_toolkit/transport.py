@@ -34,7 +34,7 @@ import numpy as np
 
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .laplace import mean_zero_lipschitz_vertices
+from .laplace import log_laplace, mean_zero_lipschitz_vertices
 from .measures import DiscreteSpace, Measure1D, _float_array, derive_measure
 from .reports import ConstantEntry
 
@@ -648,8 +648,8 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
     ``cost(g, idx, scales)``: the optimal cost of g(scale_k d), g convex, from
     ``family[idx[k]]`` to the base.  The TE code's only substrate branch:
     one LP per query on a finite space, mean(g(scale |q_mu - q_nu|)) on the
-    line, where each witness's gap serves every g and is built once, as are
-    the base's quantiles."""
+    line, where the base's quantiles and the gap of each witness with finite
+    H are built once, up front, and each gap serves every g."""
     if isinstance(source, DiscreteSpace):
         if mu is None:
             raise ValidationError("discrete mode requires the base weights mu")
@@ -678,21 +678,16 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
         family = witnesses if witnesses is not None else witnesses_1d(source)
         if not family:
             raise DomainError("witness family is empty")
-        gaps: dict[int, np.ndarray] = {}
-        q_base = None
-
-        def cost(g, idx, scales) -> np.ndarray:
-            nonlocal q_base
-            for i in idx:
-                if i not in gaps:
-                    if q_base is None:
-                        q_base = _monotone_quantiles(source)
-                    gaps[i] = np.abs(q_base - _monotone_quantiles(family[i]))
-            return np.array([float(np.mean(g(scale * gaps[i])))
-                             for i, scale in zip(idx, scales)])
-
         w1 = [w1_1d(source, nu) for nu in family]
         h = [_kl_1d(nu, source) for nu in family]
+        # no mode reads a witness whose H is infinite
+        q_base = _monotone_quantiles(source)
+        gaps = [np.abs(q_base - _monotone_quantiles(nu)) if math.isfinite(hk) else None
+                for nu, hk in zip(family, h)]
+
+        def cost(g, idx, scales) -> np.ndarray:
+            return np.array([float(np.mean(g(scale * gaps[i])))
+                             for i, scale in zip(idx, scales)])
     else:
         raise ValidationError("source must be a DiscreteSpace or Measure1D")
     return family, w1, h, cost
@@ -822,9 +817,7 @@ def _psi1_value(space: DiscreteSpace, nu, mu, g: np.ndarray) -> float:
     lip = _lip_constant(space, g)
     if lip <= 1e-14:
         return 0.0
-    from scipy.special import logsumexp
-
-    return float(abs(logsumexp(g, b=nu) - logsumexp(g, b=mu)) / lip)
+    return abs(log_laplace(nu, g, 1.0) - log_laplace(mu, g, 1.0)) / lip
 
 
 def psi1_metric_bound(space: DiscreteSpace, nu, mu,

@@ -66,6 +66,29 @@ class TestLogLaplace:
         with pytest.raises(ValidationError, match="weights"):
             log_laplace(np.array([0.5, 0.5 - bad, bad]), np.array([0.0, 1.0, 2.0]), 1.0)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_weights_match_scipy_logsumexp(self, seed):
+        """The package's max-shifted log-sum-exp against scipy's (a
+        test-only oracle), on weights with zeros and lam of either sign,
+        where every value is at least 0.25 away from 0."""
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        w = rng.random(n) * (rng.random(n) < 0.8)
+        w[0] += 0.1
+        w /= w.sum()
+        f = rng.uniform(0.5, 30.0, n)
+        lams = rng.uniform(0.5, 20.0, 6)
+        for sign in (1.0, -1.0):
+            got = log_laplace(w, f, sign * lams.reshape(2, 3))
+            want = [logsumexp(sign * lam * f, b=w) for lam in lams]
+            np.testing.assert_allclose(got.ravel(), want, rtol=1e-14, atol=0.0)
+
+    def test_rejects_empty_weights(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            log_laplace(np.array([]), np.array([]), 1.0)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
     def test_rejects_a_non_finite_lam(self, gamma2, lam):
         with pytest.raises(DomainError, match="lam"):
@@ -102,6 +125,27 @@ class TestGibbs:
         psi = 0.5 * np.tanh(gamma2.grid)
         chk = gibbs_check(gamma2, psi)
         assert chk.gap <= 1e-6
+
+
+def test_weight_vector_routes_leave_scipy_unloaded(fresh_python):
+    """log_laplace and gibbs_check on weights, and psi1_metric_bound on a
+    4-point space (whose KR potential comes from the numpy simplex), run
+    on numpy alone: no scipy module loads in a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from conc_toolkit.laplace import gibbs_check, log_laplace\n"
+        "from conc_toolkit.measures import DiscreteSpace\n"
+        "from conc_toolkit.transport import psi1_metric_bound\n"
+        "w = np.array([0.1, 0.2, 0.3, 0.4])\n"
+        "pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [1.5, 1.0]])\n"
+        "space = DiscreteSpace(dist=np.linalg.norm(pts[:, None] - pts[None], axis=2),\n"
+        "                      weights=w)\n"
+        "print(log_laplace(w, np.arange(4.0), 1.0) > 0,\n"
+        "      gibbs_check(w, np.arange(4.0)).gap < 1e-12,\n"
+        "      psi1_metric_bound(space, w[::-1], w).value > 0,\n"
+        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert fresh_python(script) == ["True", "True", "True", "[]"]
 
 
 class TestBoundTranslations:

@@ -312,6 +312,13 @@ class TestDeriveMeasure:
         mu2 = derive_measure(gamma2, "translate", t=1.0)
         assert mu2.median() == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("mode, kwargs, missing", [
+        ("density-ratio", {"cap": 1.0}, "phi"), ("density-ratio", {}, "phi, cap"),
+        ("restrict", {"a": 0.0}, "b"), ("translate", {}, "t")])
+    def test_missing_keyword_names_mode_and_key(self, gamma2, mode, kwargs, missing):
+        with pytest.raises(ValidationError, match=f"'{mode}' requires {missing}$"):
+            derive_measure(gamma2, mode, **kwargs)
+
 
 class TestDiscreteSpace:
     def test_two_point_valid(self):
@@ -421,6 +428,12 @@ def test_atomize_preserves_mean(gamma2):
     assert abs(np.dot(pos, w)) < 1e-9
     space = discrete_space_from_atoms(pos, w)
     assert space.n == 64
+
+
+@pytest.mark.parametrize("m", [2.5, 17.0, math.inf, math.nan, "17", True, 1])
+def test_atomize_rejects_a_count_that_is_not_an_integer_from_2(gamma2, m):
+    with pytest.raises(DomainError, match="integer number of atoms >= 2"):
+        atomize_1d(gamma2, m)
 
 
 def test_json_round_trip(tmp_path, gamma1):

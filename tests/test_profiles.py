@@ -27,6 +27,7 @@ from conc_toolkit.profiles import (
     profile_to_csv,
     profile_to_svg,
 )
+from conc_toolkit.reports import ConstantEntry
 from conc_toolkit.suites import _random_space
 
 
@@ -432,6 +433,17 @@ class TestFitConstant:
                for kw in ({"constant_id": "D_Iso_1"}, {"p": 2.0}, {})]
         assert ids == ["D_Iso_1", "D_Iso_2", "D_Iso"]
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5, -1.0])
+    def test_p_exp_conc_rejects_p_outside_its_domain(self, p):
+        prof = Profile(kind="conc", inputs=np.linspace(0.0, 2.0, 5),
+                       values=LOG2 + np.linspace(0.0, 2.0, 5))
+        with pytest.raises(DomainError, match="finite p >= 1"):
+            fit_constant(prof, "p-exp-conc", p=p)
+
+    def test_constant_entry_rejects_an_unknown_direction(self):
+        with pytest.raises(ValidationError, match="direction 'sideways' is not one of"):
+            ConstantEntry(constant_id="D", value=1.0, direction="sideways", method="m")
+
     def test_gamma2_ratio_against_sqrt_log(self, gamma2):
         vs = np.geomspace(1e-6, 0.5, 513)
         prof = iso_profile_1d(gamma2, vs)
@@ -451,6 +463,47 @@ def test_invert_monotone_flat_table():
     assert invert_monotone(xs, ys, 1.5) == pytest.approx(2.5)
     with pytest.raises(DomainError):
         invert_monotone(xs, ys, 5.0)
+
+
+def _invert_one(xs, ys, target):
+    """invert_monotone for one scalar target, as it ran before it took
+    arrays: the reference its array path must equal bit for bit."""
+    if target < ys[0] - 1e-12 or target > ys[-1] + 1e-12:
+        raise DomainError("outside")
+    idx = min(int(np.searchsorted(ys, target, side="left")), ys.size - 1)
+    if ys[idx] <= target + 1e-15 or idx == 0:
+        return float(xs[idx])
+    y0, y1 = ys[idx - 1], ys[idx]
+    if y1 <= y0:
+        return float(xs[idx])
+    t = (target - y0) / (y1 - y0)
+    return float(xs[idx - 1] + t * (xs[idx] - xs[idx - 1]))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_invert_monotone_array_equals_scalar_calls(seed):
+    """Targets on a node, at and below the first node, within 1e-15 below a
+    node, on a flat run, past the last node by < 1e-12 and between nodes:
+    the array call, each scalar call and the scalar reference agree under
+    np.array_equal, and a scalar target gives a float."""
+    rng = np.random.default_rng(seed)
+    xs = np.cumsum(rng.uniform(0.1, 1.0, 40))
+    steps = np.where(rng.random(40) < 0.3, 0.0, rng.exponential(size=40))
+    steps[10:13] = 0.0  # ys[9:13] is a flat run
+    ys = np.cumsum(steps)
+    targets = np.concatenate([ys[[0, 11, 17, -1]], [ys[0] - 1e-13, ys[-1] + 1e-13],
+                              ys[[8, 9]] - 1e-16, rng.uniform(ys[0], ys[-1], 40)])
+    got = invert_monotone(xs, ys, targets.reshape(4, -1))
+    assert got.shape == (4, targets.size // 4)
+    want = np.array([_invert_one(xs, ys, float(t)) for t in targets])
+    assert np.array_equal(got.ravel(), want)
+    scalars = [invert_monotone(xs, ys, float(t)) for t in targets]
+    assert all(type(x) is float for x in scalars)
+    assert np.array_equal(scalars, want)
+    assert want[1] == xs[np.searchsorted(ys, ys[11])] <= xs[9]
+    assert invert_monotone(xs, ys, targets[:0]).shape == (0,)
+    with pytest.raises(DomainError, match="outside table range"):
+        invert_monotone(xs, ys, np.append(targets, ys[-1] + 1.0))
 
 
 def test_csv_round_trip(tmp_path, gamma1):

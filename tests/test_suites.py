@@ -10,6 +10,7 @@ from conc_toolkit.errors import DomainError
 from conc_toolkit.measures import DiscreteSpace
 from conc_toolkit.profiles import LOG2, conc_profile
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
+from conc_toolkit.transport import _kl_discrete, gibbs_tilt_discrete
 
 
 def test_registry_complete():
@@ -218,6 +219,11 @@ def test_finite_suite_config_values_checked(suite_id, key, value):
         run_suite(suite_id, {key: value})
 
 
+def test_conc_te_equiv_rejects_a_fractional_atom_count():
+    with pytest.raises(DomainError, match="integer number of atoms"):
+        run_suite("conc-te-equiv", {"atoms": 2.5})
+
+
 def test_finite_suite_config_floors_run():
     """The least allowed values run."""
     assert run_suite("going-down-exact", {"trials": 1, "n_max": 3}).passed
@@ -293,6 +299,41 @@ def test_bg_rounds_judge_as_one_draw_at_a_time(tie_tol, judged):
     assert rep.summary["judged"] == judged == len(want)
     assert rep.summary["redraws"] == draws - judged > 0
     assert rep.passed == (judged == 6)
+
+
+def _te_margins_loop(nus, mu, verts, rate, base):
+    """bg-duality's transport-entropy margins one witness at a time, as
+    both of its exchange rounds ran them before they shared one pass."""
+    margins, hs = [], []
+    for nu in nus:
+        h = _kl_discrete(nu, mu)
+        if not math.isfinite(h):
+            continue
+        w1 = float(np.max(verts @ (nu - mu)))
+        margins.append(rate * w1 - base.phi_inv_at(h + base.delta) - base.eps)
+        hs.append(h)
+    return margins, hs
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_te_margins_equal_the_per_witness_loop(seed):
+    """On witnesses drawn as bg-duality draws them, against a base with a
+    zero weight (so the point mass there has infinite H and is left out),
+    and on an empty witness set: the same margins and H, bit for bit."""
+    config = SUITE_DEFAULTS["bg-duality"]
+    rng = np.random.default_rng(seed)
+    _, space, verts, _, _, base, _ = suites._bg_draw(rng, np.array([1.0]), config)
+    n = space.n
+    mu = space.weights.copy()
+    mu[int(rng.integers(n))] = 0.0
+    mu /= mu.sum()
+    rate = float(rng.uniform(0.05, 5.0))
+    tilts = gibbs_tilt_discrete(mu, verts[:, None, :], np.array([0.5, 2.0])[:, None] * rate)
+    for nus in (np.concatenate([tilts.reshape(-1, n), np.eye(n)]), np.empty((0, n))):
+        margins, h = suites._te_margins(nus, mu, verts, rate, base)
+        want_margins, want_h = _te_margins_loop(nus, mu, verts, rate, base)
+        assert np.array_equal(margins, want_margins) and np.array_equal(h, want_h)
+        assert len(want_h) == len(nus) - (len(nus) > 0)
 
 
 FINITE_SUITES = ("going-down-exact", "w1-fm-exact", "te-jensen-pointwise",
