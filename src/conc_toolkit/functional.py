@@ -9,7 +9,7 @@ the discretized Rayleigh quotient int f'^2 dmu / Var(f); the stiffness
 and mass assemblies are exact for piecewise-linear trial functions, so
 the usual O(h^2) finite-element convergence applies and is checked by a
 Richardson pass on a coarsened grid.  The eigenvalue is a Sturm-count
-bisection, without scipy.
+bisection over Python floats.
 
 Log-Sobolev constants are reported as certified *upper* bounds on the
 best constant: any single admissible function gives one, and the

@@ -695,7 +695,7 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 # per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
 # run in a fresh process, imports on first use included (median of 5;
 # run_suites starts the longest first); the finite suites' times date from
-# their array rewrite, the line suites' from the scipy-free eigensolve
+# their array rewrite, the line suites' from the Sturm-count eigensolve
 _SUITES: dict[str, tuple[Callable, float]] = {
     "going-down-exact": (partial(_exact_trials, _going_down_instance), 0.21),
     "w1-fm-exact": (partial(_exact_trials, _w1_fm_instance), 0.17),
@@ -718,6 +718,21 @@ _CONFIG_FLOORS: dict[str, dict[str, int]] = {
     "w1-fm-exact": {"trials": 1, "n_max": 2},
     "te-jensen-pointwise": {"trials_per_p": 1},
     "bg-duality": {"trials": 1, "n_max": 3, "witness_cap": 1},
+}
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
+# what each grid, tolerance, band and floor of any suite's config must be
+_CONFIG_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    **dict.fromkeys(("p_grid", "d_grid", "mass_grid", "witness_lams"), (
+        "a non-empty list of finite numbers",
+        lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and all(map(_finite, v)))),
+    **dict.fromkeys(("v_min", "c_floor", "track_factor", "h_up_cap", "band",
+                     "ratio_floor", "con_band", "tie_tol"), (
+        "a finite number > 0", lambda v: _finite(v) and v > 0)),
 }
 
 
@@ -744,6 +759,9 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
         if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
             raise DomainError(f"{suite_id} config {key!r} must be an integer >= {least}, "
                               f"got {value!r}")
+    for key, (what, holds) in _CONFIG_RULES.items():
+        if key in merged and not holds(merged[key]):
+            raise DomainError(f"{suite_id} config {key!r} must be {what}, got {merged[key]!r}")
     instances, summary, passed = _SUITES[suite_id][0](merged, seed)
     return SuiteReport(suite_id=suite_id, seed=seed, config=merged,
                        instances=instances, summary=summary, passed=passed)

@@ -7,14 +7,9 @@ polytope; 1-D measures use the monotone (quantile) coupling, which is
 optimal for every convex cost of the distance on the line.
 
 Transportation LPs with n <= ``_SIMPLEX_MAX_N`` points are solved by a
-transportation simplex in numpy, every plan of one size in one batch;
-larger ones, and the plans that fail the certificate, by HiGHS
-(``scipy.optimize``, imported on first use).  Every plan, whichever solver
-made it, must pass one certificate (``_unsound``): marginals to 1e-9, no
-entry below -1e-12 x mass, no reduced cost below -1e-12 max |c| from its
-own duals, and complementary slackness to 1e-12 max |c| x mass.  A numpy
-plan that fails it is solved again alone by HiGHS (``_lone_lp``: first
-options, then the retry options, then ValidationError).  ``kr_dual``'s
+transportation simplex in numpy, all plans of one size in one batch, the
+larger ones and the plans that fail the certificate (``_unsound``) one at a
+time by a spanning-tree simplex, whose plans must pass it too.  ``kr_dual``'s
 potential is the c-transform f(i) = min_j d(i, j) - v_j of the certified
 column duals v, so W_1 and its dual come from one solve.
 
@@ -57,34 +52,20 @@ __all__ = [
 ]
 
 _MAX_LP_POINTS = 400
-# the largest n whose transportation LPs the numpy simplex solves; HiGHS
-# solves the larger ones.  On a 2-vCPU Xeon VM, scipy already imported, one
-# plan of n = 12 / 16 / 20 took 2.2 / 4.6 / 9.4 ms in numpy against HiGHS's
-# 3.9 / 4.4 / 7.2 ms, and 40 plans on one space 30 / 71 / 146 ms against
-# 40 / 88 / 113 ms
-_SIMPLEX_MAX_N = 16
-# pivots a plan of the numpy simplex may take before it is left to fail its
-# certificate; 13,436 random and degenerate plans (point masses, zero
-# entries, equal partial sums, costs scaled by 1e-3 to 1e6) took at most 49
-# at n = 16
-_PIVOT_CAP = 200
+# the largest n the batch simplex solves, the tree the larger: on a 2-vCPU
+# Xeon VM (medians of 10 alternating pairs) 400 plans on one space took 57 /
+# 109 / 166 ms in the batch and 72 / 111 / 133 ms in the tree at n = 8 / 9 /
+# 10, and 40 plans 7.6 / 19 ms and 7.0 / 15 ms at n = 8 / 10
+_SIMPLEX_MAX_N = 8
 
 
-# HiGHS's default dual tolerance (1e-7) can stop with a reduced cost of
-# -2.7e-9 on a transport LP of n = 200, which the certificate then rejects
-_LP_FIRST = {"dual_feasibility_tolerance": 1e-10}
-# presolve misjudges near-zero marginals now and then
-_LP_RETRY = {"presolve": False,
-             "primal_feasibility_tolerance": 1e-10,
-             "dual_feasibility_tolerance": 1e-10}
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first call: the 1-D
-    substrate never solves an LP and need not pay for scipy's import."""
-    from scipy.optimize import linprog as solve
-
-    return solve(*args, **kwargs)
+def _pivot_cap(n: int) -> int:
+    """Pivots a plan of n points may take in either simplex, which enter
+    the most negative reduced cost below -1e-12 max |c| and leave the lowest
+    cell index among ratio ties; past the cap a plan keeps its last basis,
+    which fails ``_unsound``.  Degenerate and random plans took at most 49
+    at n = 16 (batch), 124 at n <= 40, 337 at 200 and 526 at 400 (tree)."""
+    return 200 + 5 * n
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +107,8 @@ class KRDualResult:
 
 
 def _clean_marginal(w: np.ndarray) -> np.ndarray:
-    """Zero out sub-1e-12 entries (they destabilize the LP presolve) and
-    renormalize each row; the induced cost perturbation is far below the
-    1e-9 marginal tolerance."""
+    """Zero out sub-1e-12 entries and renormalize each row; the induced cost
+    perturbation is far below the 1e-9 marginal tolerance."""
     out = np.where(w < 1e-12, 0.0, w)
     s = out.sum(axis=-1, keepdims=True)
     return np.divide(out, s, out=out, where=s > 0)
@@ -161,27 +141,6 @@ def _transport_problem(space: DiscreteSpace, nus, mu, costs):
     if n > _MAX_LP_POINTS:
         raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
     return _clean_marginal(nus) * mu.sum(), _clean_marginal(mu) * mu.sum(), costs
-
-
-def _block_lp(problem) -> dict:
-    """linprog arguments of a problem's LP, one block per plan.  Plan entry
-    (b, i, j), flattened row-major, has exactly two ones: row-sum row
-    2nb + i and column-sum row 2nb + n + j; int32 indices hold any LP that
-    fits in memory."""
-    from scipy import sparse
-
-    nus, mu, costs = problem
-    k, n = nus.shape
-    sum_row = 2 * n * np.arange(k)[:, None] + np.arange(n)
-    rows = np.empty((k, n, n, 2), dtype=np.int32)
-    rows[..., 0] = sum_row[:, :, None]
-    rows[..., 1] = sum_row[:, None, :] + n
-    indptr = np.arange(0, 2 * costs.size + 1, 2, dtype=np.int32)
-    return {"c": costs.ravel(),
-            "A_eq": sparse.csc_matrix((np.ones(2 * costs.size), rows.ravel(), indptr),
-                                      shape=(2 * n * k, costs.size)),
-            "b_eq": np.concatenate([nus, np.broadcast_to(mu, nus.shape)], axis=1).ravel(),
-            "bounds": (0, None)}
 
 
 def _plans(problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,10 +186,7 @@ def _simplex_group(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     cells, u_i + v_j = c_ij with u_0 = 0, afresh (a tree's matrix and its
     inverse hold only 0 and +-1, so no rounding builds up over the steps);
     its rows give the duals, its columns the basic flows, and two of its
-    rows the cycle of an entering cell.  The cell entering is the most
-    negative reduced cost below -1e-12 max |c|, the cell leaving the cycle
-    the lowest cell index among the ratio ties.  A plan still open after
-    ``_PIVOT_CAP`` pivots keeps its last basis, which fails ``_unsound``.
+    rows the cycle of an entering cell; pivots follow ``_pivot_cap``.
     """
     k, n = a.shape
     m = 2 * n
@@ -245,7 +201,7 @@ def _simplex_group(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     tol = 1e-12 * np.max(np.abs(c), axis=1)
     x, y = np.zeros((k, n * n)), np.zeros((k, m))
     live, pos = np.arange(k), np.arange(m - 1)
-    for _ in range(_PIVOT_CAP):
+    for _ in range(_pivot_cap(n)):
         q, tree = np.arange(live.size), cells[live]
         basis = np.zeros((live.size, m, m))
         basis[:, m - 1, 0] = 1.0  # u_0 = 0
@@ -286,51 +242,95 @@ def _transport_simplex(problems) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
-def _lone_lp(problem) -> tuple[np.ndarray, np.ndarray]:
-    """(plans, duals) of a problem from one HiGHS LP.  ``_LP_FIRST`` gives
-    vertex-exact solutions (duality gaps ~1e-16 here); a failed solve, or a
-    plan that fails ``_unsound``, is retried once with ``_LP_RETRY`` before
-    ValidationError."""
-    lp = _block_lp(problem)
-    for options in (_LP_FIRST, _LP_RETRY):
-        res = linprog(method="highs", options=options, **lp)
-        why = next(filter(None, _unsound(problem, res.x, res.eqlin.marginals)),
-                   None) if res.success else res.message
-        if why is None:
-            return res.x, res.eqlin.marginals
-    raise ValidationError(f"transport LP failed: {why}")
+def _tree_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """(plan, duals (u, v)) of one transportation problem, rows ``a``,
+    columns ``b``, costs ``c`` (n x n), by the transportation simplex on a
+    spanning tree of 2n - 1 cells over the lines (rows 0..n-1, columns
+    n..2n-1); Ahuja, Magnanti and Orlin, Network Flows, ch. 11.  Start: in
+    stable cost order each cell takes min(what its row and its column have
+    left) and closes one of them, the row on a tie, but never the last open
+    row or column while the other side has more than one open line; each
+    closes a line no later cell meets, so they form a tree.  Each pivot
+    walks the tree from row 0 for the potentials (u_0 = 0)."""
+    n, flat = a.size, c.ravel()
+    cost, tol, cap = flat.tolist(), 1e-12 * np.max(np.abs(flat)), _pivot_cap(n)
+    left = np.concatenate([a, b]).tolist()
+    shut, open_rows, open_cols = [False] * (2 * n), n, n
+    x, adjacent = np.zeros(n * n), [[] for _ in range(2 * n)]
+    for cell in np.argsort(flat, kind="stable").tolist():
+        i, j = cell // n, n + cell % n
+        if shut[i] or shut[j]:
+            continue
+        x[cell] = flow = min(left[i], left[j])
+        left[i], left[j] = left[i] - flow, left[j] - flow
+        adjacent[i].append((j, cell))
+        adjacent[j].append((i, cell))
+        row = (left[i] <= left[j] or open_cols == 1) and not (open_rows == 1 < open_cols)
+        shut[i if row else j] = True
+        open_rows, open_cols = open_rows - row, open_cols - (not row)
+        if open_rows + open_cols == 1:
+            break
+    for pivots in range(cap + 1):
+        y, up, via, depth = [0.0] * (2 * n), [-1] * (2 * n), [-1] * (2 * n), [0] * (2 * n)
+        walk = [0]
+        for s in walk:
+            for t, cell in adjacent[s]:
+                if t != up[s]:
+                    y[t], up[t], via[t], depth[t] = cost[cell] - y[s], s, cell, depth[s] + 1
+                    walk.append(t)
+        duals = np.array(y)
+        reduced = flat - (duals[:n, None] + duals[None, n:]).ravel()
+        enter = int(np.argmin(reduced))
+        if not reduced[enter] < -tol or pivots == cap:
+            return x.reshape(n, n), duals
+        # the tree path between the entering cell's row (side 0) and column
+        # (side 1); a cell on it loses flow when the line below it is of its
+        # side's kind
+        ends, gain, loss = [enter // n, n + enter % n], [], []
+        while ends[0] != ends[1]:
+            side = int(depth[ends[0]] < depth[ends[1]])  # the deeper end climbs
+            line = ends[side]
+            (loss if (line >= n) == side else gain).append(via[line])
+            ends[side] = up[line]
+        leave = min(loss, key=lambda cell: (x[cell], cell))
+        x[enter] = step = x[leave]
+        x[gain] += step
+        x[loss] -= step
+        for cell, edit in ((leave, list.remove), (enter, list.append)):
+            edit(adjacent[cell // n], (n + cell % n, cell))
+            edit(adjacent[n + cell % n], (cell // n, cell))
 
 
 def _transport_lps(problems) -> list[tuple[np.ndarray, ...]]:
     """Transportation LPs given as problems (space, nus, mu, costs), each
-    on its own space.  Problems with n <= ``_SIMPLEX_MAX_N`` go to the numpy
-    transportation simplex (``_transport_simplex``), all of one size in one
-    batch; each of their plans must pass ``_unsound`` (marginals, sign,
-    reduced costs and complementary slackness from its own duals), and a
-    plan that fails is solved alone by ``_lone_lp`` (first options, then the
-    retry, then ValidationError).  A larger problem is one HiGHS LP, under
-    the same certificate.  Returns ``_plans`` per problem, followed by the
-    certified duals (K, 2n): u of the rows (``nus``), then v of the columns
-    (``mu``)."""
+    on its own space: ``_plans`` per problem, then the certified duals
+    (K, 2n), u of the rows (``nus``) and v of the columns (``mu``).  A batch
+    plan (n <= ``_SIMPLEX_MAX_N``) that fails ``_unsound``, and every larger
+    plan, is solved alone by ``_tree_simplex``, and must pass or raise."""
     problems = [_transport_problem(*p) for p in problems]
     solved = iter(_transport_simplex([p for p in problems if p[1].size <= _SIMPLEX_MAX_N]))
     out = []
     for p in problems:
-        if p[1].size > _SIMPLEX_MAX_N:
-            x, duals = _lone_lp(p)
-        else:
+        nus, mu, costs = p
+        if mu.size <= _SIMPLEX_MAX_N:
             x, duals = next(solved)
-            for k, why in enumerate(_unsound(p, x, duals)):
-                if why is not None:
-                    x_k, duals[k] = _lone_lp((p[0][k:k + 1], p[1], p[2][k:k + 1]))
-                    x[k] = x_k.reshape(x[k].shape)
-        out.append((*_plans(p, x), duals.reshape(len(p[0]), -1)))
+            redo = [k for k, why in enumerate(_unsound(p, x, duals)) if why is not None]
+        else:
+            x, duals = np.empty(costs.shape), np.empty((len(nus), 2 * mu.size))
+            redo = range(len(nus))
+        for k in redo:
+            x[k], duals[k] = _tree_simplex(nus[k], mu, costs[k])
+            why = _unsound((nus[k:k + 1], mu, costs[k:k + 1]), x[k:k + 1], duals[k:k + 1])[0]
+            if why is not None:
+                raise ValidationError(f"transport LP failed: {why}")
+        out.append((*_plans(p, x), duals.reshape(len(nus), -1)))
     return out
 
 
 def transport_costs(space: DiscreteSpace, nus, mu, costs) -> np.ndarray:
     """Optimal costs (K,) of coupling each ``nus[k]`` with ``mu`` under
-    cost matrix ``costs[k]``, all K in one LP solve."""
+    cost matrix ``costs[k]``, all K in one ``_transport_lps`` call."""
     return _transport_lps([(space, nus, mu, costs)])[0][1]
 
 

@@ -4,19 +4,18 @@ and bg-duality's array work against its loops.
 Spaces are drawn like the suites draw them (``suites._random_space``) with
 n <= 6, or as planar spaces and shortest-path metrics with n <= 8 for the
 Lipschitz vertices; the LP stays the cross-check oracle on the test side
-(a lone HiGHS LP for the numpy transportation simplex, the inequality-form
+(a lone HiGHS LP for both transportation simplices, the inequality-form
 dual LP on dense Lipschitz rows for ``kr_dual``'s c-transform), and so
-does the qhull halfspace intersection the vertex walk replaced.  The LP
-matrices built from their index structure are checked against test-side
-copies of the generic sparse builds they replace.
+does the qhull halfspace intersection the vertex walk replaced.  scipy is
+a test-only dependency: no module of the package imports it.
 """
 
+import ast
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
-from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -111,18 +110,10 @@ def test_w1_lp_equals_kr_dual_and_vertex_maximum(seed, n):
         assert kr.dual == pytest.approx(vertex_max, abs=1e-9)
 
 
-def test_kr_potential_needs_no_scipy(monkeypatch):
-    """On a space of n <= ``_SIMPLEX_MAX_N`` points that is not a line,
-    ``kr_dual`` and the witness family take the KR potential from the numpy
-    simplex's duals: no HiGHS call, and no scipy module in a fresh
-    interpreter."""
-    calls = _recording_linprog(monkeypatch)
-    space = _planar_space(3, 9)
-    assert transport._line_order(space) is None
-    kr_dual(space, np.eye(9)[4], space.weights)
-    discrete_witnesses(space, space.weights)
-    assert calls == []
-
+def test_kr_potential_needs_no_scipy():
+    """``kr_dual``, ``wc_discrete_lp`` and the witness family on planar
+    spaces (not lines) of 9, 17 and 200 points, on both sides of
+    ``_SIMPLEX_MAX_N``, load no scipy module in a fresh interpreter."""
     src = str(Path(transport.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
@@ -130,17 +121,30 @@ def test_kr_potential_needs_no_scipy(monkeypatch):
         "import sys\n"
         "import numpy as np\n"
         "from conc_toolkit.measures import DiscreteSpace\n"
-        "from conc_toolkit.transport import discrete_witnesses, kr_dual\n"
-        "pts = np.random.default_rng(3).normal(size=(9, 2))\n"
-        "space = DiscreteSpace(dist=np.linalg.norm(pts[:, None] - pts[None], axis=2),\n"
-        "                      weights=np.full(9, 1 / 9))\n"
-        "kr_dual(space, np.eye(9)[4], space.weights)\n"
-        "print(len(discrete_witnesses(space, space.weights)),\n"
-        "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "from conc_toolkit.transport import discrete_witnesses, kr_dual, wc_discrete_lp\n"
+        "for n in (9, 17, 200):\n"
+        "    pts = np.random.default_rng(3).normal(size=(n, 2))\n"
+        "    space = DiscreteSpace(dist=np.linalg.norm(pts[:, None] - pts[None], axis=2),\n"
+        "                          weights=np.full(n, 1 / n))\n"
+        "    kr = kr_dual(space, np.eye(n)[4], space.weights)\n"
+        "    plan = wc_discrete_lp(space, np.eye(n)[4], space.weights)\n"
+        "    assert kr.gap <= 1e-12 and plan.cost == kr.primal\n"
+        "    if n < 200:\n"
+        "        assert discrete_witnesses(space, space.weights)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    count, modules = out.stdout.split(maxsplit=1)
-    assert int(count) > 0 and modules.strip() == "[]"
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_module_of_the_package_imports_scipy():
+    """A static check over every module of ``conc_toolkit``: no import
+    statement names scipy, at module level or inside a function."""
+    for path in Path(transport.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            assert not [m for m in names if m.split(".")[0] == "scipy"], path.name
 
 
 def _first_moment_per_pattern(space):
@@ -351,8 +355,7 @@ def test_laplace_sup_is_exact_at_the_vertex_cap(seed):
 
 
 # ---------------------------------------------------------------------------
-# LP matrices from their index structure, against the generic sparse builds
-# they replace
+# the marginal rows of the transportation LP, built with ``sparse.kron``
 # ---------------------------------------------------------------------------
 
 def _kron_marginal_rows(k, n):
@@ -364,45 +367,34 @@ def _kron_marginal_rows(k, n):
     return sparse.kron(sparse.eye(k), block, format="csr")
 
 
-def _captured_transport_lp(seed, k, n):
-    """(A_eq, costs, result) of the lone HiGHS LP that ``transport._lone_lp``
-    solves for K random marginals on a random n-point space."""
+def _block_lp(problem) -> dict:
+    """linprog arguments of a cleaned problem's K plans as one LP, one
+    block of marginal rows per plan."""
+    nus, mu, costs = problem
+    return {"c": costs.ravel(), "A_eq": _kron_marginal_rows(*nus.shape),
+            "b_eq": np.concatenate([nus, np.broadcast_to(mu, nus.shape)], axis=1).ravel(),
+            "bounds": (0, None)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, k=st.integers(min_value=1, max_value=5),
+       n=st.integers(min_value=1, max_value=2 * transport._SIMPLEX_MAX_N))
+def test_reduced_costs_equal_sparse_transpose_product(seed, k, n):
+    """Bit for bit, both on the solvers' duals (the batch's up to
+    ``_SIMPLEX_MAX_N``, the tree's above) and on random ones."""
     rng = np.random.default_rng(seed)
     space = _random_space(rng, n)
     nus = [_random_probability(rng, n) for _ in range(k)]
     costs = np.array([space.dist ** rng.uniform(1.0, 2.0) for _ in range(k)])
-    lp = transport._block_lp(transport._transport_problem(space, nus, space.weights, costs))
-    return lp["A_eq"], costs, transport.linprog(method="highs", **lp)
-
-
-blocks = st.integers(min_value=1, max_value=5)
-points = st.integers(min_value=1, max_value=8)
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, k=blocks, n=points)
-def test_transport_matrix_equals_kron_build(seed, k, n):
-    a_eq, _, _ = _captured_transport_lp(seed, k, n)
-    old = _kron_marginal_rows(k, n)
-    assert a_eq.shape == old.shape
-    assert (a_eq != old).nnz == 0
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=seeds, k=blocks, n=points)
-def test_reduced_costs_equal_sparse_transpose_product(seed, k, n):
-    """Bit for bit, both on the LP's own duals and on random ones."""
-    _, costs, res = _captured_transport_lp(seed, k, n)
-    rng = np.random.default_rng(seed)
+    duals = transport._transport_lps([(space, nus, space.weights, costs)])[0][3]
     a_eq = _kron_marginal_rows(k, n)
-    for y in (res.eqlin.marginals, rng.normal(scale=10.0 ** rng.uniform(-3, 3),
-                                             size=2 * n * k)):
+    for y in (duals.ravel(), rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=2 * n * k)):
         want = (costs.ravel() - a_eq.T @ y).reshape(k, n, n)
         assert np.array_equal(transport._reduced_costs(costs, y), want)
 
 
 # ---------------------------------------------------------------------------
-# the numpy transportation simplex against lone HiGHS LPs
+# the transportation simplices against lone HiGHS LPs
 # ---------------------------------------------------------------------------
 
 def _highs_costs(problem) -> np.ndarray:
@@ -410,10 +402,10 @@ def _highs_costs(problem) -> np.ndarray:
     presolve off and feasibility tolerances of 1e-10: with presolve and the
     default primal tolerance, HiGHS can return a plan with an entry near
     -1e-7 whose cost undercuts the optimum (n = 17, seed 787)."""
-    res = transport.linprog(method="highs", options={"presolve": False,
-                                                     "primal_feasibility_tolerance": 1e-10,
-                                                     "dual_feasibility_tolerance": 1e-10},
-                            **transport._block_lp(problem))
+    res = linprog(method="highs", options={"presolve": False,
+                                           "primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10},
+                  **_block_lp(problem))
     assert res.success and res.x.min() >= -1e-12
     return transport._plans(problem, res.x)[1]
 
@@ -435,20 +427,28 @@ kinds = st.sampled_from(["random", "zeros", "point", "uniform"])
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, n=st.integers(min_value=1, max_value=transport._SIMPLEX_MAX_N),
+@given(seed=seeds, n=st.integers(min_value=1, max_value=40),
        nu_kinds=st.lists(kinds, min_size=1, max_size=4), mu_kind=kinds,
        scale=st.sampled_from([1e-3, 1.0, 1e6]))
+@example(seed=3, n=19, nu_kinds=["point"], mu_kind="point", scale=1.0)
+@example(seed=4, n=19, nu_kinds=["point", "random"], mu_kind="point", scale=1e6)
 def test_simplex_costs_equal_lone_highs_lps(seed, n, nu_kinds, mu_kind, scale):
+    """Both simplices through ``_transport_lps``, on either side of
+    ``_SIMPLEX_MAX_N``, against HiGHS; the batch's own plans pass the
+    certificate.  Point masses on both sides tie at nearly every start
+    cell: a start that closed the row on every tie would shut the last
+    row while columns are still open and leave them off the tree."""
     rng = np.random.default_rng(seed)
     space = _random_space(rng, n)
     mu = _marginal(rng, n, mu_kind)
     nus = [_marginal(rng, n, kind) for kind in nu_kinds]
     costs = [scale * space.dist ** rng.uniform(1.0, 3.0) for _ in nus]
     problem = transport._transport_problem(space, nus, mu, costs)
-    x, duals = transport._transport_simplex([problem])[0]
-    assert transport._unsound(problem, x, duals) == [None] * len(nus)
-    np.testing.assert_allclose(transport._plans(problem, x)[1], _highs_costs(problem),
-                               rtol=1e-12, atol=1e-15 * scale)
+    if n <= transport._SIMPLEX_MAX_N:
+        x, duals = transport._transport_simplex([problem])[0]
+        assert transport._unsound(problem, x, duals) == [None] * len(nus)
+    np.testing.assert_allclose(transport._transport_lps([(space, nus, mu, costs)])[0][1],
+                               _highs_costs(problem), rtol=1e-12, atol=1e-15 * scale)
 
 
 def test_certificate_names_each_fault():
@@ -499,8 +499,8 @@ def _mixed_problems(seed, sizes, n_costs):
        n_costs=st.integers(min_value=1, max_value=4))
 @example(seed=787, sizes=[17, 17, 17, 17], n_costs=2)
 def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
-    """Problems of mixed sizes in one call, some of them above the
-    simplex's size limit: each one's costs are those of its lone HiGHS LP."""
+    """Problems of mixed sizes in one call, some of them above the batch's
+    size limit: each one's costs are those of its lone HiGHS LP."""
     problems = _mixed_problems(seed, sizes, n_costs)
     batched = transport._transport_lps(problems)
     assert len(batched) == len(problems)
@@ -512,18 +512,18 @@ def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
                                    rtol=1e-12, atol=1e-15)
 
 
-def test_only_problems_above_the_size_limit_reach_highs(monkeypatch):
-    """n = ``_SIMPLEX_MAX_N`` solves in numpy; one point more is one HiGHS
-    LP at the first options, whose plan passes the same certificate."""
-    calls = _recording_linprog(monkeypatch)
+def test_only_problems_above_the_size_limit_reach_the_tree(monkeypatch):
+    """n = ``_SIMPLEX_MAX_N`` solves in the batch; one point more is one
+    tree solve per plan, whose plan passes the same certificate."""
+    calls = _recording_tree(monkeypatch)
     rng = np.random.default_rng(3)
     for n, want in ((transport._SIMPLEX_MAX_N, []),
-                    (transport._SIMPLEX_MAX_N + 1, [(2 * transport._SIMPLEX_MAX_N + 2,
-                                                     transport._LP_FIRST)])):
+                    (transport._SIMPLEX_MAX_N + 1, [transport._SIMPLEX_MAX_N + 1] * 2)):
         space = _random_space(rng, n)
-        plan = wc_discrete_lp(space, _random_probability(rng, n), space.weights)
+        costs = transport_costs(space, [_random_probability(rng, n)] * 2, space.weights,
+                                [space.dist, space.dist ** 2])
         assert calls == want
-        assert plan.marginal_residual <= 1e-9
+        assert costs[0] > 0 and costs[1] > 0
         calls.clear()
 
 
@@ -540,28 +540,27 @@ def _spoiled_simplex(monkeypatch, spoil):
     monkeypatch.setattr(transport, "_transport_simplex", spoiled)
 
 
-def _recording_linprog(monkeypatch, spoil=lambda res, options: None):
-    """(rows, options) of every HiGHS call, each result passed to
-    ``spoil(res, options)`` first."""
-    real, calls = transport.linprog, []
+def _recording_tree(monkeypatch, spoil=lambda plan, duals: None):
+    """n of every ``_tree_simplex`` solve, each (plan, duals) passed to
+    ``spoil(plan, duals)`` first."""
+    real, calls = transport._tree_simplex, []
 
-    def recording(c, **kw):
-        res = real(c, **kw)
-        calls.append((kw["A_eq"].shape[0], kw["options"]))
-        spoil(res, kw["options"])
-        return res
+    def recording(a, b, c):
+        plan, duals = real(a, b, c)
+        calls.append(a.size)
+        spoil(plan, duals)
+        return plan, duals
 
-    monkeypatch.setattr(transport, "linprog", recording)
+    monkeypatch.setattr(transport, "_tree_simplex", recording)
     return calls
 
 
 def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
-    """A simplex plan whose duals break the reduced-cost certificate, by
+    """A batch plan whose duals break the reduced-cost certificate, by
     1e-7 against that plan's own max |c| but not against the 1e6-scaled
-    costs of another problem, is solved alone: one plan of n = 4 goes
-    through ``_lone_lp``'s route (first options, then ``_LP_RETRY``), the
-    other plans keep their simplex costs, and a fault that persists
-    raises."""
+    costs of another problem, is solved alone: one plan of n = 4 goes to
+    the tree simplex, the other plans keep their batch costs bit for bit,
+    and a fault that persists raises."""
     problems = _mixed_problems(5, [3, 4, 5], 2)
     space, nus, mu, costs = problems[2]
     problems[2] = (space, nus, mu, [1e6 * c for c in costs])
@@ -571,37 +570,35 @@ def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
     def spoil(out):
         out[1][1][1] += 5e-8  # plan 1 of the n = 4 problem: reduced costs fall by 1e-7
 
-    def spoil_lp(res, options, retry_too):
-        if options is transport._LP_FIRST or retry_too:
-            res.eqlin.marginals[:] += 5e-8
+    def spoil_tree(plan, duals):
+        duals += 5e-8
 
     _spoiled_simplex(monkeypatch, spoil)
-    calls = _recording_linprog(monkeypatch, partial(spoil_lp, retry_too=False))
+    calls = _recording_tree(monkeypatch)
     out = transport._transport_lps(problems)
-    assert calls == [(8, transport._LP_FIRST), (8, transport._LP_RETRY)]
+    assert calls == [4]
     for (_, costs, _, _), lone in zip(out, want):
         np.testing.assert_allclose(costs, lone, rtol=1e-12)
     for k, (_, costs, _, _) in enumerate(out):
         keep = [0, 1] if k != 1 else [0]
         np.testing.assert_array_equal(costs[keep], kept[k][1][keep])
 
-    calls = _recording_linprog(monkeypatch, partial(spoil_lp, retry_too=True))
+    calls = _recording_tree(monkeypatch, spoil_tree)
     with pytest.raises(ValidationError, match="transport LP failed: plan is not optimal"):
         transport._transport_lps(problems)
-    assert calls == [(8, transport._LP_FIRST), (8, transport._LP_RETRY)]
+    assert calls == [4]
 
 
 def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
     """te-jensen-pointwise at seed 12 hands all 400 instances to one
-    ``_transport_lps`` call, which the simplex solves with no HiGHS call
-    (instance 393 needed HiGHS's retry in the block LP); when instance
-    393's W_1 plan is spoiled (half its mass), that plan alone is solved by
-    one lone HiGHS LP and every cost is unchanged."""
+    ``_transport_lps`` call, which the batch solves with no tree solve;
+    when instance 393's W_1 plan is spoiled (half its mass), that plan
+    alone is solved by the tree simplex and every cost is unchanged."""
     batches = []
     real = suites._transport_lps
     monkeypatch.setattr(suites, "_transport_lps",
                         lambda problems: batches.append(problems) or real(problems))
-    calls = _recording_linprog(monkeypatch)
+    calls = _recording_tree(monkeypatch)
     summary = suites.run_suite("te-jensen-pointwise", seed=12).summary
     (batch,) = batches
     assert len(batch) == 400 and batch[393][0].n == 5
@@ -613,11 +610,11 @@ def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
 
     _spoiled_simplex(monkeypatch, halve)
     out = real(batch)
-    assert calls == [(10, transport._LP_FIRST)]
+    assert calls == [5]
     for (_, costs, _, _), (_, want, _, _) in zip(out, clean):
         np.testing.assert_allclose(costs, want, rtol=1e-12)
     assert suites.run_suite("te-jensen-pointwise", seed=12).summary == summary
-    assert calls == [(10, transport._LP_FIRST)] * 2
+    assert calls == [5] * 2
 
 
 # ---------------------------------------------------------------------------

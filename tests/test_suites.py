@@ -219,6 +219,28 @@ def test_finite_suite_config_values_checked(suite_id, key, value):
         run_suite(suite_id, {key: value})
 
 
+@pytest.mark.parametrize("suite_id, key, value, what", [
+    ("te-jensen-pointwise", "p_grid", "ab", "a non-empty list"),
+    ("te-jensen-pointwise", "p_grid", [], "a non-empty list"),
+    ("iso-stability-shape", "d_grid", [0.0, math.nan], "a non-empty list"),
+    ("logsob-stability", "mass_grid", [0.1, math.inf], "a non-empty list"),
+    ("w1-stability-chain", "p_grid", [1.0, "2"], "a non-empty list"),
+    ("bg-duality", "witness_lams", [], "a non-empty list"),
+    ("bg-duality", "tie_tol", -1.0, "a finite number > 0"),
+    ("iso-stability-shape", "c_floor", 0.0, "a finite number > 0"),
+    ("iso-stability-shape", "v_min", math.nan, "a finite number > 0"),
+    ("conc-te-equiv", "band", math.inf, "a finite number > 0"),
+    ("te-equiv-shape", "ratio_floor", True, "a finite number > 0"),
+    ("hierarchy-gamma-p", "con_band", None, "a finite number > 0"),
+])
+def test_suite_config_grids_and_tolerances_checked(suite_id, key, value, what):
+    """Grids are non-empty lists of finite numbers, and tolerances, bands
+    and floors finite and positive; anything else raises DomainError naming
+    the key before an instance is drawn."""
+    with pytest.raises(DomainError, match=f"config '{key}' must be {what}"):
+        run_suite(suite_id, {key: value})
+
+
 def test_conc_te_equiv_rejects_a_fractional_atom_count():
     with pytest.raises(DomainError, match="integer number of atoms"):
         run_suite("conc-te-equiv", {"atoms": 2.5})

@@ -120,40 +120,26 @@ class TestDiscreteLP:
         with pytest.raises(ValidationError, match="must be finite"):
             transport_costs(s, [s.weights, nu], s.weights, [s.dist, cost])
 
-    def test_off_marginal_plan_is_retried_then_rejected(self, monkeypatch):
-        """A problem above the simplex's size limit is one HiGHS LP: a plan
-        off its marginals is solved again with the retry options, and one
-        that stays off raises."""
+    def test_off_marginal_plan_is_rejected(self, monkeypatch):
+        """A problem above the batch's size limit is solved by the tree
+        simplex, under the same certificate: a plan of it off its marginals
+        raises."""
         from conc_toolkit import transport
 
         rng = np.random.default_rng(2)
         n = transport._SIMPLEX_MAX_N + 1
         s = random_space(rng, n)
         nu = random_probability(rng, n)
-        real = transport.linprog
-        options = []
-
-        def halved_first(c, **kw):
-            # the first attempt returns a plan with half the mass
-            res = real(c, **kw)
-            options.append(kw["options"])
-            if len(options) == 1:
-                res.x = 0.5 * res.x
-            return res
-
-        monkeypatch.setattr(transport, "linprog", halved_first)
         plan = wc_discrete_lp(s, nu, s.weights)
-        assert options == [transport._LP_FIRST, transport._LP_RETRY]
         assert plan.marginal_residual <= 1e-9
-        assert plan.cost == pytest.approx(w1_discrete(s, nu, s.weights), abs=1e-12)
+        real = transport._tree_simplex
 
-        def halved(c, **kw):
-            res = real(c, **kw)
-            res.x = 0.5 * res.x
-            return res
+        def halved(a, b, c):
+            x, duals = real(a, b, c)
+            return 0.5 * x, duals
 
-        monkeypatch.setattr(transport, "linprog", halved)
-        with pytest.raises(ValidationError, match="violates marginals"):
+        monkeypatch.setattr(transport, "_tree_simplex", halved)
+        with pytest.raises(ValidationError, match="transport LP failed: plan violates marginals"):
             wc_discrete_lp(s, nu, s.weights)
 
     def test_plan_csv(self, tmp_path):
