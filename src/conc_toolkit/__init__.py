@@ -1,136 +1,49 @@
 """Numerical toolkit for isoperimetric, concentration, functional and
-transport-entropy inequalities on 1-D measures and finite metric spaces."""
+transport-entropy inequalities on 1-D measures and finite metric spaces.
 
-from .costs import (
-    CostSpec,
-    graded_cost_grid,
-    legendre_numeric,
-    phi_inverse,
-    phi_p_eval,
-    phi_star_eval,
-)
-from .errors import DomainError, ToolkitError, UnsupportedSizeError, ValidationError
-from .functional import (
-    GridFunction,
-    functional_inequality_eval,
-    logsob_constant_1d,
-    poincare_constant_1d,
-)
-from .laplace import (
-    ConcBound,
-    LaplaceBound,
-    conc_to_laplace,
-    gibbs_check,
-    herbst_laplace,
-    laplace_sup_discrete,
-    log_laplace,
-)
-from .measures import (
-    DiscreteSpace,
-    Measure1D,
-    atomize_1d,
-    build_discrete_space,
-    build_measure_1d,
-    check_semi_convexity,
-    derive_measure,
-    discrete_space_from_atoms,
-)
-from .profiles import (
-    Profile,
-    conc_going_down,
-    conc_profile,
-    conc_to_iso_form,
-    exp_p_gamma_shape,
-    fit_constant,
-    iso_profile_1d,
-    iso_stability_transform,
-    iso_to_conc,
-    profile_from_csv,
-    profile_to_csv,
-    profile_to_svg,
-)
-from .reports import ConstantEntry, ConstantsReport
-from .suites import SUITE_IDS, SuiteReport, run_suite, run_suites
-from .transport import (
-    DivergenceReport,
-    KRDualResult,
-    TransportPlan,
-    divergences,
-    first_moment_constant,
-    kr_dual,
-    psi1_metric_bound,
-    te_constant_estimate,
-    transport_costs,
-    w1_1d,
-    w1_discrete,
-    wc_discrete_lp,
-    wc_monotone_1d,
-    ws_1d,
-)
+Each public name loads its module on first access (PEP 562), so a
+program pays only for the modules it uses."""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConcBound",
-    "ConstantEntry",
-    "ConstantsReport",
-    "CostSpec",
-    "DiscreteSpace",
-    "DivergenceReport",
-    "DomainError",
-    "GridFunction",
-    "KRDualResult",
-    "LaplaceBound",
-    "Measure1D",
-    "Profile",
-    "SUITE_IDS",
-    "SuiteReport",
-    "ToolkitError",
-    "TransportPlan",
-    "UnsupportedSizeError",
-    "ValidationError",
-    "atomize_1d",
-    "build_discrete_space",
-    "build_measure_1d",
-    "check_semi_convexity",
-    "conc_going_down",
-    "conc_profile",
-    "conc_to_iso_form",
-    "conc_to_laplace",
-    "derive_measure",
-    "discrete_space_from_atoms",
-    "divergences",
-    "exp_p_gamma_shape",
-    "first_moment_constant",
-    "fit_constant",
-    "functional_inequality_eval",
-    "gibbs_check",
-    "graded_cost_grid",
-    "herbst_laplace",
-    "iso_profile_1d",
-    "iso_stability_transform",
-    "iso_to_conc",
-    "kr_dual",
-    "laplace_sup_discrete",
-    "legendre_numeric",
-    "log_laplace",
-    "logsob_constant_1d",
-    "phi_inverse",
-    "phi_p_eval",
-    "phi_star_eval",
-    "poincare_constant_1d",
-    "profile_from_csv",
-    "profile_to_csv",
-    "profile_to_svg",
-    "psi1_metric_bound",
-    "run_suite",
-    "run_suites",
-    "te_constant_estimate",
-    "transport_costs",
-    "w1_1d",
-    "w1_discrete",
-    "wc_discrete_lp",
-    "wc_monotone_1d",
-    "ws_1d",
-    "__version__",
-]
+# public name -> the module that defines it
+_EXPORTS: dict[str, str] = {
+    **dict.fromkeys(("CostSpec", "graded_cost_grid", "legendre_numeric",
+                     "phi_inverse", "phi_p_eval", "phi_star_eval"), "costs"),
+    **dict.fromkeys(("DomainError", "ToolkitError", "UnsupportedSizeError",
+                     "ValidationError"), "errors"),
+    **dict.fromkeys(("GridFunction", "functional_inequality_eval",
+                     "logsob_constant_1d", "poincare_constant_1d"), "functional"),
+    **dict.fromkeys(("ConcBound", "LaplaceBound", "conc_to_laplace", "gibbs_check",
+                     "herbst_laplace", "laplace_sup_discrete", "log_laplace"),
+                    "laplace"),
+    **dict.fromkeys(("DiscreteSpace", "Measure1D", "atomize_1d", "build_discrete_space",
+                     "build_measure_1d", "check_semi_convexity", "derive_measure",
+                     "discrete_space_from_atoms"), "measures"),
+    **dict.fromkeys(("Profile", "conc_going_down", "conc_profile", "conc_to_iso_form",
+                     "exp_p_gamma_shape", "fit_constant", "iso_profile_1d",
+                     "iso_stability_transform", "iso_to_conc", "profile_from_csv",
+                     "profile_to_csv", "profile_to_svg"), "profiles"),
+    **dict.fromkeys(("ConstantEntry", "ConstantsReport"), "reports"),
+    **dict.fromkeys(("SUITE_IDS", "SuiteReport", "run_suite", "run_suites"), "suites"),
+    **dict.fromkeys(("DivergenceReport", "KRDualResult", "TransportPlan", "divergences",
+                     "first_moment_constant", "kr_dual", "psi1_metric_bound",
+                     "te_constant_estimate", "transport_costs", "w1_1d", "w1_discrete",
+                     "wc_discrete_lp", "wc_monotone_1d", "ws_1d"), "transport"),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -21,6 +21,10 @@ means only that a suite failed.
 Every vectorized evaluator behind these commands keeps one array
 contract: a scalar argument gives a float, an array-like argument an
 array of the same shape.
+
+Each command imports only the modules it runs (``--version`` not even
+numpy); ``verify`` imports every suite before it starts its workers, so
+they fork with the toolkit loaded.  The suite ids are listed in README.
 """
 
 from __future__ import annotations
@@ -31,29 +35,8 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .costs import CostSpec
 from .errors import ToolkitError
-from .functional import logsob_constant_1d, poincare_constant_1d
-from .measures import Measure1D, build_measure_1d, derive_measure
-from .profiles import (
-    conc_profile,
-    fit_constant,
-    iso_profile_1d,
-    profile_from_csv,
-    profile_to_csv,
-    profile_to_svg,
-)
-from .reports import ConstantsReport
-from .suites import SUITE_IDS, run_suites
-from .transport import (
-    divergences,
-    first_moment_constant,
-    w1_1d,
-    wc_monotone_1d,
-)
 
 
 def _add_measure_source(parser: argparse.ArgumentParser) -> None:
@@ -66,7 +49,9 @@ def _add_measure_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-points", type=int, default=4096)
 
 
-def _load_measure(args) -> Measure1D:
+def _load_measure(args):
+    from .measures import Measure1D, build_measure_1d
+
     if args.measure:
         return Measure1D.load(args.measure)
     if args.preset:
@@ -126,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("suites", nargs="+",
-                   help=f"suite ids or 'all'; known: {', '.join(SUITE_IDS)}")
+                   help="suite ids (listed in README) or 'all'")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--out", default=None, help="directory for JSON reports")
     v.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
@@ -140,6 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_measure(args) -> int:
+    import numpy as np
+
+    from .measures import Measure1D, derive_measure
+
     if args.subcommand == "build":
         mu = _load_measure(args)
         mu.save(args.out)
@@ -170,6 +159,10 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    import numpy as np
+
+    from .profiles import conc_profile, iso_profile_1d, profile_to_csv, profile_to_svg
+
     mu = _load_measure(args)
     if args.subcommand == "iso":
         prof = iso_profile_1d(mu)
@@ -191,6 +184,10 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .costs import CostSpec
+    from .measures import Measure1D
+    from .transport import divergences, w1_1d, wc_monotone_1d
+
     a = Measure1D.load(args.file_a)
     b = Measure1D.load(args.file_b)
     if args.subcommand == "w1":
@@ -208,6 +205,11 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .functional import logsob_constant_1d, poincare_constant_1d
+    from .profiles import conc_profile, fit_constant, iso_profile_1d
+    from .reports import ConstantsReport
+    from .transport import first_moment_constant
+
     mu = _load_measure(args)
     report = ConstantsReport()
     report.add(poincare_constant_1d(mu))
@@ -226,6 +228,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .suites import SUITE_IDS, run_suites  # every suite, before any fork
+
     ids = list(SUITE_IDS) if "all" in args.suites else args.suites
     unknown = [s for s in ids if s not in SUITE_IDS]
     if unknown:
@@ -248,6 +252,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    from .profiles import profile_from_csv, profile_to_svg
+
     prof = profile_from_csv(args.csv, kind="iso")
     profile_to_svg(prof, args.out)
     print(f"wrote {args.out}")

@@ -69,11 +69,10 @@ class GridFunction:
         return 0.5 * np.abs(np.gradient(logs, x))
 
 
-def _entropy(mu: Measure1D, g: np.ndarray) -> float:
-    """Ent_mu(g) = int g log g dmu - (int g) log(int g) for g >= 0,
-    with the 0 log 0 = 0 convention."""
+def _entropy(weights: np.ndarray, g: np.ndarray) -> float:
+    """Ent_mu(g) = int g log g dmu - (int g) log(int g) for g >= 0, the
+    integrals by mu's node weights, with the 0 log 0 = 0 convention."""
     g = np.maximum(np.asarray(g, dtype=float), 0.0)
-    weights = mu.node_weights()
     mass = float(np.dot(weights, g))
     if mass <= 0:
         return 0.0
@@ -211,7 +210,7 @@ def _generic_ratio(mu: Measure1D, values: np.ndarray) -> float:
     grad = f.gradient_magnitude()
     weights = mu.node_weights()
     num = float(np.dot(weights, grad**2))
-    ent = _entropy(mu, values**2)
+    ent = _entropy(weights, values**2)
     if ent <= 1e-14 * (1.0 + num):
         return math.inf
     return num / ent
@@ -243,13 +242,18 @@ def logsob_constant_1d(mu: Measure1D) -> ConstantEntry:
             lo, hi = hi, lo
         phi = (math.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
-        for _ in range(40):
-            c = b - phi * (b - a)
-            d = a + phi * (b - a)
-            if _exp_family_ratio(mu, c) < _exp_family_ratio(mu, d):
-                b = d
+        c, d = b - phi * (b - a), a + phi * (b - a)
+        fc, fd = _exp_family_ratio(mu, c), _exp_family_ratio(mu, d)
+        for _ in range(39):  # the surviving interior point is reused
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - phi * (b - a)
+                fc = _exp_family_ratio(mu, c)
             else:
-                a = c
+                a, c, fc = c, d, fd
+                d = a + phi * (b - a)
+                fd = _exp_family_ratio(mu, d)
+        a, b = (a, d) if fc < fd else (c, b)  # the 40th step needs no new point
         lam_star = 0.5 * (a + b)
         r = _exp_family_ratio(mu, lam_star)
         if r < best:
@@ -309,7 +313,7 @@ def functional_inequality_eval(mu: Measure1D, f: GridFunction, form: str,
     if form == "q-LS":
         if not 1.0 <= q <= 2.0:
             raise DomainError("q-LS requires q in [1, 2]")
-        ent = _entropy(mu, np.abs(f.values) ** q)
+        ent = _entropy(weights, np.abs(f.values) ** q)
         lhs = rate * ent ** (1.0 / q)
         grad = f.gradient_magnitude()
         rhs = float(np.dot(weights, grad**q)) ** (1.0 / q)
@@ -319,7 +323,7 @@ def functional_inequality_eval(mu: Measure1D, f: GridFunction, form: str,
     if form == "mod-LS":
         if q < 1.0:
             raise DomainError("mod-LS requires q in [1, oo]")
-        ent = _entropy(mu, f.values**2)
+        ent = _entropy(weights, f.values**2)
         ratio = f.log_square_gradient_half() / rate
         if q == 1.0:
             star = ratio.copy()  # phi_star_1(t) = t

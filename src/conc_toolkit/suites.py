@@ -160,27 +160,74 @@ def _conc_rate_1d(mu: Measure1D, p: float, r_max: float | None = None) -> float:
     return fit_constant(prof, "p-exp-conc", p=p).value
 
 
+def _bracket_root(f: Callable[[float], float], lo: float, hi: float,
+                  ) -> tuple[float, float]:
+    """Adjacent floats lo < hi with f(lo) < 0 <= f(hi), from such a bracket.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): inverse-quadratic or secant steps, bisection where they do not
+    shrink the bracket fast enough, down to a few ulps; then bisection until
+    the midpoint rounds to an end.  A zero counts as the upper side and
+    stops nothing, so wherever f is monotone in floats this is the bracket
+    plain bisection ends on.
+    """
+    a, fa = lo, f(lo)
+    b, fb = hi, f(hi)
+    c, fc = a, fa  # b is the better end, c the other end, a the last b
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if p == 0.0:  # f(b) == 0: step by tol toward c
+                q = math.copysign(q, m)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if (fb >= 0.0) == (fc >= 0.0):
+            c, fc = a, fa
+            d = e = b - a
+    lo, hi = (b, c) if fb < 0.0 else (c, b)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return lo, hi
+
+
 def _concave_tilt(mu: Measure1D, rng: np.random.Generator, target_d: float,
                   ) -> tuple[Measure1D, float]:
     """Log-concavity-preserving density-ratio perturbation with attained
-    cap close to target_d: tilt by -a |x - t| and bisect on a."""
+    cap close to target_d: tilt by -a |x - t| and find a by
+    ``_bracket_root``."""
     t = float(rng.uniform(*mu.quantile(np.array([0.2, 0.8]))))
 
-    @cache  # an early stop leaves a_star at an endpoint already evaluated
+    @cache  # a_star rounds to an end of the bracket, already evaluated
     def attained(a: float) -> float:
         return -mu.log_mgf_nodes(-a * np.abs(mu.grid - t), 1.0)
 
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while attained(hi) < target_d and hi < 1e4:
         hi *= 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:  # converged: later steps change nothing
-            break
-        if attained(mid) < target_d:
-            lo = mid
-        else:
-            hi = mid
+    lo = hi  # a target past the doubling cap leaves a at hi
+    if attained(hi) >= target_d:
+        lo, hi = _bracket_root(lambda a: attained(a) - target_d, 0.0, hi)
     a_star = 0.5 * (lo + hi)
     cap = attained(a_star)
     return derive_measure(mu, "density-ratio", phi=-a_star * np.abs(mu.grid - t),
@@ -695,28 +742,30 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
 # per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
 # run in a fresh process, imports on first use included (median of 5;
 # run_suites starts the longest first); the finite suites' times date from
-# their array rewrite, the line suites' from the Sturm-count eigensolve
+# their array rewrite, the line suites' from Brent's root for the tilts
 _SUITES: dict[str, tuple[Callable, float]] = {
     "going-down-exact": (partial(_exact_trials, _going_down_instance), 0.21),
     "w1-fm-exact": (partial(_exact_trials, _w1_fm_instance), 0.17),
     "te-jensen-pointwise": (_suite_te_jensen, 0.26),
-    "iso-stability-shape": (_suite_iso_stability_shape, 0.43),
-    "logsob-stability": (_suite_logsob_stability, 0.42),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.27),
+    "logsob-stability": (_suite_logsob_stability, 0.28),
     "w1-stability-chain": (_suite_w1_stability_chain, 0.20),
     "conc-te-equiv": (_suite_conc_te_equiv, 0.20),
-    "te-equiv-shape": (_suite_te_equiv_shape, 0.26),
-    "hierarchy-gamma-p": (_suite_hierarchy, 0.14),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.39),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.21),
     "bg-duality": (_suite_bg_duality, 0.43),
 }
 
 SUITE_IDS = tuple(_SUITES)
 
 # the least value of each integer config entry of the finite suites: one
-# instance, and room for the smallest point count a suite draws
+# instance or witness, and room for the smallest point count a suite draws
+# or atomizes
 _CONFIG_FLOORS: dict[str, dict[str, int]] = {
     "going-down-exact": {"trials": 1, "n_max": 3},
     "w1-fm-exact": {"trials": 1, "n_max": 2},
     "te-jensen-pointwise": {"trials_per_p": 1},
+    "conc-te-equiv": {"atoms": 2, "max_witnesses": 1},
     "bg-duality": {"trials": 1, "n_max": 3, "witness_cap": 1},
 }
 
@@ -725,7 +774,8 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
 
-# what each grid, tolerance, band and floor of any suite's config must be
+# what each grid, tolerance, band, floor and optional extent of any
+# suite's config must be
 _CONFIG_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     **dict.fromkeys(("p_grid", "d_grid", "mass_grid", "witness_lams"), (
         "a non-empty list of finite numbers",
@@ -733,6 +783,8 @@ _CONFIG_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
     **dict.fromkeys(("v_min", "c_floor", "track_factor", "h_up_cap", "band",
                      "ratio_floor", "con_band", "tie_tol"), (
         "a finite number > 0", lambda v: _finite(v) and v > 0)),
+    **dict.fromkeys(("half_width", "r_max"), (
+        "None or a finite number > 0", lambda v: v is None or (_finite(v) and v > 0))),
 }
 
 

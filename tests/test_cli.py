@@ -236,6 +236,53 @@ def test_one_d_commands_do_not_import_scipy(tmp_path, fresh_python):
     assert fresh_python(script) == ["[]", "0", "[]", "0", "[]"]
 
 
+def test_commands_load_only_their_modules(tmp_path, fresh_python):
+    """Each command imports what it runs: a profile no suite, transport,
+    Laplace or functional module, the constants report no suite and no
+    process pool, and --version not even numpy."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from conc_toolkit.cli import dispatch\n"
+        "def run(*args):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        return dispatch(list(args))\n"
+        "def loaded(*names):\n"
+        "    return sorted(n for n in names if n in sys.modules)\n"
+        "print(run('profile', 'iso', '--preset', 'gamma_p', '--p', '1.5',\n"
+        f"          '--out', {str(tmp_path / 'iso.csv')!r}),\n"
+        "      loaded(*('conc_toolkit.' + m for m in\n"
+        "               ('suites', 'transport', 'laplace', 'functional'))))\n"
+        "print(run('constants', 'all', '--preset', 'gamma_p', '--p', '2',\n"
+        f"          '--out', {str(tmp_path / 'consts.json')!r}),\n"
+        "      loaded('conc_toolkit.suites', 'concurrent.futures.process'))\n")
+    assert fresh_python(script) == ["0", "[]", "0", "[]"]
+    version = (
+        "import sys\n"
+        "from conc_toolkit.cli import dispatch\n"
+        "try:\n"
+        "    dispatch(['--version'])\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print('numpy' in sys.modules)\n")
+    assert fresh_python(version) == ["0.1.0", "False"]
+
+
+def test_public_names_load_their_modules_on_first_access(fresh_python):
+    """The package imports no module until a public name is read, and
+    every name in __all__ resolves to its module's object."""
+    script = (
+        "import importlib, sys\n"
+        "import conc_toolkit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('conc_toolkit.')))\n"
+        "conc_toolkit.run_suite\n"
+        "print('conc_toolkit.suites' in sys.modules)\n"
+        "print(all(getattr(conc_toolkit, n) is getattr(\n"
+        "    importlib.import_module('conc_toolkit.' + conc_toolkit._EXPORTS[n]), n)\n"
+        "    for n in conc_toolkit.__all__ if n != '__version__'))\n"
+        "print(hasattr(conc_toolkit, 'no_such_name'))\n")
+    assert fresh_python(script) == ["[]", "True", "True", "False"]
+
+
 def test_verify_finite_suites_do_not_import_scipy(fresh_python):
     """The finite-space suites run on numpy alone: the vertex walk, the
     line metric's closed forms and the numpy transportation simplex leave

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conc_toolkit import suites
+from conc_toolkit import functional, suites
 from conc_toolkit.errors import DomainError
-from conc_toolkit.measures import DiscreteSpace
+from conc_toolkit.measures import DiscreteSpace, Measure1D, build_measure_1d
 from conc_toolkit.profiles import LOG2, conc_profile
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
 from conc_toolkit.transport import _kl_discrete, gibbs_tilt_discrete
@@ -210,6 +210,8 @@ def test_conc_te_equiv_leaves_scipy_unloaded(fresh_python):
     ("te-jensen-pointwise", "trials_per_p", 0), ("te-jensen-pointwise", "trials_per_p", "3"),
     ("bg-duality", "trials", -1), ("bg-duality", "n_max", 2),
     ("bg-duality", "witness_cap", 0), ("bg-duality", "witness_cap", None),
+    ("conc-te-equiv", "max_witnesses", -3), ("conc-te-equiv", "max_witnesses", 0),
+    ("conc-te-equiv", "atoms", 1),
 ])
 def test_finite_suite_config_values_checked(suite_id, key, value):
     """Counts are integers >= 1 and n_max leaves room for the smallest point
@@ -232,17 +234,22 @@ def test_finite_suite_config_values_checked(suite_id, key, value):
     ("conc-te-equiv", "band", math.inf, "a finite number > 0"),
     ("te-equiv-shape", "ratio_floor", True, "a finite number > 0"),
     ("hierarchy-gamma-p", "con_band", None, "a finite number > 0"),
+    ("conc-te-equiv", "half_width", -1.0, "None or a finite number > 0"),
+    ("hierarchy-gamma-p", "half_width", math.inf, "None or a finite number > 0"),
+    ("hierarchy-gamma-p", "r_max", -1.0, "None or a finite number > 0"),
+    ("hierarchy-gamma-p", "r_max", 0.0, "None or a finite number > 0"),
 ])
 def test_suite_config_grids_and_tolerances_checked(suite_id, key, value, what):
-    """Grids are non-empty lists of finite numbers, and tolerances, bands
-    and floors finite and positive; anything else raises DomainError naming
-    the key before an instance is drawn."""
+    """Grids are non-empty lists of finite numbers, tolerances, bands and
+    floors finite and positive, and the optional extents None or finite and
+    positive; anything else raises DomainError naming the key before an
+    instance is drawn."""
     with pytest.raises(DomainError, match=f"config '{key}' must be {what}"):
         run_suite(suite_id, {key: value})
 
 
 def test_conc_te_equiv_rejects_a_fractional_atom_count():
-    with pytest.raises(DomainError, match="integer number of atoms"):
+    with pytest.raises(DomainError, match="config 'atoms' must be an integer >= 2"):
         run_suite("conc-te-equiv", {"atoms": 2.5})
 
 
@@ -252,6 +259,7 @@ def test_finite_suite_config_floors_run():
     assert run_suite("w1-fm-exact", {"trials": 1, "n_max": 2}).passed
     assert run_suite("te-jensen-pointwise", {"trials_per_p": 1}).passed
     assert run_suite("bg-duality", {"trials": 1, "n_max": 3, "witness_cap": 1}).passed
+    assert run_suite("conc-te-equiv", {"atoms": 2, "max_witnesses": 1}).passed
 
 
 def _margins_loop(lhs_at, rhs_at, rs):
@@ -384,3 +392,90 @@ def test_finite_summaries_match_the_bench_reference(seed):
     for sid in FINITE_SUITES:
         got = json.loads(json.dumps(run_suite(sid, seed=seed).summary, default=str))
         assert _agrees(got, want[sid]), (sid, got, want[sid])
+
+
+def _bisection(f, lo, hi):
+    """The plain bisection _concave_tilt ran before: to the midpoint that
+    rounds to an end, a zero counting as the upper side."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if f(mid) < 0.0 else (lo, mid)
+    return lo, hi
+
+
+def _counted(f):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return f(*args)
+
+    return counting, calls
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_bracket_root_equals_bisection_on_gamma_p_tilts(p):
+    """On the tilts _concave_tilt solves for (8,192 points, centres drawn
+    as it draws them, caps across the suites' range), Brent's bracket is the
+    adjacent-float bracket plain bisection ends on, in a fraction of the
+    evaluations."""
+    mu = build_measure_1d(preset="gamma_p", p=p, n_points=8192)
+    rng = np.random.default_rng(int(4 * p))
+    brent_calls = bisection_calls = 0
+    for target in rng.uniform(0.3, 8.0, 3):
+        t = float(rng.uniform(*mu.quantile(np.array([0.2, 0.8]))))
+
+        def f(a, t=t, target=target):
+            return -mu.log_mgf_nodes(-a * np.abs(mu.grid - t), 1.0) - target
+
+        hi = 1.0
+        while f(hi) < 0.0:
+            hi *= 2.0
+        g, calls = _counted(f)
+        lo_b, hi_b = suites._bracket_root(g, 0.0, hi)
+        want = _bisection(f, 0.0, hi)
+        assert (lo_b, hi_b) == want
+        assert np.nextafter(lo_b, math.inf) == hi_b
+        assert f(lo_b) < 0.0 <= f(hi_b)
+        brent_calls += len(calls)
+        h, calls = _counted(f)
+        _bisection(h, 0.0, hi)
+        bisection_calls += len(calls)
+    assert brent_calls <= bisection_calls / 3
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: x * x * x - 0.1, 0.0, 1.0),
+    (lambda x: 0.0 if x >= 1.0 / 3.0 else -1.0, 0.0, 1.0),  # a step
+    (lambda x: min(x - 0.3, 0.0) + max(x - 0.7, 0.0), 0.0, 1.0),  # zero on [0.3, 0.7]
+    (lambda x: math.floor((x - 0.6) * 2.0**40) / 2.0**40, 0.0, 1.0),  # flat by 2^-40
+    (lambda x: math.floor((x - 5.0) * 2.0**50) / 2.0**50, 0.0, 8.0),  # flat by a few ulps
+    (lambda x: x - 1e-300, 0.0, 1.0),  # a root near zero
+])
+def test_bracket_root_equals_bisection_where_flat_at_the_noise_level(f, lo, hi):
+    """On monotone functions, steps and plateaus of zeros included, the
+    bracket is the one plain bisection ends on: the last float below 0 and
+    the first at or above it."""
+    assert suites._bracket_root(f, lo, hi) == _bisection(f, lo, hi)
+
+
+def _count_calls(monkeypatch, owner, name):
+    counting, calls = _counted(getattr(owner, name))
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_iso_stability_shape_tilts_in_few_evaluations(monkeypatch):
+    """Each tilt's root takes a handful of log-MGF passes: at most 500 over
+    the suite's 20 tilts at seed 7, against 1,165 for bisection."""
+    calls = _count_calls(monkeypatch, Measure1D, "log_mgf_nodes")
+    run_suite("iso-stability-shape", seed=7)
+    assert len(calls) <= 500
+
+
+def test_logsob_stability_polish_reuses_its_point(monkeypatch):
+    """The golden section makes one new evaluation per step: at most 460
+    exponential-family quotients at seed 7, against 801 with two per step."""
+    calls = _count_calls(monkeypatch, functional, "_exp_family_ratio")
+    run_suite("logsob-stability", seed=7)
+    assert len(calls) <= 460
