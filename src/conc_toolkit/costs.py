@@ -27,16 +27,16 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "CostSpec",
-    "phi_p_eval",
-    "phi_star_eval",
-    "phi_inverse",
-    "phi_star_inverse",
-    "legendre_numeric",
-]
 
-_BRANCH_OFFSET_TOL = 1e-12
+def _argument(x, name: str, *, finite: bool = False) -> np.ndarray:
+    """The argument check of every vectorized evaluator: ``x`` as a float
+    array, or DomainError when an entry is NaN (or, with ``finite``, is
+    not finite)."""
+    x = np.asarray(x, dtype=float)
+    bad = ~np.isfinite(x) if finite else np.isnan(x)
+    if bad.any():
+        raise DomainError(f"{name} must be finite" if finite else f"{name} must not be NaN")
+    return x
 
 
 def _shaped(x: np.ndarray, out) -> float | np.ndarray:
@@ -75,7 +75,7 @@ class CostSpec:
 
 def phi_p_eval(spec: CostSpec, x):
     """Evaluate phi_p at x >= 0 (scalar or array); branch-exact arithmetic."""
-    x = np.asarray(x, dtype=float)
+    x = _argument(x, "x")
     if np.any(x < 0):
         raise DomainError("phi_p is defined on x >= 0")
     p = spec.p
@@ -95,7 +95,7 @@ def phi_star_eval(spec: CostSpec, lam):
 
     Returns +oo (math.inf) beyond 1 when q = oo.
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _argument(lam, "lam")
     if np.any(lam < 0):
         raise DomainError("phi_star_q is defined on lam >= 0")
     q = spec.q
@@ -113,7 +113,7 @@ def phi_star_eval(spec: CostSpec, lam):
 
 def phi_inverse(spec: CostSpec, y):
     """Monotone inverse of phi_p: the x >= 0 with phi_p(x) = y."""
-    y = np.asarray(y, dtype=float)
+    y = _argument(y, "y")
     if np.any(y < 0):
         raise DomainError("phi_p^{-1} is defined on y >= 0")
     p = spec.p
@@ -125,27 +125,6 @@ def phi_inverse(spec: CostSpec, y):
             y <= 0.5,
             np.sqrt(2.0 * y),
             np.power(p * np.maximum(y - 0.5 + 1.0 / p, 0.0), 1.0 / p),
-        )
-    return _shaped(y, out)
-
-
-def phi_star_inverse(spec: CostSpec, y):
-    """Monotone inverse of phi_star_q on its finite range."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0):
-        raise DomainError("phi_star_q^{-1} is defined on y >= 0")
-    q = spec.q
-    if q <= 2.0:
-        out = np.power(q * y, 1.0 / q)
-    elif math.isinf(q):
-        if np.any(y > 0.5 + _BRANCH_OFFSET_TOL):
-            raise DomainError("phi_star_oo never exceeds 1/2")
-        out = np.sqrt(2.0 * np.minimum(y, 0.5))
-    else:
-        out = np.where(
-            y <= 0.5,
-            np.sqrt(2.0 * y),
-            np.power(q * np.maximum(y - 0.5 + 1.0 / q, 0.0), 1.0 / q),
         )
     return _shaped(y, out)
 
@@ -168,18 +147,15 @@ def graded_cost_grid(spec: CostSpec, x_max: float, n: int = 20001) -> np.ndarray
     return u ** (1.0 / exponent)
 
 
-def legendre_numeric(
-    x: np.ndarray,
-    f: np.ndarray,
-    lam: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def legendre_numeric(x: np.ndarray, f: np.ndarray,
+                     lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Discrete Legendre transform f*(lam) = max_x (lam x - f(x)) over a grid.
 
-    ``f`` may contain +oo entries; these are skipped in the sup.  When the
-    maximizer sits on the right edge of the grid *and* the objective is
-    still increasing there, the true conjugate is unbounded beyond the
-    window and the value is reported as +oo rather than the spurious
-    finite edge value.
+    ``f`` may contain +oo entries; these are skipped in the sup, and a NaN
+    or -oo entry raises ValidationError.  When the maximizer sits on the
+    right edge of the grid *and* the objective is still increasing there,
+    the true conjugate is unbounded beyond the window and the value is
+    reported as +oo rather than the spurious finite edge value.
 
     Returns (lam, f_star).  The output is convex and nondecreasing in lam
     by construction (a max of affine functions with slopes x >= 0).
@@ -190,12 +166,12 @@ def legendre_numeric(
         raise ValidationError("legendre_numeric requires a nonempty grid")
     if x.ndim != 1 or f.shape != x.shape:
         raise ValidationError("x and f must be equal-length 1-D arrays")
+    if np.any(np.isnan(f) | np.isneginf(f)):
+        raise ValidationError("f may hold +inf entries, but no NaN or -inf")
     finite = np.isfinite(f)
     if not finite.any():
         raise ValidationError("f has no finite entries")
     xf, ff = x[finite], f[finite]
-    if lam is None:
-        lam = np.linspace(0.0, max(1.0, float(xf.max())), 2049)
     lam = np.asarray(lam, dtype=float)
 
     out = np.empty(lam.shape, dtype=float)

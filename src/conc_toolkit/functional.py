@@ -29,14 +29,6 @@ from .errors import DomainError, ValidationError
 from .measures import Measure1D, _cell_partial_moment
 from .reports import ConstantEntry
 
-__all__ = [
-    "GridFunction",
-    "poincare_constant_1d",
-    "logsob_constant_1d",
-    "functional_inequality_eval",
-    "FunctionalEvalResult",
-]
-
 _LOG_FLOOR = 1e-300
 
 

@@ -23,24 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import _shaped, legendre_numeric
+from .costs import _argument, _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, _cell_partial_mass, _float_array
 from .profiles import LOG2, invert_monotone
-
-__all__ = [
-    "LaplaceBound",
-    "ConcBound",
-    "log_laplace",
-    "gibbs_check",
-    "GibbsCheck",
-    "laplace_to_conc",
-    "conc_to_laplace",
-    "herbst_laplace",
-    "laplace_sup_discrete",
-    "mean_zero_lipschitz_vertices",
-]
-
 
 @dataclass(frozen=True)
 class _PhiBound:
@@ -88,18 +74,14 @@ class LaplaceBound(_PhiBound):
             raise ValidationError("slacks eps, delta must be nonnegative")
 
     def phi_star_at(self, lam) -> float | np.ndarray:
-        lam = np.asarray(lam, dtype=float)
+        lam = _argument(lam, "lam", finite=True)
         _, out = legendre_numeric(self.phi_x, self.phi_vals, lam.ravel())
         return _shaped(lam, out)
 
     def rhs_log(self, lam) -> float | np.ndarray:
         """log of the admissible Laplace bound at lam."""
-        lam = np.asarray(lam, dtype=float)
+        lam = _argument(lam, "lam", finite=True)
         return _shaped(lam, lam * self.eps + self.phi_star_at(lam) + self.delta)
-
-    def to_json_dict(self) -> dict:
-        return {"phi_grid": [self.phi_x.tolist(), self.phi_vals.tolist()],
-                "D": self.rate, "eps": self.eps, "delta": self.delta}
 
 
 @dataclass(frozen=True)
@@ -116,57 +98,9 @@ class ConcBound(_PhiBound):
 
     def alpha_at(self, r) -> float | np.ndarray:
         """The concentration lower bound Phi((D' r - z')_+) - delta'."""
-        r = np.asarray(r, dtype=float)
+        r = _argument(r, "r")
         arg = np.maximum(self.rate * r - self.offset, 0.0)
         return _shaped(r, self.phi_at(arg) - self.log_slack)
-
-    def with_slack(self, offset_new: float, log_slack_new: float) -> "ConcBound":
-        """Renormalize (D', z', delta') to prescribed slack values.
-
-        Since the bound only carries information where it exceeds log 2,
-        the rate can be re-fit: the largest D'' is found by bisection so
-        that the new curve never exceeds max(old curve, log 2) on a dense
-        r-grid (this is where the dependence on Phi^{-1}, realized as
-        grid evaluation, enters).
-        """
-        if offset_new < 0 or log_slack_new < -LOG2:
-            raise DomainError("need z'' >= 0 and delta'' >= -log 2")
-        if offset_new == 0.0 and log_slack_new == -LOG2:
-            raise DomainError("one of the slack inequalities must be strict")
-        hi_r = 2.0 * (float(self.phi_x[-1]) + self.offset + offset_new) / self.rate
-        rs = np.linspace(0.0, hi_r, 4097)
-        ceiling = np.maximum(self.alpha_at(rs), LOG2)
-        phi_cap = float(self.phi_vals[-1])
-
-        def valid(d: float) -> bool:
-            arg = np.maximum(d * rs - offset_new, 0.0)
-            if arg.max() > self.phi_x[-1] + 1e-12:
-                return False  # new curve runs off the Phi table
-            new = self.phi_at(arg) - log_slack_new
-            return bool(np.all(new <= ceiling + 1e-12))
-
-        lo, hi = 0.0, self.rate
-        if not valid(hi):
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if valid(mid):
-                    lo = mid
-                else:
-                    hi = mid
-            d_new = lo
-        else:
-            d_new = hi
-        if d_new <= 0:
-            raise DomainError(
-                f"no positive rate achieves the requested slacks "
-                f"(z''={offset_new:.3g}, delta''={log_slack_new:.3g}, "
-                f"Phi range cap {phi_cap:.3g})")
-        return ConcBound(phi_x=self.phi_x.copy(), phi_vals=self.phi_vals.copy(),
-                         rate=d_new, offset=offset_new, log_slack=log_slack_new)
-
-    def to_json_dict(self) -> dict:
-        return {"phi_grid": [self.phi_x.tolist(), self.phi_vals.tolist()],
-                "Dp": self.rate, "zp": self.offset, "deltap": self.log_slack}
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +115,8 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
     L(0) = 0 identically and L is convex in lam.  Weights must be finite
     and nonnegative (ValidationError), and every lam finite (DomainError).
     """
-    lam = np.asarray(lam, dtype=float)
+    lam = _argument(lam, "lam", finite=True)
     f = np.asarray(f, dtype=float)
-    if not np.all(np.isfinite(lam)):
-        raise DomainError("lam must be finite")
     if not np.all(np.isfinite(f)):
         raise ValidationError("integrand values must be finite")
     if isinstance(mu, Measure1D):

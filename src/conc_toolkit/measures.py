@@ -29,18 +29,8 @@ from typing import Any
 
 import numpy as np
 
-from .costs import _shaped
+from .costs import _argument, _shaped
 from .errors import DomainError, ToolkitError, ValidationError
-
-__all__ = [
-    "Measure1D",
-    "DiscreteSpace",
-    "build_measure_1d",
-    "derive_measure",
-    "build_discrete_space",
-    "check_semi_convexity",
-    "atomize_1d",
-]
 
 _CONVEXITY_TOL = 1e-9
 # slack of the metric axioms and of the weight sign in a DiscreteSpace
@@ -239,7 +229,7 @@ class Measure1D:
         return 2.0 * np.diff(self._slopes) / (h[:-1] + h[1:])
 
     def potential_at(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.grid, self.potential)
+        return np.interp(_argument(x, "x"), self.grid, self.potential)
 
     def log_density(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -257,7 +247,7 @@ class Measure1D:
         return np.clip(idx, 0, self.grid.size - 2)
 
     def cdf(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _argument(x, "x")
         i = self._locate(x)
         t = np.clip(x - self.grid[i], 0.0, self._widths[i])
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
@@ -267,7 +257,7 @@ class Measure1D:
 
     def sf(self, x) -> float | np.ndarray:
         """Survival 1 - F(x), accumulated from the right tail."""
-        x = np.asarray(x, dtype=float)
+        x = _argument(x, "x")
         i = self._locate(x)
         t = np.clip(x - self.grid[i], 0.0, self._widths[i])
         part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
@@ -567,19 +557,6 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
                      provenance=prov)
 
 
-def check_semi_convexity(mu: Measure1D, kappa: float) -> tuple[bool, float, float]:
-    """Check the curvature certificate V'' >= -kappa at interior grid nodes.
-
-    Returns (holds, worst_x, worst_second_difference).
-    """
-    if mu.grid.size < 3:
-        raise ValidationError("semi-convexity check needs at least 3 grid points")
-    second = mu.second_differences()
-    k = int(np.argmin(second))
-    worst = float(second[k])
-    return worst >= -kappa - _CONVEXITY_TOL, float(mu.grid[k + 1]), worst
-
-
 # ---------------------------------------------------------------------------
 # DiscreteSpace
 # ---------------------------------------------------------------------------
@@ -652,18 +629,6 @@ class DiscreteSpace:
         """Distinct positive pairwise distances, sorted."""
         iu = np.triu_indices(self.n, k=1)
         return np.unique(self.dist[iu])
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {"dist": self.dist.tolist(), "weights": self.weights.tolist()}
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
-
-    @classmethod
-    def load(cls, path: str) -> "DiscreteSpace":
-        data = _read_json(path, ("dist", "weights"))
-        return cls(dist=data["dist"], weights=data["weights"])
 
 
 def build_discrete_space(dist: np.ndarray, weights: np.ndarray) -> DiscreteSpace:

@@ -36,25 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _shaped
+from .costs import _argument, _shaped
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, is_symmetric
 from .reports import ConstantEntry
-
-__all__ = [
-    "Profile",
-    "iso_profile_1d",
-    "conc_profile",
-    "iso_to_conc",
-    "conc_going_down",
-    "iso_stability_transform",
-    "conc_to_iso_form",
-    "fit_constant",
-    "exp_p_gamma_shape",
-    "profile_to_csv",
-    "profile_from_csv",
-    "profile_to_svg",
-]
 
 LOG2 = math.log(2.0)
 _KINDS = ("iso", "conc", "bound-alpha", "bound-gamma")
@@ -103,7 +88,7 @@ class Profile:
     def at(self, x) -> float | np.ndarray:
         """Evaluate the profile at x (linear interpolation, or step lookup
         for step profiles: value on the interval (d_{k-1}, d_k] containing x)."""
-        x = np.asarray(x, dtype=float)
+        x = _argument(x, "x")
         if self.step:
             idx = np.searchsorted(self.inputs, x, side="left")
             out = np.where(idx >= self.inputs.size, np.inf,
@@ -115,10 +100,6 @@ class Profile:
     def inverse_at(self, y) -> float:
         """Leftmost input where the (nondecreasing) profile reaches y."""
         return invert_monotone(self.inputs, self.values, y)
-
-    @property
-    def domain(self) -> tuple[float, float]:
-        return float(self.inputs[0]), float(self.inputs[-1])
 
 
 def invert_monotone(xs: np.ndarray, ys: np.ndarray, target) -> float | np.ndarray:
@@ -485,7 +466,6 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
     Templates:
 
     ``p-exp-conc``  D = inf over the grid of (K(r) + 1)^{1/p} / r.
-    ``p-exp-iso``   D = inf over the grid of profile(v) / reference(v).
     ``ratio``       min and max of profile / reference on the common grid.
 
     Infima are taken over the tabulated grid only; grid refinement is the
@@ -509,22 +489,6 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
             method=f"grid infimum of (K(r)+1)^(1/p)/r over tabulated profile ({quality})",
             witnesses={"r": float(profile.inputs[mask][k]),
                        "K": float(profile.values[mask][k])},
-        )
-    if template == "p-exp-iso":
-        if reference is None:
-            raise DomainError("p-exp-iso template requires a reference profile")
-        ref_vals = reference.at(profile.inputs)
-        mask = ref_vals > 0
-        ratios = profile.values[mask] / ref_vals[mask]
-        k = int(np.argmin(ratios))
-        return ConstantEntry(
-            constant_id=constant_id or (f"D_Iso_{p:g}" if p else "D_Iso"),
-            value=float(ratios[k]),
-            direction="upper",
-            method=f"grid infimum of profile/reference ({quality})",
-            witnesses={"v": float(profile.inputs[mask][k]),
-                       "profile": float(profile.values[mask][k]),
-                       "reference": float(ref_vals[mask][k])},
         )
     if template == "ratio":
         if reference is None:

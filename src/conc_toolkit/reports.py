@@ -16,8 +16,6 @@ from typing import Any
 
 from .errors import ValidationError
 
-__all__ = ["ConstantEntry", "ConstantsReport"]
-
 _DIRECTIONS = ("upper", "lower", "two-sided")
 
 
@@ -57,12 +55,6 @@ class ConstantsReport:
 
     def add(self, entry: ConstantEntry) -> None:
         self.entries.append(entry)
-
-    def get(self, constant_id: str) -> ConstantEntry:
-        for e in self.entries:
-            if e.constant_id == constant_id:
-                return e
-        raise KeyError(constant_id)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {"entries": [e.to_json_dict() for e in self.entries]}

@@ -77,8 +77,6 @@ from .transport import (
     witnesses_1d,
 )
 
-__all__ = ["SuiteReport", "run_suite", "SUITE_IDS", "SUITE_DEFAULTS"]
-
 
 @dataclass
 class SuiteReport:

@@ -30,26 +30,8 @@ import numpy as np
 from .costs import CostSpec, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import log_laplace, mean_zero_lipschitz_vertices
-from .measures import DiscreteSpace, Measure1D, _float_array, derive_measure
+from .measures import _SPACE_TOL, DiscreteSpace, Measure1D, _float_array, derive_measure
 from .reports import ConstantEntry
-
-__all__ = [
-    "TransportPlan",
-    "KRDualResult",
-    "wc_discrete_lp",
-    "transport_costs",
-    "kr_dual",
-    "w1_discrete",
-    "w1_1d",
-    "ws_1d",
-    "wc_monotone_1d",
-    "divergences",
-    "DivergenceReport",
-    "te_constant_estimate",
-    "psi1_metric_bound",
-    "Psi1Bound",
-    "first_moment_constant",
-]
 
 _MAX_LP_POINTS = 400
 # the largest n the batch simplex solves, the tree the larger: on a 2-vCPU
@@ -81,18 +63,6 @@ class TransportPlan:
     mass: np.ndarray
     cost: float
     marginal_residual: float
-    n: int
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        out[self.rows, self.cols] = self.mass
-        return out
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("i,j,mass\n")
-            for i, j, m in zip(self.rows, self.cols, self.mass):
-                fh.write(f"{i},{j},{m:.12g}\n")
 
 
 @dataclass(frozen=True)
@@ -343,8 +313,7 @@ def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
     plan = plans[0]
     rows, cols = np.nonzero(plan > 1e-15)
     return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
-                         cost=float(costs[0]), marginal_residual=float(resid[0]),
-                         n=space.n)
+                         cost=float(costs[0]), marginal_residual=float(resid[0]))
 
 
 def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
@@ -353,13 +322,13 @@ def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
     shifted to f(0) = 0.  f >= u on the rows and f <= -v on the columns,
     and f is 1-Lipschitz, so int f d(nu - mu) = W_1: f is a KR-optimal
     potential (Villani, Optimal Transport: Old and New, ch. 5).  A
-    potential off the Lipschitz bound by more than 1e-12 x diameter (a
-    space whose triangle inequality fails by more) raises ValidationError."""
+    potential off the Lipschitz bound by more than the triangle slack a
+    DiscreteSpace accepts, plus 1e-12 x diameter, raises ValidationError."""
     _, costs, _, duals = _transport_lps([(space, [nu], mu, [space.dist])])[0]
     f = np.min(space.dist - duals[0, space.n:], axis=1)
     f -= f[0]
     worst = float(np.max(f[:, None] - f[None, :] - space.dist))
-    if not worst <= 1e-12 * space.diameter:
+    if not worst <= _SPACE_TOL + 1e-12 * space.diameter:
         raise ValidationError(f"potential breaks a Lipschitz bound ({worst:.3g})")
     return KRDualResult(primal=float(costs[0]),
                         dual=float(np.dot(f, np.subtract(nu, mu, dtype=float))),

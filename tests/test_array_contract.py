@@ -2,6 +2,9 @@
 gives a float, an array-like argument an ndarray of the same shape whose
 entries equal the scalar calls."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from conc_toolkit.costs import (
     phi_inverse,
     phi_p_eval,
     phi_star_eval,
-    phi_star_inverse,
 )
+from conc_toolkit.errors import DomainError
 from conc_toolkit.laplace import ConcBound, LaplaceBound, log_laplace
 from conc_toolkit.measures import build_measure_1d
 from conc_toolkit.profiles import Profile, iso_profile_1d
@@ -42,10 +45,13 @@ EVALUATORS = {
     "phi_p_eval": lambda x: phi_p_eval(SPEC, x),
     "phi_star_eval": lambda x: phi_star_eval(SPEC, x),
     "phi_inverse": lambda y: phi_inverse(SPEC, y),
-    "phi_star_inverse": lambda y: phi_star_inverse(SPEC, y),
 }
 # inside every evaluator's domain (quantile levels, Profile tables, x >= 0)
 POINTS = np.array([0.1, 0.25, 0.4, 0.7])
+# evaluators that keep numpy's return types, under the same NaN contract
+NAN_CHECKED = {**EVALUATORS, "Measure1D.density": MU.density,
+               "Measure1D.log_density": MU.log_density,
+               "Measure1D.potential_at": MU.potential_at}
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
@@ -61,6 +67,22 @@ def test_shape_in_shape_out(name):
             out = fn(arg)
             assert isinstance(out, np.ndarray) and out.shape == shape
             np.testing.assert_array_equal(out.ravel(), scalars[:x.size])
+
+
+@pytest.mark.parametrize("name", sorted(NAN_CHECKED))
+@pytest.mark.parametrize("arg", [math.nan, [0.25, math.nan]], ids=["scalar", "in-array"])
+def test_nan_argument_raises(name, arg):
+    with pytest.raises(DomainError):
+        NAN_CHECKED[name](arg)
+
+
+@pytest.mark.parametrize("name", ["LaplaceBound.phi_star_at", "LaplaceBound.rhs_log"])
+@pytest.mark.parametrize("lam", [math.inf, -math.inf, [0.5, math.inf]])
+def test_non_finite_lam_raises(name, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="lam must be finite"):
+            EVALUATORS[name](lam)
 
 
 def test_iso_profile_on_one_mass():

@@ -14,7 +14,6 @@ from conc_toolkit.costs import (
     phi_inverse,
     phi_p_eval,
     phi_star_eval,
-    phi_star_inverse,
 )
 from conc_toolkit.errors import DomainError, ValidationError
 
@@ -79,18 +78,6 @@ def test_phi_inverse_round_trip(p, x):
     spec = CostSpec(p)
     y = phi_p_eval(spec, x)
     assert phi_inverse(spec, y) == pytest.approx(x, abs=1e-9, rel=1e-9)
-
-
-@given(
-    p=st.floats(min_value=1.0, max_value=4.0),
-    lam=st.floats(min_value=0.0, max_value=20.0),
-)
-def test_phi_star_inverse_round_trip(p, lam):
-    spec = CostSpec(p)
-    y = phi_star_eval(spec, lam)
-    if math.isinf(y):
-        return
-    assert phi_star_inverse(spec, y) == pytest.approx(lam, abs=1e-9, rel=1e-9)
 
 
 @given(
@@ -186,7 +173,18 @@ def test_legendre_output_convex_monotone():
 
 def test_empty_grid_rejected():
     with pytest.raises(ValidationError):
-        legendre_numeric(np.array([]), np.array([]))
+        legendre_numeric(np.array([]), np.array([]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_legendre_rejects_nan_and_minus_inf(bad):
+    """Only +inf entries are skipped: a -inf would make f* = +inf, and a
+    NaN has no value, so neither may vanish from the sup."""
+    xs = np.linspace(0.0, 1.0, 5)
+    f = xs.copy()
+    f[2] = bad
+    with pytest.raises(ValidationError, match="no NaN or -inf"):
+        legendre_numeric(xs, f, np.array([0.5]))
 
 
 def test_cost_spec_q():

@@ -405,14 +405,3 @@ class TestRoundTrip:
         assert fitted_c < 5.0
         # near-quadratic: the curvature is stable across the window
         assert curvature.max() / curvature.min() < 2.0
-
-    def test_with_slack_renormalization(self):
-        xs = np.linspace(0.0, 30.0, 2001)
-        cb = ConcBound(phi_x=xs, phi_vals=xs**2 / 4, rate=1.0, offset=1.0,
-                       log_slack=0.0)
-        cb2 = cb.with_slack(0.5, 0.25)
-        assert 0 < cb2.rate <= 1.0
-        rs = np.linspace(0, 20, 301)
-        old = np.maximum(cb.alpha_at(rs), LOG2)
-        new = cb2.alpha_at(rs)
-        assert np.all(new <= old + 1e-9)

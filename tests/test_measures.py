@@ -14,7 +14,6 @@ from conc_toolkit.measures import (
     atomize_1d,
     build_discrete_space,
     build_measure_1d,
-    check_semi_convexity,
     derive_measure,
     discrete_space_from_atoms,
     is_symmetric,
@@ -248,28 +247,10 @@ def test_logconcave_certificates(gamma1, gamma2):
     bumpy = build_measure_1d(grid=xs, potential=-0.5 * xs * xs)
     assert not bumpy.logconcave
     assert bumpy.kappa == pytest.approx(1.0, rel=1e-6)
-
-
-class TestSemiConvexity:
-    def test_gaussian_flat(self, gamma2):
-        ok, _, worst = check_semi_convexity(gamma2, 0.0)
-        assert ok
-        assert worst == pytest.approx(1.0, rel=1e-6)
-
-    def test_concave_fails(self):
-        xs = np.linspace(-1, 1, 201)
-        mu = build_measure_1d(grid=xs, potential=-0.5 * xs * xs)
-        ok, _, worst = check_semi_convexity(mu, 0.5)
-        assert not ok
-        assert worst == pytest.approx(-1.0, rel=1e-6)
-
-    def test_double_well_passes_at_two(self):
-        xs = np.linspace(-2, 2, 2001)
-        mu = build_measure_1d(grid=xs, potential=xs**4 - xs**2)
-        ok, worst_x, worst = check_semi_convexity(mu, 2.0)
-        assert ok
-        assert worst == pytest.approx(-2.0, abs=1e-3)
-        assert abs(worst_x) < 0.01
+    # double well x^4 - x^2: V'' = 12 x^2 - 2 >= -2, attained at 0
+    xs = np.linspace(-2.0, 2.0, 2001)
+    well = build_measure_1d(grid=xs, potential=xs**4 - xs**2)
+    assert well.kappa == pytest.approx(2.0, abs=1e-3)
 
 
 class TestDeriveMeasure:

@@ -421,18 +421,6 @@ class TestFitConstant:
         r, k = entry.witnesses["r"], entry.witnesses["K"]
         assert (k + 1.0) / r == pytest.approx(entry.value, abs=1e-9)
 
-    def test_gamma1_iso_self_reference(self, gamma1):
-        prof = iso_profile_1d(gamma1)
-        entry = fit_constant(prof, "p-exp-iso", p=1.0, reference=prof)
-        assert entry.value == pytest.approx(1.0, abs=1e-12)
-
-    def test_p_exp_iso_keeps_the_given_id(self):
-        vs = np.geomspace(1e-3, 0.5, 9)
-        prof = Profile(kind="iso", inputs=vs, values=vs)
-        ids = [fit_constant(prof, "p-exp-iso", reference=prof, **kw).constant_id
-               for kw in ({"constant_id": "D_Iso_1"}, {"p": 2.0}, {})]
-        assert ids == ["D_Iso_1", "D_Iso_2", "D_Iso"]
-
     @pytest.mark.parametrize("p", [math.nan, math.inf, 0.5, -1.0])
     def test_p_exp_conc_rejects_p_outside_its_domain(self, p):
         prof = Profile(kind="conc", inputs=np.linspace(0.0, 2.0, 5),

@@ -7,6 +7,7 @@ import pytest
 from conc_toolkit.costs import CostSpec, phi_p_eval
 from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationError
 from conc_toolkit.measures import (
+    _SPACE_TOL,
     Measure1D,
     atomize_1d,
     build_discrete_space,
@@ -142,14 +143,6 @@ class TestDiscreteLP:
         with pytest.raises(ValidationError, match="transport LP failed: plan violates marginals"):
             wc_discrete_lp(s, nu, s.weights)
 
-    def test_plan_csv(self, tmp_path):
-        s = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
-                                 np.array([0.5, 0.5]))
-        plan = wc_discrete_lp(s, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        path = tmp_path / "plan.csv"
-        plan.to_csv(str(path))
-        assert path.read_text().startswith("i,j,mass")
-
 
 class TestKRDual:
     def test_two_point(self):
@@ -180,13 +173,26 @@ class TestKRDual:
                          - s.dist)
             assert lip <= 1e-8
 
-    def test_potential_off_lipschitz_raises(self):
-        """DiscreteSpace tolerates a triangle inequality broken by up to
-        1e-9; there no potential is both 1-Lipschitz and optimal, and the
-        c-transform of the plan's duals, which meets the plan's cost, breaks
-        a Lipschitz bound by 5e-10 > 1e-12 x diameter."""
+    def test_space_at_the_triangle_slack(self):
+        """DiscreteSpace accepts a triangle inequality broken by up to 1e-9,
+        and so does kr_dual: on d(0, 2) = 2 + 5e-10 > d(0, 1) + d(1, 2) the
+        c-transform of the plan's duals meets the plan's cost and breaks the
+        Lipschitz bound by that 5e-10."""
         d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
         s = build_discrete_space(d, np.full(3, 1.0 / 3.0))
+        res = kr_dual(s, np.eye(3)[0], np.eye(3)[2])
+        assert res.primal == pytest.approx(2.0 + 5e-10, abs=1e-15)
+        assert res.gap <= 1e-15
+        lip = np.max(res.potential[:, None] - res.potential[None, :] - s.dist)
+        assert 0.0 < lip <= _SPACE_TOL
+
+    def test_potential_off_lipschitz_raises(self, monkeypatch):
+        """Without the triangle slack, the same space's potential breaks the
+        Lipschitz bound by 5e-10 > 1e-12 x diameter, and kr_dual says so."""
+        d = np.array([[0.0, 1.0, 2.0 + 5e-10], [1.0, 0.0, 1.0], [2.0 + 5e-10, 1.0, 0.0]])
+        s = build_discrete_space(d, np.full(3, 1.0 / 3.0))
+        from conc_toolkit import transport
+        monkeypatch.setattr(transport, "_SPACE_TOL", 0.0)
         with pytest.raises(ValidationError, match="breaks a Lipschitz bound"):
             kr_dual(s, np.eye(3)[0], np.eye(3)[2])
 
