@@ -28,11 +28,20 @@ import numpy as np
 from .errors import DomainError, ValidationError
 
 
+def _float_array(value, field_name: str) -> np.ndarray:
+    """``value`` as a float array, or ValidationError naming the field: the
+    one conversion of caller data at every public entry point."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{field_name} must hold numbers only ({exc})") from None
+
+
 def _argument(x, name: str, *, finite: bool = False) -> np.ndarray:
     """The argument check of every vectorized evaluator: ``x`` as a float
-    array, or DomainError when an entry is NaN (or, with ``finite``, is
-    not finite)."""
-    x = np.asarray(x, dtype=float)
+    array (ValidationError for non-numbers), or DomainError when an entry
+    is NaN (or, with ``finite``, is not finite)."""
+    x = _float_array(x, name)
     bad = ~np.isfinite(x) if finite else np.isnan(x)
     if bad.any():
         raise DomainError(f"{name} must be finite" if finite else f"{name} must not be NaN")
@@ -152,16 +161,17 @@ def legendre_numeric(x: np.ndarray, f: np.ndarray,
     """Discrete Legendre transform f*(lam) = max_x (lam x - f(x)) over a grid.
 
     ``f`` may contain +oo entries; these are skipped in the sup, and a NaN
-    or -oo entry raises ValidationError.  When the maximizer sits on the
-    right edge of the grid *and* the objective is still increasing there,
-    the true conjugate is unbounded beyond the window and the value is
-    reported as +oo rather than the spurious finite edge value.
+    or -oo entry raises ValidationError (a non-finite ``lam``, DomainError).
+    When the maximizer sits on the right edge of the grid *and* the
+    objective is still increasing there, the true conjugate is unbounded
+    beyond the window and the value is reported as +oo rather than the
+    spurious finite edge value.
 
     Returns (lam, f_star).  The output is convex and nondecreasing in lam
     by construction (a max of affine functions with slopes x >= 0).
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
+    x = _float_array(x, "x")
+    f = _float_array(f, "f")
     if x.size == 0:
         raise ValidationError("legendre_numeric requires a nonempty grid")
     if x.ndim != 1 or f.shape != x.shape:
@@ -172,7 +182,7 @@ def legendre_numeric(x: np.ndarray, f: np.ndarray,
     if not finite.any():
         raise ValidationError("f has no finite entries")
     xf, ff = x[finite], f[finite]
-    lam = np.asarray(lam, dtype=float)
+    lam = _argument(lam, "lam", finite=True)
 
     out = np.empty(lam.shape, dtype=float)
     # Chunk the outer product to bound memory on large grids.

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, phi_star_eval
+from .costs import CostSpec, _float_array, phi_star_eval
 from .errors import DomainError, ValidationError
-from .measures import Measure1D, _cell_partial_moment
+from .measures import Measure1D
 from .reports import ConstantEntry
 
 _LOG_FLOOR = 1e-300
@@ -41,7 +41,7 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = _float_array(self.values, "values")
         if vals.shape != self.measure.grid.shape:
             raise ValidationError("values must match the measure grid")
         if not np.all(np.isfinite(vals)):
@@ -176,21 +176,8 @@ def poincare_constant_1d(mu: Measure1D, *, richardson: bool = True) -> ConstantE
 
 def _exp_family_ratio(mu: Measure1D, lam: float) -> float:
     """Rayleigh quotient int f'^2 dmu / Ent(f^2) for f = exp(lam x / 2),
-    evaluated by exact tilted-cell integrals.
-
-    log M(lam) and the mean of the tilted measure come from one pass over
-    the cells, in the expressions (and order) of ``Measure1D.log_mgf_nodes``,
-    ``measures._cells`` (which ``Measure1D.__post_init__`` uses) and
-    ``Measure1D.partial_moment``, so they are the floats those give without
-    a tilted ``Measure1D`` being built.
-    """
-    shift, shifted, slopes, m0 = mu._tilted_cells(mu.grid, lam)
-    z_u = float(m0.sum())
-    if not math.isfinite(z_u) or z_u <= 0.0:
-        raise ValidationError("non-integrable potential: mass diverges on grid")
-    log_m = math.log(z_u) - shift - mu.log_z
-    m1 = _cell_partial_moment(shifted[:-1], slopes, mu._widths)
-    mean_tilted = float(np.sum(mu.grid[:-1] * m0 + m1) / z_u)
+    evaluated by exact tilted-cell integrals."""
+    log_m, mean_tilted = mu._tilted_moments(lam)
     ent = lam * mean_tilted - log_m  # Ent(e^{lam x}) / int e^{lam x} dmu
     if ent <= 0:
         return math.inf

@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import _argument, _shaped, legendre_numeric
+from .costs import _argument, _float_array, _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .measures import DiscreteSpace, Measure1D, _cell_partial_mass, _float_array
+from .measures import DiscreteSpace, Measure1D
 from .profiles import LOG2, invert_monotone
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class _PhiBound:
     rate: float
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.phi_x, dtype=float)
-        vals = np.asarray(self.phi_vals, dtype=float)
+        x = _float_array(self.phi_x, "phi_x")
+        vals = _float_array(self.phi_vals, "phi_vals")
         if x.ndim != 1 or x.shape != vals.shape or x.size < 3:
             raise ValidationError("Phi grid must be two equal 1-D arrays (>= 3 points)")
         if not np.all(np.diff(x) > 0) or x[0] != 0.0:
@@ -56,7 +56,7 @@ class _PhiBound:
         object.__setattr__(self, "phi_vals", vals)
 
     def phi_at(self, x) -> np.ndarray:
-        return np.interp(np.asarray(x, dtype=float), self.phi_x, self.phi_vals)
+        return np.interp(_float_array(x, "x"), self.phi_x, self.phi_vals)
 
     def phi_inv_at(self, y) -> float | np.ndarray:
         """Phi^{-1}(y) per y: a float for a scalar, else an array."""
@@ -116,13 +116,13 @@ def log_laplace(mu, f: np.ndarray, lam) -> float | np.ndarray:
     and nonnegative (ValidationError), and every lam finite (DomainError).
     """
     lam = _argument(lam, "lam", finite=True)
-    f = np.asarray(f, dtype=float)
+    f = _float_array(f, "f")
     if not np.all(np.isfinite(f)):
         raise ValidationError("integrand values must be finite")
     if isinstance(mu, Measure1D):
         out = [mu.log_mgf_nodes(f, la) for la in lam.ravel()]
     else:
-        w = np.asarray(mu, dtype=float)
+        w = _float_array(mu, "weights")
         if w.shape != f.shape or w.size == 0:
             raise ValidationError("weights and values must be equal length, and nonempty")
         if not np.all((w >= 0) & np.isfinite(w)):
@@ -149,18 +149,17 @@ def gibbs_check(mu, psi: np.ndarray) -> GibbsCheck:
     the left by evaluating the functional at the Gibbs optimizer
     theta* = e^psi / int e^psi dmu.
     """
-    psi = np.asarray(psi, dtype=float)
+    psi = _float_array(psi, "psi")
     if isinstance(mu, Measure1D):
         log_m = mu.log_mgf_nodes(psi, 1.0)
         theta = np.exp(psi - log_m)
-        tilted = Measure1D(grid=mu.grid.copy(), potential=mu.potential - psi,
-                           provenance={})
+        tilted = Measure1D(grid=mu.grid, potential=mu.potential - psi, provenance={})
         mean_psi = tilted.integrate_nodes(psi)
         # Ent via nodewise theta log theta (independent quadrature route)
         ent = mu.integrate_nodes(theta * (psi - log_m))
         sup_val = mean_psi - ent
         return GibbsCheck(sup_value=sup_val, log_mgf=log_m, theta_star=theta)
-    w = np.asarray(mu, dtype=float)
+    w = _float_array(mu, "weights")
     log_m = log_laplace(w, psi, 1.0)
     theta = np.exp(psi - log_m)
     mean_psi = float(np.dot(w, theta * psi))
@@ -184,15 +183,14 @@ def laplace_to_conc(bound: LaplaceBound) -> ConcBound:
 
 def _exp_neg_phi_integral(x: np.ndarray, vals: np.ndarray) -> float:
     """int_0^oo exp(-Phi) for the piecewise-linear Phi with linear tail
-    extension; cell-exact on the grid, rejected when the tail slope is
-    not positive."""
-    slopes = np.diff(vals) / np.diff(x)
-    body = float(np.sum(_cell_partial_mass(vals[:-1], slopes, np.diff(x))))
-    tail_slope = slopes[-1]
+    extension: on the grid the normalizer of the Measure1D with potential
+    Phi, past it a closed form, rejected when the tail slope is not
+    positive."""
+    tail_slope = (vals[-1] - vals[-2]) / (x[-1] - x[-2])
     if tail_slope <= 0:
         raise DomainError("exp(-Phi) is not integrable: flat or decreasing tail")
-    tail = math.exp(-vals[-1]) / tail_slope
-    return body + tail
+    body = math.exp(Measure1D(grid=x, potential=vals).log_z)
+    return body + math.exp(-vals[-1]) / tail_slope
 
 
 def conc_to_laplace(bound: ConcBound, tau: float = 0.5) -> LaplaceBound:
@@ -224,8 +222,8 @@ def herbst_laplace(rho: float) -> tuple[LaplaceBound, ConcBound]:
     a Laplace bound with Phi*(lam) = lam^2 / (4 rho) (i.e. Phi = rho x^2,
     D = 1, no slack), and its induced concentration bound
     K(r) >= rho (r - sqrt(log 2 / rho))_+^2."""
-    if rho <= 0:
-        raise DomainError("rho must be positive")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     xs = np.linspace(0.0, math.sqrt(80.0 / rho), 16385)
     bound = LaplaceBound(phi_x=xs, phi_vals=rho * xs * xs, rate=1.0)
     return bound, laplace_to_conc(bound)
@@ -313,7 +311,8 @@ def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray) -> np.ndarray:
     """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}: those of
     the polytope pinned at f_0 = 0, recentred by mu."""
-    return _recentred(_pinned_lipschitz_vertices(space), np.asarray(mu, dtype=float))
+    mu = _checked_weights(mu, space.n, "mu")
+    return _recentred(_pinned_lipschitz_vertices(space), mu)
 
 
 def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -322,15 +321,15 @@ def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return g
 
 
-def _checked_weights(mu, n: int) -> np.ndarray:
-    """``mu`` as n finite nonnegative weights, or ValidationError."""
-    mu = _float_array(mu, "mu")
-    if mu.shape != (n,):
-        raise ValidationError(f"mu must hold one weight per point: shape ({n},), "
-                              f"got {mu.shape}")
-    if not np.all((mu >= 0) & np.isfinite(mu)):
-        raise ValidationError("mu must be finite and nonnegative")
-    return mu
+def _checked_weights(w, n: int, name: str) -> np.ndarray:
+    """``w`` as n finite nonnegative weights, or ValidationError naming it."""
+    w = _float_array(w, name)
+    if w.shape != (n,):
+        raise ValidationError(f"{name} must hold one weight per point: shape ({n},), "
+                              f"got {w.shape}")
+    if not np.all((w >= 0) & np.isfinite(w)):
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    return w
 
 
 def _lse_scores(lam: np.ndarray, f: np.ndarray, logw: np.ndarray) -> np.ndarray:
@@ -357,7 +356,7 @@ def _sup_scorer(mus: list, verts: list) -> Callable[[np.ndarray, np.ndarray], np
     ``laplace_sup_discrete(., mus[owner], lam, vertices=verts[owner])``.
     One log-sum-exp per point count n, over blocks of <= 2^16 entries; a
     short vertex set is padded with its first vertex, which keeps the max."""
-    mus = [_checked_weights(m, np.shape(v)[1]) for m, v in zip(mus, verts)]
+    mus = [_checked_weights(m, np.shape(v)[1], "mu") for m, v in zip(mus, verts)]
     n_of = np.array([mu.size for mu in mus])
     local, groups = np.zeros(len(mus), dtype=int), []
     for n in np.unique(n_of):
@@ -397,7 +396,7 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
     Returns (values over the lam grid, exactness flag, best f per lam).
     """
     n = space.n
-    mu = _checked_weights(mu, n)
+    mu = _checked_weights(mu, n, "mu")
     lam_arr = np.atleast_1d(_float_array(lam, "lam"))
     if not np.all(np.isfinite(lam_arr)):
         raise DomainError("lam must be finite")

@@ -25,11 +25,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 import numpy as np
 
-from .costs import _argument, _shaped
+from .costs import _argument, _float_array, _shaped
 from .errors import DomainError, ToolkitError, ValidationError
 
 _CONVEXITY_TOL = 1e-9
@@ -37,27 +38,9 @@ _CONVEXITY_TOL = 1e-9
 _SPACE_TOL = 1e-9
 
 
-def _read_json(path: str, keys: tuple[str, ...]) -> dict[str, Any]:
-    """The JSON object in ``path``, which must hold every one of ``keys``."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ToolkitError(f"cannot read {path}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
-    missing = [k for k in keys if not isinstance(data, dict) or k not in data]
-    if missing:
-        raise ValidationError(f"{path} lacks the key(s) {', '.join(missing)}")
-    return data
-
-
-def _float_array(value, field_name: str) -> np.ndarray:
-    """``value`` as a float array, or ValidationError naming the field."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{field_name} must hold numbers only ({exc})") from None
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +127,10 @@ def _solve_mass_forward(v0, b, target):
 class Measure1D:
     """Probability measure exp(-V(x)) dx / Z on [grid[0], grid[-1]].
 
-    Immutable after construction; all evaluation methods are pure and
-    cell-exact for the piecewise-linear potential model.
+    Immutable after construction: its arrays are read-only copies of the
+    inputs.  All evaluation methods are pure and cell-exact for the
+    piecewise-linear potential model, and each reads the one cell table
+    built here (the first moments and node weights on first use).
 
     Attributes
     ----------
@@ -180,8 +165,6 @@ class Measure1D:
             raise ValidationError("grid must be strictly increasing (sorted)")
         if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(pot)):
             raise ValidationError("non-integrable potential: nonfinite values")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "potential", pot)
 
         widths = np.diff(grid)
         v_shift, shifted, slopes, cell_mass_u = _cells(pot, widths)
@@ -194,22 +177,38 @@ class Measure1D:
         cell_mass = cell_mass_u / z_u
         cdf_nodes = np.concatenate(([0.0], np.cumsum(cell_mass)))
         sf_nodes = np.concatenate((np.cumsum(cell_mass[::-1])[::-1], [0.0]))
-        object.__setattr__(self, "_widths", widths)
-        object.__setattr__(self, "_slopes", slopes)
-        object.__setattr__(self, "_shifted_potential", shifted)
+        # the cell table; grid and potential are copied, so the caller's
+        # arrays stay theirs and these stay as validated
+        for name, value in (("grid", grid.copy()), ("potential", pot.copy()),
+                            ("_widths", widths), ("_slopes", slopes),
+                            ("_shifted_potential", shifted), ("_m0", cell_mass_u),
+                            ("_cell_mass", cell_mass), ("cdf_nodes", cdf_nodes),
+                            ("sf_nodes", sf_nodes)):
+            object.__setattr__(self, name, _read_only(value))
         object.__setattr__(self, "_z_shifted", z_u)
-        object.__setattr__(self, "_cell_mass", cell_mass)
-        object.__setattr__(self, "cdf_nodes", cdf_nodes)
-        object.__setattr__(self, "sf_nodes", sf_nodes)
 
         # Certificates, like log_z, are always derived from the tabulated
-        # potential, never trusted from input or serialized state.
-        second = self.second_differences()
-        kappa = float(max(0.0, -second.min())) if second.size else 0.0
+        # potential, never trusted from input or serialized state; kappa
+        # from the discrete V'' at the interior nodes.
+        second = 2.0 * np.diff(slopes) / (widths[:-1] + widths[1:])
         scale = 1.0 + float(np.abs(pot).max())
-        logconcave = bool(np.all(np.diff(slopes) >= -_CONVEXITY_TOL * scale))
-        object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "logconcave", logconcave)
+        object.__setattr__(self, "kappa", float(max(0.0, -second.min())))
+        object.__setattr__(self, "logconcave",
+                           bool(np.all(np.diff(slopes) >= -_CONVEXITY_TOL * scale)))
+
+    @cached_property
+    def _m1(self) -> np.ndarray:
+        """Unnormalised first moments of the cells about their left nodes."""
+        return _read_only(_cell_partial_moment(self._shifted_potential[:-1], self._slopes,
+                                               self._widths))
+
+    @cached_property
+    def _node_weights(self) -> np.ndarray:
+        right = self._m1 / self._widths
+        w = np.zeros(self.grid.size)
+        w[:-1] += self._m0 - right
+        w[1:] += right
+        return _read_only(w / self._z_shifted)
 
     # -- elementary queries -------------------------------------------------
 
@@ -223,51 +222,48 @@ class Measure1D:
         differencing the CDF, which loses everything below ~1e-16)."""
         return self._cell_mass
 
-    def second_differences(self) -> np.ndarray:
-        """Discrete V'' at interior nodes (boundary excluded)."""
-        h = self._widths
-        return 2.0 * np.diff(self._slopes) / (h[:-1] + h[1:])
+    def potential_at(self, x) -> float | np.ndarray:
+        x = _argument(x, "x")
+        return _shaped(x, np.interp(x, self.grid, self.potential))
 
-    def potential_at(self, x) -> np.ndarray:
-        return np.interp(_argument(x, "x"), self.grid, self.potential)
-
-    def log_density(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = -(self.potential_at(x) + self.log_z)
+    def log_density(self, x) -> float | np.ndarray:
+        x = _argument(x, "x")
         inside = (x >= self.grid[0]) & (x <= self.grid[-1])
-        return np.where(inside, out, -np.inf)
+        out = -(np.interp(x, self.grid, self.potential) + self.log_z)
+        return _shaped(x, np.where(inside, out, -np.inf))
 
-    def density(self, x) -> np.ndarray:
-        return np.exp(self.log_density(x))
+    def density(self, x) -> float | np.ndarray:
+        x = _argument(x, "x")
+        return _shaped(x, np.exp(self.log_density(x)))
 
     # -- cell-exact CDF / survival / quantiles -------------------------------
 
-    def _locate(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.grid, x, side="right") - 1
-        return np.clip(idx, 0, self.grid.size - 2)
+    def _partial_cell(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cell index, normalized mass of the cell left of x) per x: the
+        cell-exact part of both the CDF and the survival function."""
+        i = np.clip(np.searchsorted(self.grid, x, side="right") - 1, 0, self.grid.size - 2)
+        t = np.clip(x - self.grid[i], 0.0, self._widths[i])
+        part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
+        return i, part / self._z_shifted
 
     def cdf(self, x) -> float | np.ndarray:
         x = _argument(x, "x")
-        i = self._locate(x)
-        t = np.clip(x - self.grid[i], 0.0, self._widths[i])
-        part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
-        out = self.cdf_nodes[i] + part / self._z_shifted
+        i, part = self._partial_cell(x)
+        out = self.cdf_nodes[i] + part
         out = np.where(x <= self.grid[0], 0.0, np.where(x >= self.grid[-1], 1.0, out))
         return _shaped(x, np.clip(out, 0.0, 1.0))  # rounding can step past 1
 
     def sf(self, x) -> float | np.ndarray:
         """Survival 1 - F(x), accumulated from the right tail."""
         x = _argument(x, "x")
-        i = self._locate(x)
-        t = np.clip(x - self.grid[i], 0.0, self._widths[i])
-        part = _cell_partial_mass(self._shifted_potential[i], self._slopes[i], t)
-        out = self.sf_nodes[i] - part / self._z_shifted
+        i, part = self._partial_cell(x)
+        out = self.sf_nodes[i] - part
         out = np.where(x <= self.grid[0], 1.0, np.where(x >= self.grid[-1], 0.0, out))
         return _shaped(x, np.clip(out, 0.0, 1.0))  # rounding can step below 0
 
     def quantile(self, u) -> float | np.ndarray:
         """Left-tail quantile: x with F(x) = u (accurate for small u)."""
-        u = np.asarray(u, dtype=float)
+        u = _float_array(u, "u")
         if not np.all((u >= 0) & (u <= 1)):
             raise DomainError("quantile argument must lie in [0, 1]")
         i = np.clip(np.searchsorted(self.cdf_nodes, u, side="right") - 1, 0, self.grid.size - 2)
@@ -280,7 +276,7 @@ class Measure1D:
 
     def quantile_upper(self, tail) -> float | np.ndarray:
         """Right-tail quantile: x with 1 - F(x) = tail (accurate for small tail)."""
-        tail = np.asarray(tail, dtype=float)
+        tail = _float_array(tail, "tail")
         if not np.all((tail >= 0) & (tail <= 1)):
             raise DomainError("tail mass must lie in [0, 1]")
         # sf_nodes is decreasing; locate cell whose right node has sf <= tail.
@@ -327,42 +323,30 @@ class Measure1D:
         return float(np.sum(left * m0 + m1) / self._z_shifted)
 
     def mean(self) -> float:
-        return self.partial_moment(*self.support)
+        return self.integrate_nodes(self.grid)
 
     def node_weights(self) -> np.ndarray:
         """Quadrature weights w with sum_i w_i f_i = int f dmu exactly for
-        every piecewise-linear f on the grid."""
-        v0 = self._shifted_potential[:-1]
-        m0 = _cell_partial_mass(v0, self._slopes, self._widths)
-        m1 = _cell_partial_moment(v0, self._slopes, self._widths)
-        right = m1 / self._widths
-        left = m0 - right
-        w = np.zeros(self.grid.size)
-        w[:-1] += left
-        w[1:] += right
-        return w / self._z_shifted
+        every piecewise-linear f on the grid (read-only, built once)."""
+        return self._node_weights
 
-    def integrate_nodes(self, values: np.ndarray) -> float:
+    def integrate_nodes(self, values) -> float:
         """Integral of the piecewise-linear interpolant of node values,
         cell-exact against the density."""
-        values = np.asarray(values, dtype=float)
+        values = _float_array(values, "values")
         if values.shape != self.grid.shape:
             raise ValidationError("node values must match the grid")
-        v0 = self._shifted_potential[:-1]
-        m0 = _cell_partial_mass(v0, self._slopes, self._widths)
-        m1 = _cell_partial_moment(v0, self._slopes, self._widths)
         f_slope = np.diff(values) / self._widths
-        total = np.sum(values[:-1] * m0 + f_slope * m1)
-        return float(total / self._z_shifted)
+        return float(np.sum(values[:-1] * self._m0 + f_slope * self._m1) / self._z_shifted)
 
-    def log_mgf_nodes(self, values: np.ndarray, lam: float) -> float:
+    def log_mgf_nodes(self, values, lam: float) -> float:
         """log of the integral of exp(lam * f) against the measure, for
         piecewise-linear node values f.
 
         Exact for the grid model: the tilted potential V - lam * f is
         again piecewise linear, so the same cell formulas apply.
         """
-        values = np.asarray(values, dtype=float)
+        values = _float_array(values, "values")
         if values.shape != self.grid.shape:
             raise ValidationError("node values must match the grid")
         shift, _, _, mass = self._tilted_cells(values, lam)
@@ -378,6 +362,18 @@ class Measure1D:
         if not np.all(np.isfinite(tilted)):
             raise ValidationError("tilted potential has nonfinite values")
         return _cells(tilted, self._widths)
+
+    def _tilted_moments(self, lam: float) -> tuple[float, float]:
+        """(log M(lam), mean) of the measure tilted by e^{lam x}, M(lam) the
+        integral of e^{lam x}: the floats ``log_mgf_nodes(grid, lam)`` and
+        the tilted measure's ``mean()`` give, without building it."""
+        shift, shifted, slopes, m0 = self._tilted_cells(self.grid, lam)
+        z_u = float(m0.sum())
+        if not math.isfinite(z_u) or z_u <= 0.0:
+            raise ValidationError("non-integrable potential: mass diverges on grid")
+        m1 = _cell_partial_moment(shifted[:-1], slopes, self._widths)
+        return (math.log(z_u) - shift - self.log_z,
+                float(np.sum(self.grid[:-1] * m0 + m1) / z_u))
 
     # -- serialization -------------------------------------------------------
 
@@ -396,13 +392,21 @@ class Measure1D:
             json.dump(self.to_json_dict(), fh, indent=1, sort_keys=True)
 
     @classmethod
-    def from_json_dict(cls, data: dict[str, Any]) -> "Measure1D":
+    def load(cls, path: str) -> "Measure1D":
+        """The measure in a JSON file that holds ``grid`` and ``potential``."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise ToolkitError(f"cannot read {path}: {exc.strerror}") from None
+        except ValueError as exc:
+            raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+        missing = [k for k in ("grid", "potential")
+                   if not isinstance(data, dict) or k not in data]
+        if missing:
+            raise ValidationError(f"{path} lacks the key(s) {', '.join(missing)}")
         return cls(grid=data["grid"], potential=data["potential"],
                    provenance=dict(data.get("provenance", {})))
-
-    @classmethod
-    def load(cls, path: str) -> "Measure1D":
-        return cls.from_json_dict(_read_json(path, ("grid", "potential")))
 
 
 def is_symmetric(mu: Measure1D) -> bool:
@@ -452,11 +456,8 @@ def build_measure_1d(
     if preset is None:
         if grid is None or potential is None:
             raise ValidationError("either a (grid, potential) pair or a preset is required")
-        return Measure1D(
-            grid=np.asarray(grid, dtype=float),
-            potential=np.asarray(potential, dtype=float),
-            provenance={"source": "potential-grid"},
-        )
+        return Measure1D(grid=grid, potential=potential,
+                         provenance={"source": "potential-grid"})
     if n_points < 0:
         raise DomainError(f"n_points must be nonnegative, got {n_points}")
     for name, value in (("a", a), ("half_width", half_width)):
@@ -513,7 +514,7 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
     if missing:
         raise ValidationError(f"derive mode {mode!r} requires {', '.join(missing)}")
     if mode == "density-ratio":
-        phi = np.asarray(kwargs["phi"], dtype=float)
+        phi = _float_array(kwargs["phi"], "phi")
         cap = float(kwargs["cap"])
         if not math.isfinite(cap):
             raise DomainError(f"cap D must be finite, got {cap}")
@@ -527,8 +528,7 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
                 f"attained {attained:.6g} > D = {cap:.6g}")
         prov = {"source": "density-ratio", "cap": cap, "attained": attained,
                 "parent": mu1.provenance}
-        return Measure1D(grid=mu1.grid.copy(), potential=mu1.potential - phi,
-                         provenance=prov)
+        return Measure1D(grid=mu1.grid, potential=mu1.potential - phi, provenance=prov)
 
     if mode == "restrict":
         a = float(kwargs["a"])
@@ -553,8 +553,7 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
     if not math.isfinite(t):
         raise DomainError(f"translation t must be finite, got {t}")
     prov = {"source": "translate", "t": t, "parent": mu1.provenance}
-    return Measure1D(grid=mu1.grid + t, potential=mu1.potential.copy(),
-                     provenance=prov)
+    return Measure1D(grid=mu1.grid + t, potential=mu1.potential, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +567,7 @@ class DiscreteSpace:
     Construction rejects non-finite entries and metric-axiom violations,
     naming the field, pair or triple, and weights that are negative or do
     not sum to 1; negative weights within 1e-9 of zero are clipped to 0.
+    Both arrays are read-only copies of the inputs.
     """
 
     dist: np.ndarray
@@ -614,8 +614,8 @@ class DiscreteSpace:
                 raise ValidationError(
                     f"triangle inequality violated by triple ({i}, {k}, {j}): "
                     f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")
-        object.__setattr__(self, "dist", d)
-        object.__setattr__(self, "weights", np.maximum(w, 0.0))
+        object.__setattr__(self, "dist", _read_only(d))
+        object.__setattr__(self, "weights", _read_only(np.maximum(w, 0.0)))
 
     @property
     def n(self) -> int:
@@ -661,6 +661,6 @@ def atomize_1d(mu: Measure1D, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def discrete_space_from_atoms(pos: np.ndarray, weights: np.ndarray) -> DiscreteSpace:
     """Finite metric space on 1-D atoms with the absolute-value metric."""
-    pos = np.asarray(pos, dtype=float)
+    pos = _float_array(pos, "pos")
     d = np.abs(pos[:, None] - pos[None, :])
     return build_discrete_space(d, weights)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _argument, _shaped
+from .costs import _argument, _float_array, _shaped
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, is_symmetric
 from .reports import ConstantEntry
@@ -63,8 +63,8 @@ class Profile:
             raise ValidationError(f"unknown profile kind {self.kind!r}")
         if self.exactness not in _EXACTNESS:
             raise ValidationError(f"unknown exactness {self.exactness!r}")
-        inputs = np.asarray(self.inputs, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        inputs = _float_array(self.inputs, "inputs")
+        values = _float_array(self.values, "values")
         if inputs.ndim != 1 or inputs.shape != values.shape or inputs.size < 1:
             raise ValidationError("profile table must be two equal 1-D columns")
         if not np.all(np.diff(inputs) > 0):
@@ -106,9 +106,9 @@ def invert_monotone(xs: np.ndarray, ys: np.ndarray, target) -> float | np.ndarra
     """Leftmost x with ys(x) = target for a nondecreasing table ys, per
     target (a float for a scalar target, else an array of its shape); one
     within 1e-15 below a node, at or below ys[0] or on a flat run maps to it."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    target = np.asarray(target, dtype=float)
+    xs = _float_array(xs, "xs")
+    ys = _float_array(ys, "ys")
+    target = _float_array(target, "target")
     outside = (target < ys[0] - 1e-12) | (target > ys[-1] + 1e-12)
     if np.any(outside):
         raise DomainError(
@@ -138,7 +138,7 @@ def iso_profile_1d(mu: Measure1D, v_grid: np.ndarray | None = None) -> Profile:
     dominates the true profile (exactness ``half-line-upper-bound``).  The
     default masses are 513 geometric steps from 1e-6 to 1/2.
     """
-    vs = np.geomspace(1e-6, 0.5, 513) if v_grid is None else np.asarray(v_grid, dtype=float)
+    vs = np.geomspace(1e-6, 0.5, 513) if v_grid is None else _float_array(v_grid, "v_grid")
     if not np.all((vs > 0) & (vs <= 0.5)):
         raise DomainError("iso profile masses must lie in (0, 1/2]")
     x_left = mu.quantile(vs)
@@ -154,7 +154,7 @@ def _conc_profile_1d(mu: Measure1D, r_grid: np.ndarray | None) -> Profile:
     if r_grid is None:
         r_max = 0.98 * (hi - med)
         r_grid = np.linspace(0.0, r_max, 1025)
-    r_grid = np.asarray(r_grid, dtype=float)
+    r_grid = _float_array(r_grid, "r_grid")
     if not np.all(np.isfinite(r_grid)):
         raise DomainError("concentration radii must be finite")
     if is_symmetric(mu) and mu.logconcave:
@@ -495,6 +495,8 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
             raise DomainError("ratio template requires a reference profile")
         ref_vals = reference.at(profile.inputs)
         mask = (ref_vals > 0) & np.isfinite(profile.values)
+        if not np.any(mask):
+            raise DomainError("no usable grid points in the profile")
         ratios = profile.values[mask] / ref_vals[mask]
         kmin, kmax = int(np.argmin(ratios)), int(np.argmax(ratios))
         return ConstantEntry(

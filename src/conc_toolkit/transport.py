@@ -27,10 +27,10 @@ from functools import partial
 
 import numpy as np
 
-from .costs import CostSpec, phi_inverse, phi_p_eval
+from .costs import CostSpec, _float_array, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
-from .laplace import log_laplace, mean_zero_lipschitz_vertices
-from .measures import _SPACE_TOL, DiscreteSpace, Measure1D, _float_array, derive_measure
+from .laplace import _checked_weights, log_laplace, mean_zero_lipschitz_vertices
+from .measures import _SPACE_TOL, DiscreteSpace, Measure1D, derive_measure
 from .reports import ConstantEntry
 
 _MAX_LP_POINTS = 400
@@ -93,7 +93,8 @@ def _reduced_costs(costs: np.ndarray, duals: np.ndarray) -> np.ndarray:
 def _transport_problem(space: DiscreteSpace, nus, mu, costs):
     """Checked and cleaned (nus, mu, costs) of K transportation LPs on one
     space, coupling row ``nus[k]`` with ``mu`` under cost matrix ``costs[k]``."""
-    nus, mu, costs = (np.asarray(a, dtype=float) for a in (nus, mu, costs))
+    nus, mu = _float_array(nus, "nus"), _float_array(mu, "mu")
+    costs = _float_array(costs, "costs")
     n = space.n
     if nus.ndim != 2 or nus.shape[1:] != (n,) or mu.shape != (n,):
         raise ValidationError("marginals must be length-n vectors on the space")
@@ -537,7 +538,7 @@ def gibbs_tilt_discrete(mu: np.ndarray, f: np.ndarray, lam) -> np.ndarray:
 
 def tilt_measure_1d(mu: Measure1D, lam: float) -> Measure1D:
     """Gibbs tilt by the coordinate: density proportional to e^{lam x}."""
-    return Measure1D(grid=mu.grid.copy(), potential=mu.potential - lam * mu.grid,
+    return Measure1D(grid=mu.grid, potential=mu.potential - lam * mu.grid,
                      provenance={"source": "tilt", "lam": lam})
 
 
@@ -622,7 +623,7 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
     if isinstance(source, DiscreteSpace):
         if mu is None:
             raise ValidationError("discrete mode requires the base weights mu")
-        base = np.asarray(mu, dtype=float)
+        base = _checked_weights(mu, source.n, "mu")
         family = witnesses if witnesses is not None else discrete_witnesses(
             source, base, max_witnesses=max_witnesses)
         if not family:
@@ -800,8 +801,7 @@ def psi1_metric_bound(space: DiscreteSpace, nu, mu,
     potential (eps -> 0 recovers W_1, so the bound dominates W_1 up to
     the smallest eps used), plus optional local-search refinements.
     """
-    nu = np.asarray(nu, dtype=float)
-    mu = np.asarray(mu, dtype=float)
+    nu, mu = _checked_weights(nu, space.n, "nu"), _checked_weights(mu, space.n, "mu")
     if np.abs(nu - mu).sum() < 1e-15:
         return Psi1Bound(value=0.0, g=np.zeros(space.n), lip=1.0)
     if candidates is not None:
@@ -870,22 +870,18 @@ def _first_moment_exact(verts: np.ndarray, mu: np.ndarray) -> tuple[float, np.nd
     return float(dev[j, k]), verts[j] - verts[j, k]
 
 
-def _abs_deviation_1d(mu: Measure1D, nodes: np.ndarray, values: np.ndarray,
-                      ) -> float:
-    """int |f - med_mu(f)| dmu for a piecewise-linear f, cell-exact once
-    the (grid-estimated) median and the sign crossings are inserted."""
-    dense = np.unique(np.concatenate((mu.grid, nodes)))
-    f_dense = np.interp(dense, nodes, values)
+def _abs_deviation_1d(mu: Measure1D, values: np.ndarray) -> float:
+    """int |f - med_mu(f)| dmu for the piecewise-linear f with node values
+    ``values`` on mu's grid, cell-exact once the (grid-estimated) median and
+    the sign crossings are inserted."""
     # grid estimate of the median of f; the integral is flat to first
     # order in the median, so grid accuracy suffices
-    weights = mu.density(dense)
-    steps = np.diff(dense)
+    steps = np.diff(mu.grid)
     node_w = np.concatenate(([0.0], 0.5 * steps)) + np.concatenate((0.5 * steps, [0.0]))
-    med = weighted_median(f_dense, weights * node_w)
+    med = weighted_median(values, mu.density(mu.grid) * node_w)
     dense, g = _refine_sign_crossings(
-        dense, lambda x: np.interp(x, nodes, values) - med)
-    mu_r = _resample_1d(mu, dense)
-    return mu_r.integrate_nodes(np.abs(g))
+        mu.grid, lambda x: np.interp(x, mu.grid, values) - med)
+    return _resample_1d(mu, dense).integrate_nodes(np.abs(g))
 
 
 def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
@@ -926,11 +922,10 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
 
     if isinstance(source, Measure1D):
         lo, hi = source.support
-        nodes = source.grid
-        best = _abs_deviation_1d(source, nodes, nodes)  # f = x
+        best = _abs_deviation_1d(source, source.grid)  # f = x
         best_tag = {"f": "x"}
         for x0 in np.linspace(lo, hi, 9)[1:-1]:
-            val = _abs_deviation_1d(source, nodes, np.abs(nodes - x0))
+            val = _abs_deviation_1d(source, np.abs(source.grid - x0))
             if val > best:
                 best = val
                 best_tag = {"f": "|x - x0|", "x0": float(x0)}

@@ -1,6 +1,7 @@
 """One array contract for every vectorized evaluator: a scalar argument
 gives a float, an array-like argument an ndarray of the same shape whose
-entries equal the scalar calls."""
+entries equal the scalar calls.  And one converter at every public entry
+point: an argument that is not numbers raises ValidationError."""
 
 import math
 import warnings
@@ -10,14 +11,28 @@ import pytest
 
 from conc_toolkit.costs import (
     CostSpec,
+    legendre_numeric,
     phi_inverse,
     phi_p_eval,
     phi_star_eval,
 )
-from conc_toolkit.errors import DomainError
-from conc_toolkit.laplace import ConcBound, LaplaceBound, log_laplace
-from conc_toolkit.measures import build_measure_1d
-from conc_toolkit.profiles import Profile, iso_profile_1d
+from conc_toolkit.errors import DomainError, ValidationError
+from conc_toolkit.functional import GridFunction
+from conc_toolkit.laplace import ConcBound, LaplaceBound, gibbs_check, log_laplace
+from conc_toolkit.measures import (
+    build_measure_1d,
+    derive_measure,
+    discrete_space_from_atoms,
+)
+from conc_toolkit.profiles import Profile, conc_profile, iso_profile_1d
+from conc_toolkit.transport import (
+    kr_dual,
+    psi1_metric_bound,
+    te_constant_estimate,
+    transport_costs,
+    w1_discrete,
+    wc_discrete_lp,
+)
 
 MU = build_measure_1d(preset="gamma_p", p=2.0, n_points=201)
 _PHI_X = np.linspace(0.0, 5.0, 41)
@@ -28,6 +43,7 @@ TABLE = dict(kind="bound-alpha", inputs=[0.0, 0.3, 0.6, 0.9],
 STEP = Profile(**TABLE, step=True)
 LINEAR = Profile(**TABLE)
 WEIGHTS = np.array([0.2, 0.3, 0.5])
+SPACE = discrete_space_from_atoms([0.0, 1.0, 3.0], WEIGHTS)
 SPEC = CostSpec(1.5)
 
 EVALUATORS = {
@@ -35,6 +51,9 @@ EVALUATORS = {
     "Measure1D.sf": MU.sf,
     "Measure1D.quantile": MU.quantile,
     "Measure1D.quantile_upper": MU.quantile_upper,
+    "Measure1D.density": MU.density,
+    "Measure1D.log_density": MU.log_density,
+    "Measure1D.potential_at": MU.potential_at,
     "Profile.at[step]": STEP.at,
     "Profile.at[linear]": LINEAR.at,
     "LaplaceBound.phi_star_at": LB.phi_star_at,
@@ -48,10 +67,36 @@ EVALUATORS = {
 }
 # inside every evaluator's domain (quantile levels, Profile tables, x >= 0)
 POINTS = np.array([0.1, 0.25, 0.4, 0.7])
-# evaluators that keep numpy's return types, under the same NaN contract
-NAN_CHECKED = {**EVALUATORS, "Measure1D.density": MU.density,
-               "Measure1D.log_density": MU.log_density,
-               "Measure1D.potential_at": MU.potential_at}
+# public entry point -> a call that hands it "a" where it takes numbers
+NOT_NUMBERS = {
+    "phi_p_eval": lambda a: phi_p_eval(SPEC, a),
+    "Measure1D.cdf": lambda a: MU.cdf(a),
+    "Measure1D.sf": lambda a: MU.sf(a),
+    "Measure1D.quantile": lambda a: MU.quantile(a),
+    "Profile.at": lambda a: STEP.at(a),
+    "Profile": lambda a: Profile(kind="bound-alpha", inputs=a, values=[0.7]),
+    "LaplaceBound.phi_star_at": lambda a: LB.phi_star_at(a),
+    "LaplaceBound": lambda a: LaplaceBound(phi_x=a, phi_vals=_PHI_X, rate=1.0),
+    "log_laplace[lam]": lambda a: log_laplace(MU, np.tanh(MU.grid), a),
+    "log_laplace[f]": lambda a: log_laplace(WEIGHTS, [a, a, a], 1.0),
+    "log_laplace[weights]": lambda a: log_laplace([a, a, a], [1.0, -0.5, 0.25], 1.0),
+    "gibbs_check": lambda a: gibbs_check(WEIGHTS, [a, a, a]),
+    "transport_costs": lambda a: transport_costs(SPACE, [[a, a, a]], WEIGHTS,
+                                                 [SPACE.dist]),
+    "wc_discrete_lp": lambda a: wc_discrete_lp(SPACE, [a, a, a], WEIGHTS),
+    "kr_dual": lambda a: kr_dual(SPACE, [a, a, a], WEIGHTS),
+    "w1_discrete": lambda a: w1_discrete(SPACE, [a, a, a], WEIGHTS),
+    "psi1_metric_bound": lambda a: psi1_metric_bound(SPACE, [a, a, a], WEIGHTS),
+    "te_constant_estimate": lambda a: te_constant_estimate(SPACE, "wTE(1,p)",
+                                                           mu=[a, a, a]),
+    "build_measure_1d": lambda a: build_measure_1d([a, a, a], [0.0, 1.0, 2.0]),
+    "derive_measure": lambda a: derive_measure(MU, "density-ratio", phi=a, cap=1.0),
+    "discrete_space_from_atoms": lambda a: discrete_space_from_atoms([a, a], [0.5, 0.5]),
+    "iso_profile_1d": lambda a: iso_profile_1d(MU, [a]),
+    "conc_profile": lambda a: conc_profile(MU, r_grid=[a]),
+    "legendre_numeric": lambda a: legendre_numeric(_PHI_X, _PHI_X**2, [a]),
+    "GridFunction": lambda a: GridFunction(MU, a),
+}
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
@@ -69,11 +114,17 @@ def test_shape_in_shape_out(name):
             np.testing.assert_array_equal(out.ravel(), scalars[:x.size])
 
 
-@pytest.mark.parametrize("name", sorted(NAN_CHECKED))
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
 @pytest.mark.parametrize("arg", [math.nan, [0.25, math.nan]], ids=["scalar", "in-array"])
 def test_nan_argument_raises(name, arg):
     with pytest.raises(DomainError):
-        NAN_CHECKED[name](arg)
+        EVALUATORS[name](arg)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_NUMBERS))
+def test_argument_that_is_not_numbers_raises_validation_error(name):
+    with pytest.raises(ValidationError, match="must hold numbers only"):
+        NOT_NUMBERS[name]("a")
 
 
 @pytest.mark.parametrize("name", ["LaplaceBound.phi_star_at", "LaplaceBound.rhs_log"])

@@ -187,6 +187,15 @@ def test_legendre_rejects_nan_and_minus_inf(bad):
         legendre_numeric(xs, f, np.array([0.5]))
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, [0.5, math.nan]])
+def test_legendre_rejects_a_non_finite_lam(lam):
+    xs = np.linspace(0.0, 1.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="lam must be finite"):
+            legendre_numeric(xs, xs * xs, np.atleast_1d(lam))
+
+
 def test_cost_spec_q():
     assert CostSpec(2.0).q == 2.0
     assert CostSpec(1.0).q == math.inf

@@ -7,6 +7,7 @@ from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationErr
 from conc_toolkit.laplace import (
     ConcBound,
     LaplaceBound,
+    _exp_neg_phi_integral,
     conc_to_laplace,
     gibbs_check,
     herbst_laplace,
@@ -16,13 +17,18 @@ from conc_toolkit.laplace import (
     mean_zero_lipschitz_vertices,
 )
 from conc_toolkit.measures import (
+    _cell_partial_mass,
     atomize_1d,
     build_discrete_space,
     build_measure_1d,
     discrete_space_from_atoms,
 )
 from conc_toolkit.profiles import LOG2
-from conc_toolkit.transport import first_moment_constant
+from conc_toolkit.transport import (
+    first_moment_constant,
+    psi1_metric_bound,
+    te_constant_estimate,
+)
 
 TWO_POINT = build_discrete_space(np.array([[0.0, 1.0], [1.0, 0.0]]),
                                  np.array([0.5, 0.5]))
@@ -204,8 +210,24 @@ class TestBoundTranslations:
         with pytest.raises(DomainError, match="integrable"):
             conc_to_laplace(cb)
 
+    @pytest.mark.parametrize("phi", ["herbst", "linear", "quadratic"])
+    def test_exp_neg_phi_integral_is_the_cell_sum(self, phi):
+        """The body of int e^{-Phi}, read as a Measure1D's normalizer, is the
+        float the direct sum over Phi's exp-linear cells gives."""
+        xs = {"herbst": herbst_laplace(0.5)[1].phi_x, "linear": np.linspace(0.0, 60.0, 4001),
+              "quadratic": np.linspace(0.0, 12.0, 8193)}[phi]
+        vals = {"herbst": 0.5 * xs * xs, "linear": xs.copy(), "quadratic": xs**2 / 2}[phi]
+        slopes = np.diff(vals) / np.diff(xs)
+        body = float(np.sum(_cell_partial_mass(vals[:-1], slopes, np.diff(xs))))
+        assert _exp_neg_phi_integral(xs, vals) == body + math.exp(-vals[-1]) / slopes[-1]
+
 
 class TestHerbst:
+    @pytest.mark.parametrize("rho", [math.nan, math.inf, 0.0, -1.0])
+    def test_rho_outside_zero_to_infinity_raises(self, rho):
+        with pytest.raises(DomainError, match="rho must be positive and finite"):
+            herbst_laplace(rho)
+
     def test_half_rho_bound(self):
         _, cb = herbst_laplace(0.5)
         rs = np.array([0.5, 2.0, 4.0])
@@ -345,6 +367,23 @@ class TestLaplaceSupInput:
         for lams in (lam, np.array([0.5, lam])):
             with pytest.raises(DomainError, match="lam must be finite"):
                 laplace_sup_discrete(TWO_POINT, TWO_POINT.weights, lams)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", ["short", "nan", "inf", "negative"])
+    @pytest.mark.parametrize("call", ["mean_zero_lipschitz_vertices", "psi1_metric_bound",
+                                      "te_constant_estimate"])
+    def test_weight_vectors_are_checked(self, call, bad):
+        """One weight check for every finite-space entry point: a wrong
+        length, a NaN, an inf or a negative weight raises ValidationError."""
+        w = {"short": [1.0], "nan": [0.5, math.nan], "inf": [0.5, math.inf],
+             "negative": [1.5, -0.5]}[bad]
+        with pytest.raises(ValidationError, match="must hold one weight per point|"
+                                                  "must be finite and nonnegative"):
+            {"mean_zero_lipschitz_vertices": lambda: mean_zero_lipschitz_vertices(TWO_POINT, w),
+             "psi1_metric_bound": lambda: psi1_metric_bound(TWO_POINT, w, TWO_POINT.weights),
+             "te_constant_estimate": lambda: te_constant_estimate(TWO_POINT, "wTE(1,p)",
+                                                                  mu=w),
+             }[call]()
 
     def test_non_numeric_input(self):
         with pytest.raises(ValidationError, match="lam must hold numbers"):

@@ -148,7 +148,8 @@ def test_no_module_of_the_package_imports_scipy():
 
 
 def _first_moment_per_pattern(space):
-    """One LP per admissible sign pattern, strict first-wins maximum."""
+    """One LP per admissible sign pattern, strict first-wins maximum, at
+    the tolerances of ``_lipschitz_lp_max``."""
     n, w = space.n, space.weights
     a_ub, b_ub = _lipschitz_rows(space)
     sign_bounds = {1: (0.0, None), 0: (0.0, 0.0), -1: (None, 0.0)}
@@ -165,6 +166,8 @@ def _first_moment_per_pattern(space):
         if np.any((minus - w_zero >= 0.5 - 1e-12) | (plus - w_zero >= 0.5 - 1e-12)):
             continue
         res = linprog(-(sig * w), A_ub=a_ub, b_ub=b_ub, method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10},
                       bounds=[sign_bounds[s] for s in pattern])
         assert res.success
         best = max(best, -res.fun)
@@ -173,6 +176,7 @@ def _first_moment_per_pattern(space):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=seeds, n=sizes)
+@example(seed=22556712, n=4)  # HiGHS at default tolerances broke a row by 9.5e-9
 def test_batched_first_moment_equals_per_pattern_loop(seed, n):
     """The maximum over the Lipschitz vertices against one LP per sign
     pattern in {+, 0, -}^n."""

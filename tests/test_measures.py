@@ -1,12 +1,17 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conc_toolkit import measures
 from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
+    _cell_partial_mass,
+    _cell_partial_moment,
     _e2,
     _scaled_target,
     DiscreteSpace,
@@ -20,6 +25,7 @@ from conc_toolkit.measures import (
 )
 from conc_toolkit.profiles import conc_profile
 from conc_toolkit.suites import _random_space
+from conc_toolkit.transport import tilt_measure_1d
 
 
 @pytest.fixture(scope="module")
@@ -484,3 +490,83 @@ def test_space_of_200_points_builds():
     with pytest.raises(ValidationError) as err:
         build_discrete_space(d, space.weights)
     assert str(err.value) == _triangle_k_loop(d)
+
+
+def test_arrays_are_read_only_copies_of_the_inputs():
+    grid = np.linspace(-3.0, 3.0, 31)
+    pot = 0.5 * grid**2
+    mu = build_measure_1d(grid, pot)
+    d = np.abs(grid[:4, None] - grid[None, :4])
+    w = np.full(4, 0.25)
+    space = build_discrete_space(d, w)
+    for kept in (mu.grid, mu.potential, mu.node_weights(), mu.cell_masses,
+                 mu.cdf_nodes, mu.sf_nodes, space.dist, space.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = 1.0
+    for given_array, kept in ((grid, mu.grid), (pot, mu.potential), (d, space.dist),
+                              (w, space.weights)):
+        assert given_array.flags.writeable
+        assert not np.shares_memory(given_array, kept)
+
+
+# the cell primitives of the piecewise-linear model, and the cell table a
+# Measure1D keeps, which no module but measures.py may name or read
+_CELL_NAMES = {"_cells", "_cell_partial_mass", "_cell_partial_moment", "_e1", "_e2",
+               "_tilted_cells"}
+_CELL_TABLE = {"_widths", "_slopes", "_shifted_potential", "_z_shifted", "_m0", "_m1",
+               "_node_weights", "_partial_cell"}
+
+
+def test_only_measures_knows_the_cell_model():
+    """A static check over every module of ``conc_toolkit`` but measures.py:
+    no name, import or attribute names a cell primitive, and no attribute
+    reads the cell table."""
+    found = []
+    for path in sorted(Path(measures.__file__).resolve().parent.glob("*.py")):
+        if path.name == "measures.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named = {node.id} & _CELL_NAMES
+            elif isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names} & _CELL_NAMES
+            elif isinstance(node, ast.Attribute):
+                named = {node.attr} & (_CELL_NAMES | _CELL_TABLE)
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in sorted(named)]
+    assert found == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 80))
+def test_cell_table_integrals_equal_the_two_pass_formulas(seed, n):
+    """node_weights, integrate_nodes and mean read one cell table; each
+    equals, bit for bit, the formulas that recomputed the cells per call."""
+    rng = np.random.default_rng(seed)
+    grid = np.cumsum(rng.uniform(0.01, 1.0, n))
+    pot = rng.normal(scale=3.0, size=n)
+    mu = Measure1D(grid=grid, potential=pot)
+    f = rng.normal(size=n)
+    widths = np.diff(grid)
+    v0 = (pot - pot.min())[:-1]
+    slopes = np.diff(pot) / widths
+    m0 = _cell_partial_mass(v0, slopes, widths)
+    m1 = _cell_partial_moment(v0, slopes, widths)
+    z = float(m0.sum())
+    right = m1 / widths
+    left = m0 - right
+    w = np.zeros(n)
+    w[:-1] += left
+    w[1:] += right
+    assert np.array_equal(mu.node_weights(), w / z)
+    assert mu.node_weights() is mu.node_weights()
+    assert mu.integrate_nodes(f) == float(np.sum(f[:-1] * m0 + np.diff(f) / widths * m1) / z)
+    assert mu.mean() == mu.partial_moment(*mu.support)
+
+
+@pytest.mark.parametrize("lam", [-2.0, -0.25, 0.5, 2.0])
+def test_tilted_moments_are_those_of_the_tilted_measure(gamma1, lam):
+    log_m, mean = gamma1._tilted_moments(lam)
+    assert log_m == gamma1.log_mgf_nodes(gamma1.grid, lam)
+    assert mean == tilt_measure_1d(gamma1, lam).mean()

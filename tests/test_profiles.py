@@ -443,6 +443,12 @@ class TestFitConstant:
         assert 1.2 < max_ratio < math.sqrt(2.0)
         assert entry.witnesses["argmax"] == pytest.approx(1e-6, rel=1e-6)
 
+    def test_ratio_without_a_usable_grid_point_raises(self):
+        prof = Profile(kind="bound-alpha", inputs=[0.0, 1.0], values=[1.0, 2.0])
+        ref = Profile(kind="bound-alpha", inputs=[0.0, 1.0], values=[0.0, 0.0])
+        with pytest.raises(DomainError, match="no usable grid points"):
+            fit_constant(prof, "ratio", reference=ref)
+
 
 def test_invert_monotone_flat_table():
     xs = np.array([0.0, 1.0, 2.0, 3.0])
