@@ -37,6 +37,15 @@ def _float_array(value, field_name: str) -> np.ndarray:
         raise ValidationError(f"{field_name} must hold numbers only ({exc})") from None
 
 
+def _real(value, name: str) -> float:
+    """``value`` as a float, or ValidationError naming it when it is not
+    one number."""
+    x = _float_array(value, name)
+    if x.ndim != 0:
+        raise ValidationError(f"{name} must be one number, got shape {x.shape}")
+    return float(x)
+
+
 def _argument(x, name: str, *, finite: bool = False) -> np.ndarray:
     """The argument check of every vectorized evaluator: ``x`` as a float
     array (ValidationError for non-numbers), or DomainError when an entry
@@ -167,8 +176,9 @@ def legendre_numeric(x: np.ndarray, f: np.ndarray,
     beyond the window and the value is reported as +oo rather than the
     spurious finite edge value.
 
-    Returns (lam, f_star).  The output is convex and nondecreasing in lam
-    by construction (a max of affine functions with slopes x >= 0).
+    Returns (lam, f_star), each a float for a scalar ``lam`` and else an
+    array of its shape.  The output is convex and nondecreasing in lam by
+    construction (a max of affine functions with slopes x >= 0).
     """
     x = _float_array(x, "x")
     f = _float_array(f, "f")
@@ -183,13 +193,14 @@ def legendre_numeric(x: np.ndarray, f: np.ndarray,
         raise ValidationError("f has no finite entries")
     xf, ff = x[finite], f[finite]
     lam = _argument(lam, "lam", finite=True)
+    flat = lam.ravel()
 
-    out = np.empty(lam.shape, dtype=float)
+    out = np.empty(flat.shape, dtype=float)
     # Chunk the outer product to bound memory on large grids.
     block = max(1, int(2**22 // max(xf.size, 1)))
     last = xf.size - 1
-    for start in range(0, lam.size, block):
-        lam_b = lam[start : start + block]
+    for start in range(0, flat.size, block):
+        lam_b = flat[start : start + block]
         vals = lam_b[:, None] * xf[None, :] - ff[None, :]
         idx = np.argmax(vals, axis=1)
         best = vals[np.arange(lam_b.size), idx]
@@ -201,4 +212,4 @@ def legendre_numeric(x: np.ndarray, f: np.ndarray,
                 1.0 + np.abs(vals[:, last])
             )
             out[start : start + lam_b.size][at_edge & growing] = np.inf
-    return lam, out
+    return _shaped(lam, lam), _shaped(lam, out)

@@ -74,9 +74,7 @@ class LaplaceBound(_PhiBound):
             raise ValidationError("slacks eps, delta must be nonnegative")
 
     def phi_star_at(self, lam) -> float | np.ndarray:
-        lam = _argument(lam, "lam", finite=True)
-        _, out = legendre_numeric(self.phi_x, self.phi_vals, lam.ravel())
-        return _shaped(lam, out)
+        return legendre_numeric(self.phi_x, self.phi_vals, lam)[1]
 
     def rhs_log(self, lam) -> float | np.ndarray:
         """log of the admissible Laplace bound at lam."""

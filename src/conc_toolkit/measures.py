@@ -43,6 +43,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _read_only_state(obj, state: dict) -> None:
+    """``__setstate__`` of the frozen classes: numpy does not pickle the
+    writeable flag, so every array comes back read-only again."""
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            _read_only(value)
+    obj.__dict__.update(state)
+
+
 # ---------------------------------------------------------------------------
 # exp-of-linear cell primitives
 # ---------------------------------------------------------------------------
@@ -153,6 +162,7 @@ class Measure1D:
     kappa: float = field(init=False)
     logconcave: bool = field(init=False)
     provenance: dict = field(default_factory=dict)
+    __setstate__ = _read_only_state
 
     def __post_init__(self) -> None:
         grid = _float_array(self.grid, "grid")
@@ -572,6 +582,7 @@ class DiscreteSpace:
 
     dist: np.ndarray
     weights: np.ndarray
+    __setstate__ = _read_only_state
 
     def __post_init__(self) -> None:
         d = _float_array(self.dist, "dist")

@@ -182,7 +182,7 @@ def _subset_weight_table(weights: np.ndarray) -> np.ndarray:
     out = np.zeros(1 << n)
     for j in range(n):
         block = 1 << j
-        out[block : 2 * block] = out[:block] + weights[j]
+        np.add(out[:block], weights[j], out=out[block : 2 * block])
     return out
 
 
@@ -210,27 +210,50 @@ def _conc_profile_discrete(space: DiscreteSpace) -> Profile:
     for j in range(n):
         block = 1 << j
         np.minimum(lightest[:block], rank[j], out=lightest[block : 2 * block])
-    sets = np.flatnonzero(wsum >= 0.5 - 1e-12)
-    droppable = wsum[sets ^ (1 << order[lightest[sets]])] >= 0.5 - 1e-12
-    sets = sets[~droppable]
-    holders = [np.flatnonzero((sets >> i) & 1) for i in range(n)]
+    blocks = []  # 2^16 table entries at a time, so no temporary is 2^n long
+    for lo in range(0, 1 << n, 1 << 16):
+        sets = np.flatnonzero(wsum[lo : lo + (1 << 16)] >= 0.5 - 1e-12) + lo
+        droppable = wsum[sets ^ (1 << order[lightest[sets]])] >= 0.5 - 1e-12
+        blocks.append(sets[~droppable])
+    sets = np.concatenate(blocks).astype(np.int32)
 
     # radius of the closed balls generating A_r on the interval
     # (d_{k-1}, d_k]: points within distance < r are those within <= d_{k-1};
     # j joins the ball of i at the first step whose threshold reaches
-    # d(i, j); so does i itself, which puts each set into its own union
+    # d(i, j), and i the ball of j, as the metric is symmetric
     radii = np.concatenate(([0.0], bps[:-1]))
     joins = np.searchsorted(radii * (1 + 1e-12) + 1e-15, space.dist, side="left")
-    entering: list[list[tuple[int, int]]] = [[] for _ in range(bps.size)]
-    for i, j in zip(*np.nonzero(joins < bps.size)):
-        entering[joins[i, j]].append((int(i), int(j)))
-    unions = np.zeros_like(sets)
-    values = np.empty(bps.size)
-    for k, pairs in enumerate(entering):
-        for i, j in pairs:
-            unions[holders[i]] |= 1 << j
-        worst_tail = 1.0 - float(np.min(wsum[unions]))
-        values[k] = math.inf if worst_tail <= _TAIL_FLOOR else -math.log(worst_tail)
+    entering: list[list[int]] = [[] for _ in range(bps.size)]
+    for i, j in zip(*np.nonzero(np.triu(joins < bps.size, 1))):
+        entering[joins[i, j]].append((1 << int(i)) | (1 << int(j)))
+    # each set is in its own union (i joins its own ball at step 0); a set
+    # holding one end of a pair gains the other, and only a set that lacks
+    # it changes.  Every union only grows, so its weight sum (held in
+    # ``reach``) does too: a set whose union is every point is dropped, its
+    # sum wsum[full] kept as the min's floor, and once the worst tail is
+    # below the floor every later one is.
+    full = (1 << n) - 1
+    missing = full ^ sets  # the points outside each set's union
+    reach = wsum[sets]
+    held, lacked = np.empty_like(sets), np.empty_like(sets)
+    values = np.full(bps.size, math.inf)
+    for k, masks in enumerate(entering):
+        for mask in masks:
+            np.bitwise_and(sets, mask, out=held)
+            np.bitwise_and(missing, mask, out=lacked)
+            grown = np.minimum(held, lacked, out=held).nonzero()[0]
+            if grown.size:
+                missing[grown] &= ~mask
+                reach[grown] = wsum[full ^ missing[grown]]
+        if k % 8 == 7:
+            still = missing.nonzero()[0]
+            if still.size < sets.size:
+                sets, missing, reach = sets[still], missing[still], reach[still]
+                held, lacked = held[:still.size], lacked[:still.size]
+        worst_tail = 1.0 - float(reach.min(initial=wsum[full]))
+        if worst_tail <= _TAIL_FLOOR:
+            break
+        values[k] = -math.log(worst_tail)
     return Profile(kind="conc", inputs=bps, values=values,
                    exactness="exact", step=True)
 

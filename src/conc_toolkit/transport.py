@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .costs import CostSpec, _float_array, phi_inverse, phi_p_eval
+from .costs import CostSpec, _float_array, _real, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import _checked_weights, log_laplace, mean_zero_lipschitz_vertices
 from .measures import _SPACE_TOL, DiscreteSpace, Measure1D, derive_measure
@@ -222,8 +222,11 @@ def _tree_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     stable cost order each cell takes min(what its row and its column have
     left) and closes one of them, the row on a tie, but never the last open
     row or column while the other side has more than one open line; each
-    closes a line no later cell meets, so they form a tree.  Each pivot
-    walks the tree from row 0 for the potentials (u_0 = 0)."""
+    closes a line no later cell meets, so they form a tree.  The tree hangs
+    from row 0 (u_0 = 0), each line's potential taken down its path from
+    there.  A pivot cuts the subtree below the leaving cell off; only that
+    subtree is hung again, from the entering cell, and walked for its new
+    potentials, each along the same path a walk from row 0 would take."""
     n, flat = a.size, c.ravel()
     cost, tol, cap = flat.tolist(), 1e-12 * np.max(np.abs(flat)), _pivot_cap(n)
     left = np.concatenate([a, b]).tolist()
@@ -242,27 +245,30 @@ def _tree_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         open_rows, open_cols = open_rows - row, open_cols - (not row)
         if open_rows + open_cols == 1:
             break
+    y, up, via, depth = [0.0] * (2 * n), [-1] * (2 * n), [-1] * (2 * n), [0] * (2 * n)
+    walk = [0]  # the lines below which the tree is walked again
+    reduced = np.empty((n, n))
     for pivots in range(cap + 1):
-        y, up, via, depth = [0.0] * (2 * n), [-1] * (2 * n), [-1] * (2 * n), [0] * (2 * n)
-        walk = [0]
         for s in walk:
             for t, cell in adjacent[s]:
                 if t != up[s]:
                     y[t], up[t], via[t], depth[t] = cost[cell] - y[s], s, cell, depth[s] + 1
                     walk.append(t)
         duals = np.array(y)
-        reduced = flat - (duals[:n, None] + duals[None, n:]).ravel()
+        np.subtract(c, np.add(duals[:n, None], duals[None, n:], out=reduced), out=reduced)
         enter = int(np.argmin(reduced))
-        if not reduced[enter] < -tol or pivots == cap:
+        if not reduced.flat[enter] < -tol or pivots == cap:
             return x.reshape(n, n), duals
         # the tree path between the entering cell's row (side 0) and column
         # (side 1); a cell on it loses flow when the line below it is of its
         # side's kind
-        ends, gain, loss = [enter // n, n + enter % n], [], []
+        tips = [enter // n, n + enter % n]
+        ends, gain, loss, sides = tips[:], [], [], {}
         while ends[0] != ends[1]:
             side = int(depth[ends[0]] < depth[ends[1]])  # the deeper end climbs
             line = ends[side]
             (loss if (line >= n) == side else gain).append(via[line])
+            sides[via[line]] = side
             ends[side] = up[line]
         leave = min(loss, key=lambda cell: (x[cell], cell))
         x[enter] = step = x[leave]
@@ -271,6 +277,11 @@ def _tree_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         for cell, edit in ((leave, list.remove), (enter, list.append)):
             edit(adjacent[cell // n], (n + cell % n, cell))
             edit(adjacent[n + cell % n], (cell // n, cell))
+        # the climb from the end on the leaving cell's side passed it, so
+        # that end is cut off with the subtree and hangs from the other one
+        low, high = tips[sides[leave]], tips[1 - sides[leave]]
+        y[low], up[low], via[low], depth[low] = cost[enter] - y[high], high, enter, depth[high] + 1
+        walk = [low]
 
 
 def _transport_lps(problems) -> list[tuple[np.ndarray, ...]]:
@@ -421,6 +432,7 @@ def _monotone_gap(mu: Measure1D, nu: Measure1D) -> np.ndarray:
 
 def ws_1d(mu: Measure1D, nu: Measure1D, s: float) -> float:
     """W_s = (int |q_mu - q_nu|^s du)^{1/s} via the monotone coupling."""
+    s = _real(s, "s")
     if not (1.0 <= s < math.inf):
         raise DomainError(f"s must be a finite real >= 1, got {s}")
     return float(np.mean(_monotone_gap(mu, nu) ** s) ** (1.0 / s))
@@ -430,6 +442,7 @@ def wc_monotone_1d(mu: Measure1D, nu: Measure1D, spec: CostSpec, scale: float) -
     """Optimal transport cost for the cost phi_p(scale * |x - y|) on the
     line; the monotone coupling is optimal because the cost is convex in
     the distance."""
+    scale = _real(scale, "scale")
     if not (0.0 <= scale < math.inf):
         raise DomainError(f"scale must be a finite real >= 0, got {scale}")
     return float(np.mean(phi_p_eval(spec, scale * _monotone_gap(mu, nu))))

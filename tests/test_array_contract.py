@@ -25,6 +25,7 @@ from conc_toolkit.measures import (
     discrete_space_from_atoms,
 )
 from conc_toolkit.profiles import Profile, conc_profile, iso_profile_1d
+from conc_toolkit.suites import run_suite, run_suites
 from conc_toolkit.transport import (
     kr_dual,
     psi1_metric_bound,
@@ -32,6 +33,8 @@ from conc_toolkit.transport import (
     transport_costs,
     w1_discrete,
     wc_discrete_lp,
+    wc_monotone_1d,
+    ws_1d,
 )
 
 MU = build_measure_1d(preset="gamma_p", p=2.0, n_points=201)
@@ -64,6 +67,7 @@ EVALUATORS = {
     "phi_p_eval": lambda x: phi_p_eval(SPEC, x),
     "phi_star_eval": lambda x: phi_star_eval(SPEC, x),
     "phi_inverse": lambda y: phi_inverse(SPEC, y),
+    "legendre_numeric": lambda lam: legendre_numeric(_PHI_X, _PHI_X**2, lam)[1],
 }
 # inside every evaluator's domain (quantile levels, Profile tables, x >= 0)
 POINTS = np.array([0.1, 0.25, 0.4, 0.7])
@@ -95,6 +99,8 @@ NOT_NUMBERS = {
     "iso_profile_1d": lambda a: iso_profile_1d(MU, [a]),
     "conc_profile": lambda a: conc_profile(MU, r_grid=[a]),
     "legendre_numeric": lambda a: legendre_numeric(_PHI_X, _PHI_X**2, [a]),
+    "ws_1d": lambda a: ws_1d(MU, MU, a),
+    "wc_monotone_1d": lambda a: wc_monotone_1d(MU, MU, SPEC, a),
     "GridFunction": lambda a: GridFunction(MU, a),
 }
 
@@ -125,6 +131,34 @@ def test_nan_argument_raises(name, arg):
 def test_argument_that_is_not_numbers_raises_validation_error(name):
     with pytest.raises(ValidationError, match="must hold numbers only"):
         NOT_NUMBERS[name]("a")
+
+
+def test_legendre_lam_keeps_the_shape_of_lam():
+    lam, fstar = legendre_numeric(_PHI_X, _PHI_X**2, 0.5)
+    assert type(lam) is float and type(fstar) is float
+    lam, fstar = legendre_numeric(_PHI_X, _PHI_X**2, [[0.5, 1.0]])
+    assert lam.shape == fstar.shape == (1, 2)
+
+
+# an entry point that takes one integer -> a call that hands it ``a``
+NOT_INTEGERS = {
+    "run_suite[seed]": lambda a: run_suite("going-down-exact", seed=a),
+    "run_suites[seed]": lambda a: run_suites(["going-down-exact"], seed=a),
+    "run_suites[jobs]": lambda a: run_suites(["going-down-exact"], jobs=a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_INTEGERS))
+@pytest.mark.parametrize("arg", ["a", 1.5, True, None])
+def test_argument_that_is_not_an_integer_raises_validation_error(name, arg):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        NOT_INTEGERS[name](arg)
+
+
+@pytest.mark.parametrize("name", ["ws_1d", "wc_monotone_1d"])
+def test_order_or_scale_of_more_than_one_number_raises_validation_error(name):
+    with pytest.raises(ValidationError, match="must be one number"):
+        NOT_NUMBERS[name]([1.0, 2.0])
 
 
 @pytest.mark.parametrize("name", ["LaplaceBound.phi_star_at", "LaplaceBound.rhs_log"])

@@ -455,6 +455,100 @@ def test_simplex_costs_equal_lone_highs_lps(seed, n, nu_kinds, mu_kind, scale):
                                _highs_costs(problem), rtol=1e-12, atol=1e-15 * scale)
 
 
+def _tree_simplex_rewalk(a, b, c):
+    """``transport._tree_simplex`` as it was when every pivot walked the
+    whole tree from row 0 for the potentials: the reference for the walk
+    of the cut subtree alone."""
+    n, flat = a.size, c.ravel()
+    cost, tol, cap = flat.tolist(), 1e-12 * np.max(np.abs(flat)), transport._pivot_cap(n)
+    left = np.concatenate([a, b]).tolist()
+    shut, open_rows, open_cols = [False] * (2 * n), n, n
+    x, adjacent = np.zeros(n * n), [[] for _ in range(2 * n)]
+    for cell in np.argsort(flat, kind="stable").tolist():
+        i, j = cell // n, n + cell % n
+        if shut[i] or shut[j]:
+            continue
+        x[cell] = flow = min(left[i], left[j])
+        left[i], left[j] = left[i] - flow, left[j] - flow
+        adjacent[i].append((j, cell))
+        adjacent[j].append((i, cell))
+        row = (left[i] <= left[j] or open_cols == 1) and not (open_rows == 1 < open_cols)
+        shut[i if row else j] = True
+        open_rows, open_cols = open_rows - row, open_cols - (not row)
+        if open_rows + open_cols == 1:
+            break
+    for pivots in range(cap + 1):
+        y, up, via, depth = [0.0] * (2 * n), [-1] * (2 * n), [-1] * (2 * n), [0] * (2 * n)
+        walk = [0]
+        for s in walk:
+            for t, cell in adjacent[s]:
+                if t != up[s]:
+                    y[t], up[t], via[t], depth[t] = cost[cell] - y[s], s, cell, depth[s] + 1
+                    walk.append(t)
+        duals = np.array(y)
+        reduced = flat - (duals[:n, None] + duals[None, n:]).ravel()
+        enter = int(np.argmin(reduced))
+        if not reduced[enter] < -tol or pivots == cap:
+            return x.reshape(n, n), duals
+        ends, gain, loss = [enter // n, n + enter % n], [], []
+        while ends[0] != ends[1]:
+            side = int(depth[ends[0]] < depth[ends[1]])
+            line = ends[side]
+            (loss if (line >= n) == side else gain).append(via[line])
+            ends[side] = up[line]
+        leave = min(loss, key=lambda cell: (x[cell], cell))
+        x[enter] = step = x[leave]
+        x[gain] += step
+        x[loss] -= step
+        for cell, edit in ((leave, list.remove), (enter, list.append)):
+            edit(adjacent[cell // n], (n + cell % n, cell))
+            edit(adjacent[n + cell % n], (cell // n, cell))
+
+
+def _tree_plans(count):
+    """``count`` transportation problems (a, b, c) with n from 2 to 60:
+    marginals of every ``_marginal`` kind (zeros and point masses make
+    degenerate pivots, uniform ones tied partial sums), and costs that are
+    powers of a random metric or, every third plan, integers 0-2 that tie
+    nearly everywhere."""
+    for t in range(count):
+        rng = np.random.default_rng(t)
+        n = 2 + t % 59
+        a = _marginal(rng, n, ("random", "zeros", "point", "uniform")[t % 4])
+        b = _marginal(rng, n, ("uniform", "random", "zeros", "point")[t // 4 % 4])
+        if t % 3 == 0:
+            c = rng.integers(0, 3, size=(n, n)).astype(float)
+        else:
+            c = _random_space(rng, n).dist ** rng.uniform(1.0, 3.0)
+        yield a, b, c
+
+
+def test_tree_simplex_equals_the_full_rewalk():
+    """Walking only the subtree a pivot cuts off gives the plans and duals
+    of walking the whole tree, bit for bit, on 240 random, tied and
+    degenerate plans."""
+    for a, b, c in _tree_plans(240):
+        plan, duals = transport._tree_simplex(a, b, c)
+        want_plan, want_duals = _tree_simplex_rewalk(a, b, c)
+        assert plan.tobytes() == want_plan.tobytes()
+        assert duals.tobytes() == want_duals.tobytes()
+
+
+def test_tree_simplex_at_the_pivot_cap_equals_the_full_rewalk(monkeypatch):
+    """Stopped by ``_pivot_cap`` after 3 pivots, both walks keep the same
+    last basis; the cap binds, as some capped plans are not the optimum."""
+    optimal = {k: transport._tree_simplex(a, b, c)[0] for k, (a, b, c) in enumerate(_tree_plans(60))}
+    monkeypatch.setattr(transport, "_pivot_cap", lambda n: 3)
+    stopped = 0
+    for k, (a, b, c) in enumerate(_tree_plans(60)):
+        plan, duals = transport._tree_simplex(a, b, c)
+        want_plan, want_duals = _tree_simplex_rewalk(a, b, c)
+        assert plan.tobytes() == want_plan.tobytes()
+        assert duals.tobytes() == want_duals.tobytes()
+        stopped += not np.array_equal(plan, optimal[k])
+    assert stopped >= 10
+
+
 def test_certificate_names_each_fault():
     """``_unsound`` rejects, per plan, a NaN, a negative entry that keeps
     the marginals, duals with a negative reduced cost, and a feasible plan

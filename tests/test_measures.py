@@ -1,5 +1,7 @@
 import ast
+import copy
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -507,6 +509,25 @@ def test_arrays_are_read_only_copies_of_the_inputs():
                               (w, space.weights)):
         assert given_array.flags.writeable
         assert not np.shares_memory(given_array, kept)
+
+
+def test_arrays_stay_read_only_through_pickle():
+    """numpy does not pickle the writeable flag: a measure or a space that
+    goes to a worker process and back, or is deep-copied, keeps read-only
+    arrays, the cached cell table included, and the same values."""
+    mu = build_measure_1d(preset="gamma_p", p=2.0, n_points=201)
+    mu.node_weights()  # a cached array goes into the pickled state
+    space = _random_space(np.random.default_rng(0), 5)
+    for obj in (mu, space):
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)):
+            arrays = {k: v for k, v in vars(back).items() if isinstance(v, np.ndarray)}
+            assert arrays.keys() == {k for k, v in vars(obj).items()
+                                     if isinstance(v, np.ndarray)}
+            for name, kept in arrays.items():
+                assert not kept.flags.writeable, name
+                assert np.array_equal(kept, getattr(obj, name))
+    back = pickle.loads(pickle.dumps(mu))
+    assert back.cdf(0.3) == mu.cdf(0.3) and back.log_z == mu.log_z
 
 
 # the cell primitives of the piecewise-linear model, and the cell table a

@@ -61,6 +61,43 @@ def _full_enumeration_profile(space) -> np.ndarray:
     return values
 
 
+def _holders_scatter_profile(space) -> np.ndarray:
+    """Exact conc profile values as ``conc_profile`` took them before it
+    dropped saturated sets and stopped at the tail floor: every minimal
+    admissible set's union updated by fancy-index scatter at every
+    breakpoint, and the min over all of them.  The reference for those
+    two shortcuts; its tables are the same."""
+    n, w, bps = space.n, space.weights, space.breakpoints()
+    wsum = np.zeros(1 << n)
+    for j in range(n):
+        block = 1 << j
+        wsum[block : 2 * block] = wsum[:block] + w[j]
+    order = np.argsort(w, kind="stable")
+    rank = np.argsort(order).astype(np.int8)
+    lightest = np.empty(1 << n, dtype=np.int8)
+    lightest[0] = n
+    for j in range(n):
+        block = 1 << j
+        np.minimum(lightest[:block], rank[j], out=lightest[block : 2 * block])
+    sets = np.flatnonzero(wsum >= 0.5 - 1e-12)
+    droppable = wsum[sets ^ (1 << order[lightest[sets]])] >= 0.5 - 1e-12
+    sets = sets[~droppable]
+    holders = [np.flatnonzero((sets >> i) & 1) for i in range(n)]
+    radii = np.concatenate(([0.0], bps[:-1]))
+    joins = np.searchsorted(radii * (1 + 1e-12) + 1e-15, space.dist, side="left")
+    entering = [[] for _ in range(bps.size)]
+    for i, j in zip(*np.nonzero(joins < bps.size)):
+        entering[joins[i, j]].append((int(i), int(j)))
+    unions = np.zeros_like(sets)
+    values = np.empty(bps.size)
+    for k, pairs in enumerate(entering):
+        for i, j in pairs:
+            unions[holders[i]] |= 1 << j
+        worst_tail = 1.0 - float(np.min(wsum[unions]))
+        values[k] = math.inf if worst_tail <= 1e-12 else -math.log(worst_tail)
+    return values
+
+
 def _tie_prone_space(seed: int, n: int, metric: str, weights: str):
     """A space whose distances or weights tie often: planar Gaussian
     points, a path with integer gaps, the discrete metric, or points of a
@@ -247,6 +284,30 @@ class TestConcProfileDiscrete:
         assert np.array_equal(prof.inputs, space.breakpoints())
         assert np.array_equal(np.isinf(prof.values), np.isinf(want))
         assert np.array_equal(prof.values, want)
+
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_dropped_sets_and_early_stop_equal_the_scatter_loop(self, n):
+        # 2, 4 and 16 enumeration blocks of 2^16 subsets; the saturated
+        # sets are dropped every 8 breakpoints and the loop stops at the
+        # tail floor, and neither may move a value by a bit
+        space = _random_space(np.random.default_rng(n), n)
+        prof = conc_profile(space)
+        want = _holders_scatter_profile(space)
+        assert np.isinf(want[-1]) and space.breakpoints().size > 8
+        assert np.array_equal(prof.values, want)
+
+    def test_saturated_space_with_light_weights_stays_finite(self):
+        # weights summing to 1 - 5e-10 (within DiscreteSpace's tolerance):
+        # once every union is the whole space the worst tail is 5e-10, not
+        # below the floor, so the values stay finite after every set has
+        # been dropped, and equal the scatter loop's
+        space = _random_space(np.random.default_rng(4), 8)
+        space = build_discrete_space(space.dist, space.weights * (1 - 5e-10))
+        prof = conc_profile(space)
+        want = _holders_scatter_profile(space)
+        assert np.array_equal(prof.values, want)
+        assert np.all(np.isfinite(prof.values))
+        assert prof.values[-1] == pytest.approx(-math.log(5e-10), rel=1e-6)
 
     # (value, run length) of conc_profile(_random_space(rng(s), n),
     # exact=False, seed=s) as computed by the per-subset Python loop the
