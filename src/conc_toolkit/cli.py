@@ -18,6 +18,13 @@ writes byte-identical reports for any jobs value.  Bad input, including a
 file that cannot be read or written, exits 2 with one "error:" line; exit 1
 means only that a suite failed.
 
+The command runs OpenBLAS with one thread: ``main()`` sets
+OPENBLAS_NUM_THREADS=1 before numpy loads, unless the user has set it, in
+which case the user's value wins.  The toolkit's BLAS work is a few short
+vector products, so an idle pool of BLAS threads would only spin; verify's
+workers are processes, and they inherit the setting.  ``dispatch()``, the
+in-process entry point, leaves the environment alone.
+
 Every vectorized evaluator behind these commands keeps one array
 contract: a scalar argument gives a float, an array-like argument an
 array of the same shape.
@@ -291,6 +298,8 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    # before numpy loads; a value the user has set is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(dispatch())
 
 

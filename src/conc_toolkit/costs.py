@@ -159,9 +159,17 @@ def conjugate_window(spec: CostSpec, lam_max: float) -> float:
 def graded_cost_grid(spec: CostSpec, x_max: float, n: int = 20001) -> np.ndarray:
     """Grid on [0, x_max] equidistributing the discrete-sup error of the
     conjugate of phi_p: spacing h(x) ~ x^{1 - p/2}, i.e. uniform in
-    x^{p/2}, matches the curvature decay phi_p'' ~ x^{p - 2}."""
+    x^{p/2}, matches the curvature decay phi_p'' ~ x^{p - 2}.  ``x_max``
+    must be finite and > 0, and x_max^{p/2} finite (DomainError)."""
+    x_max = _real(x_max, "x_max")
+    if not (math.isfinite(x_max) and x_max > 0):
+        raise DomainError(f"x_max must be finite and > 0, got {x_max}")
     exponent = max(spec.p / 2.0, 0.5)
-    u = np.linspace(0.0, x_max**exponent, n)
+    try:
+        top = x_max**exponent
+    except OverflowError:
+        raise DomainError(f"x_max^{exponent:g} overflows, x_max = {x_max}") from None
+    u = np.linspace(0.0, top, n)
     return u ** (1.0 / exponent)
 
 

@@ -9,7 +9,8 @@ the discretized Rayleigh quotient int f'^2 dmu / Var(f); the stiffness
 and mass assemblies are exact for piecewise-linear trial functions, so
 the usual O(h^2) finite-element convergence applies and is checked by a
 Richardson pass on a coarsened grid.  The eigenvalue is a Sturm-count
-bisection over Python floats.
+bisection over Python floats; with the Richardson pass, the coarse grid
+is solved first and its eigenvalue brackets the fine one.
 
 Log-Sobolev constants are reported as certified *upper* bounds on the
 best constant: any single admissible function gives one, and the
@@ -77,9 +78,11 @@ def _entropy(weights: np.ndarray, g: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _MASS_CUT = 1e-250
+# relative half-width of the fine-grid bracket around the coarse eigenvalue
+_COARSE_BRACKET = 2e-3
 
 
-def _poincare_eigenvalue(mu: Measure1D) -> float:
+def _poincare_eigenvalue(mu: Measure1D, guess: float | None = None) -> float:
     """Smallest nonzero generalized eigenvalue of the pencil
     (stiffness, lumped mass).  Both matrices are assembled from exact
     cell masses; constants span the stiffness nullspace, so the second
@@ -89,7 +92,8 @@ def _poincare_eigenvalue(mu: Measure1D) -> float:
     before the solve (natural Neumann condition at the cut): it sits just
     above double-precision underflow, where cell masses become exact zeros
     and would otherwise produce NaN rows in the symmetrized matrix; the
-    perturbation of the low eigenvalues is O(_MASS_CUT).
+    perturbation of the low eigenvalues is O(_MASS_CUT).  ``guess``, an
+    estimate of the eigenvalue, is passed on to the solve.
     """
     keep = (mu.cdf_nodes >= _MASS_CUT) & (mu.sf_nodes >= _MASS_CUT)
     if keep.sum() < 16:
@@ -111,14 +115,19 @@ def _poincare_eigenvalue(mu: Measure1D) -> float:
     k = cell_mass / h**2
     d = (np.append(k, 0.0) + np.insert(k, 0, 0.0)) / node_mass
     e = -k / np.sqrt(node_mass[:-1] * node_mass[1:])
-    return _second_eigenvalue(d, e)
+    return _second_eigenvalue(d, e, guess)
 
 
-def _second_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
+def _second_eigenvalue(d: np.ndarray, e: np.ndarray,
+                       guess: float | None = None) -> float:
     """Second-smallest eigenvalue of the symmetric tridiagonal matrix (d, e):
-    Sturm-count bisection over Python floats (numpy's is ~20x slower) from
-    the Gershgorin bracket until the midpoint rounds to an end.  LAPACK's
-    pivmin guard keeps the count monotone in x (Demmel, Dhillon, Ren 1995)."""
+    Sturm-count bisection over Python floats (numpy's is ~20x slower) until
+    the midpoint rounds to an end.  LAPACK's pivmin guard keeps the count
+    monotone in x (Demmel, Dhillon, Ren 1995), so the bisection ends at the
+    smallest float with two eigenvalues below it from any bracket whose low
+    end counts fewer and whose high end counts two.  It starts from
+    guess (1 -+ _COARSE_BRACKET) when one count at each end shows that this
+    is such a bracket, and else from the Gershgorin bracket."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValidationError("tridiagonal entries must be finite")
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
@@ -137,6 +146,10 @@ def _second_eigenvalue(d: np.ndarray, e: np.ndarray) -> float:
                 q = min(q, -pivmin)
         return False
 
+    if guess is not None:
+        a, b = guess * (1.0 - _COARSE_BRACKET), guess * (1.0 + _COARSE_BRACKET)
+        if not two_below(a) and two_below(b):
+            lo, hi = a, b
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (lo, mid) if two_below(mid) else (mid, hi)
     return hi
@@ -147,16 +160,19 @@ def poincare_constant_1d(mu: Measure1D, *, richardson: bool = True) -> ConstantE
     gap of the discretized quotient; two-sided up to grid error.
 
     A Richardson pass on the half-resolution grid estimates the
-    discretization error and is stored with the witnesses.
+    discretization error and is stored with the witnesses; it runs first,
+    and its eigenvalue brackets the fine solve.
     """
     if mu.grid.size < 256:
         raise DomainError("Poincare solve needs a grid with >= 256 points")
-    lam = _poincare_eigenvalue(mu)
-    witnesses = {"eigenvalue": lam}
+    lam_coarse = None
     if richardson:
         coarse = Measure1D(grid=mu.grid[::2], potential=mu.potential[::2],
                            provenance={})
         lam_coarse = _poincare_eigenvalue(coarse)
+    lam = _poincare_eigenvalue(mu, lam_coarse)
+    witnesses = {"eigenvalue": lam}
+    if richardson:
         # second-order extrapolation: lam_true ~ lam + (lam - lam_coarse)/3
         witnesses["eigenvalue_coarse"] = lam_coarse
         witnesses["richardson"] = lam + (lam - lam_coarse) / 3.0

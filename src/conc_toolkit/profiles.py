@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _argument, _float_array, _shaped
+from .costs import _argument, _float_array, _real, _shaped
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, is_symmetric
 from .reports import ConstantEntry
@@ -468,9 +468,13 @@ def exp_p_gamma_shape(c: float, p: float, x_max: float, n: int = 8193) -> Profil
     This is the shape of the p-exponential reference profiles: their
     iso profile is comparable to v * log^{1/q}(1/v).  The grid is graded
     toward log 2 where downstream quadratures need the most resolution.
+    ``x_max`` must be finite and > log 2 (DomainError).
     """
     if p < 1:
         raise DomainError("p must be >= 1")
+    x_max = _real(x_max, "x_max")
+    if not (math.isfinite(x_max) and x_max > LOG2):
+        raise DomainError(f"x_max must be finite and > log 2, got {x_max}")
     u = np.linspace(0.0, 1.0, n) ** 1.5
     xs = LOG2 + (x_max - LOG2) * u
     inv_q = 0.0 if p == 1.0 else (p - 1.0) / p

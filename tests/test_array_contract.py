@@ -11,6 +11,7 @@ import pytest
 
 from conc_toolkit.costs import (
     CostSpec,
+    graded_cost_grid,
     legendre_numeric,
     phi_inverse,
     phi_p_eval,
@@ -24,7 +25,7 @@ from conc_toolkit.measures import (
     derive_measure,
     discrete_space_from_atoms,
 )
-from conc_toolkit.profiles import Profile, conc_profile, iso_profile_1d
+from conc_toolkit.profiles import Profile, conc_profile, exp_p_gamma_shape, iso_profile_1d
 from conc_toolkit.suites import run_suite, run_suites
 from conc_toolkit.transport import (
     kr_dual,
@@ -102,6 +103,8 @@ NOT_NUMBERS = {
     "ws_1d": lambda a: ws_1d(MU, MU, a),
     "wc_monotone_1d": lambda a: wc_monotone_1d(MU, MU, SPEC, a),
     "GridFunction": lambda a: GridFunction(MU, a),
+    "graded_cost_grid": lambda a: graded_cost_grid(SPEC, a),
+    "exp_p_gamma_shape": lambda a: exp_p_gamma_shape(1.0, 2.0, a),
 }
 
 
@@ -174,3 +177,27 @@ def test_iso_profile_on_one_mass():
     prof = iso_profile_1d(MU, [0.25])
     assert prof.inputs.shape == prof.values.shape == (1,)
     assert prof.values[0] == iso_profile_1d(MU, [0.1, 0.25, 0.4]).values[1]
+
+
+@pytest.mark.parametrize("x_max", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("name", ["graded_cost_grid", "exp_p_gamma_shape"])
+def test_x_max_outside_its_domain_raises(name, x_max):
+    """No NaN, infinite, decreasing or all-zero grid, and no numpy warning:
+    a window end that is not finite and > 0 (> log 2 for the shape)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="x_max"):
+            NOT_NUMBERS[name](x_max)
+
+
+@pytest.mark.parametrize("x_max", [0.5, math.log(2.0)])
+def test_gamma_shape_window_must_end_past_log_2(x_max):
+    with pytest.raises(DomainError, match="x_max"):
+        exp_p_gamma_shape(1.0, 2.0, x_max)
+
+
+def test_graded_grid_whose_end_overflows_raises():
+    with pytest.raises(DomainError, match="x_max"):
+        graded_cost_grid(CostSpec(4.0), 1e300)
+    xs = graded_cost_grid(CostSpec(4.0), 1e150)
+    assert xs[0] == 0.0 and np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -294,6 +295,51 @@ def test_verify_finite_suites_do_not_import_scipy(fresh_python):
         "               'conc-te-equiv', 'bg-duality', '--seed', '7', '--jobs', '1'])\n"
         "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert fresh_python(script)[-2:] == ["0", "[]"]
+
+
+def _main_script(tmp_path, preset: str | None) -> str:
+    """A script that runs ``main()`` on ``profile iso`` with
+    OPENBLAS_NUM_THREADS unset (or set to ``preset``), then prints the
+    variable and the number of threads in the process (-1 without /proc)."""
+    setting = ("os.environ.pop('OPENBLAS_NUM_THREADS', None)" if preset is None
+               else f"os.environ['OPENBLAS_NUM_THREADS'] = {preset!r}")
+    return (
+        "import contextlib, io, os, sys\n"
+        f"{setting}\n"
+        "from conc_toolkit import cli\n"
+        "sys.argv = ['conc-toolkit', 'profile', 'iso', '--preset', 'gamma_p',\n"
+        f"            '--p', '1.5', '--out', {str(tmp_path / 'iso.csv')!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    try:\n"
+        "        cli.main()\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "threads = (len(os.listdir('/proc/self/task'))\n"
+        "           if os.path.isdir('/proc/self/task') else -1)\n"
+        "print(code, 'numpy' in sys.modules, os.environ['OPENBLAS_NUM_THREADS'], threads)\n")
+
+
+def test_main_runs_one_blas_thread(tmp_path, fresh_python):
+    """With the variable unset, main() sets OPENBLAS_NUM_THREADS=1 before
+    numpy loads, so the process holds one thread after the command."""
+    code, numpy_loaded, value, threads = fresh_python(_main_script(tmp_path, None))
+    assert (code, numpy_loaded, value) == ("0", "True", "1")
+    if threads == "-1":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == "1"
+
+
+def test_main_keeps_a_user_set_blas_thread_count(tmp_path, fresh_python):
+    code, numpy_loaded, value, _ = fresh_python(_main_script(tmp_path, "2"))
+    assert (code, numpy_loaded, value) == ("0", "True", "2")
+
+
+def test_dispatch_leaves_the_environment_alone(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert dispatch(["profile", "iso", "--preset", "gamma_p", "--p", "1.5",
+                     "--out", str(tmp_path / "iso.csv")]) == 0
+    assert dict(os.environ) == before
 
 
 def _measure_args(tmp_path, args):

@@ -69,13 +69,14 @@ def _norm1(d, e):
 
 @pytest.fixture(scope="module")
 def gamma_p_tridiagonals():
-    """The 8 (d, e) pairs poincare_constant_1d solves on gamma_p,
-    p in {1, 1.5, 2, 3}, 8,192 points: each fine grid and its coarsening."""
+    """The 8 (d, e, guess) triples poincare_constant_1d solves on gamma_p,
+    p in {1, 1.5, 2, 3}, 8,192 points: each coarsening (no guess), then
+    the fine grid (the coarse eigenvalue as its guess)."""
     seen, solve = [], functional._second_eigenvalue
 
-    def record(d, e):
-        seen.append((d, e))
-        return solve(d, e)
+    def record(d, e, guess=None):
+        seen.append((d, e, guess))
+        return solve(d, e, guess)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(functional, "_second_eigenvalue", record)
@@ -101,8 +102,9 @@ def test_second_eigenvalue_agrees_with_lapack_bisection(gamma_p_tridiagonals):
     ulp * ||T||_1: on the gamma_p matrices and on random tridiagonals."""
     from scipy.linalg import eigvalsh_tridiagonal
 
-    pairs = gamma_p_tridiagonals + [_random_tridiagonal(s) for s in range(100)]
-    assert [d.size for d, _ in gamma_p_tridiagonals] == [8191, 4095] * 4
+    pairs = ([(d, e) for d, e, _ in gamma_p_tridiagonals]
+             + [_random_tridiagonal(s) for s in range(100)])
+    assert [d.size for d, _, _ in gamma_p_tridiagonals] == [4095, 8191] * 4
     for d, e in pairs:
         want = eigvalsh_tridiagonal(d, e, select="i", select_range=(1, 1))[0]
         got = _second_eigenvalue(d, e)
@@ -116,6 +118,78 @@ def test_second_eigenvalue_agrees_with_a_dense_eigensolve():
         d, e = _random_tridiagonal(seed)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[1]
         assert abs(_second_eigenvalue(d, e) - want) <= d.size * EPS * _norm1(d, e)
+
+
+def _gershgorin_second_eigenvalue(d, e):
+    """The solve as it was before the coarse bracket: bisection from the
+    Gershgorin bracket alone (the oracle of the bracket tests)."""
+    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
+    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    d_list, e2 = d.tolist(), [0.0] + (e * e).tolist()
+    pivmin = float(np.finfo(float).tiny) * max(e2 + [1.0])
+
+    def two_below(x):
+        count, q = 0, 1.0
+        for di, e2i in zip(d_list, e2):
+            q = (di - x) - e2i / q
+            if q < pivmin:
+                count += 1
+                if count == 2:
+                    return True
+                q = min(q, -pivmin)
+        return False
+
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (lo, mid) if two_below(mid) else (mid, hi)
+    return hi
+
+
+def _pencil_tridiagonal(seed):
+    """(d, e) of a random Poincare pencil: positive cell masses and steps,
+    assembled as _poincare_eigenvalue does (a zero eigenvalue, then a
+    positive one)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 200))
+    cell_mass = rng.uniform(0.01, 1.0, n - 1) * 10.0 ** rng.uniform(-6.0, 0.0, n - 1)
+    h = rng.uniform(0.1, 1.0, n - 1) * 10.0 ** rng.uniform(-3.0, 1.0)
+    half = 0.5 * cell_mass
+    node_mass = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+    k = cell_mass / h**2
+    d = (np.append(k, 0.0) + np.insert(k, 0, 0.0)) / node_mass
+    return d, -k / np.sqrt(node_mass[:-1] * node_mass[1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       pencil=st.booleans(),
+       offset=st.floats(min_value=-1e-3, max_value=1e-3))
+def test_coarse_bracket_gives_the_gershgorin_float(seed, pencil, offset):
+    """A guess within 0.1 % of the eigenvalue (inside the checked bracket)
+    ends the bisection at the same float as the Gershgorin bracket, on
+    Poincare pencils and on random positive tridiagonals."""
+    if pencil:
+        d, e = _pencil_tridiagonal(seed)
+    else:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 200))
+        d, e = rng.uniform(0.5, 4.0, n), rng.uniform(-1.0, 1.0, n - 1)
+    want = _gershgorin_second_eigenvalue(d, e)
+    assume(want > 0)
+    assert _second_eigenvalue(d, e, want * (1.0 + offset)) == want
+
+
+def test_gamma_p_fine_solves_give_the_gershgorin_float(gamma_p_tridiagonals):
+    for d, e, guess in gamma_p_tridiagonals:
+        assert _second_eigenvalue(d, e, guess) == _gershgorin_second_eigenvalue(d, e)
+
+
+@pytest.mark.parametrize("miss", [0.99, 1.01])
+def test_a_guess_off_by_one_percent_falls_back_to_gershgorin(gamma_p_tridiagonals, miss):
+    """The bracket guess (1 -+ 2e-3) misses the eigenvalue, its end check
+    fails, and the Gershgorin bisection gives the same float."""
+    for d, e, _ in gamma_p_tridiagonals[1::2]:
+        want = _gershgorin_second_eigenvalue(d, e)
+        assert _second_eigenvalue(d, e, want * miss) == want
 
 
 @pytest.mark.parametrize("bad", ["d", "e"])
