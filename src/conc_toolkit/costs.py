@@ -21,6 +21,7 @@ beyond; infinity is carried as ``math.inf``, never as a large float.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,13 +38,32 @@ def _float_array(value, field_name: str) -> np.ndarray:
         raise ValidationError(f"{field_name} must hold numbers only ({exc})") from None
 
 
-def _real(value, name: str) -> float:
-    """``value`` as a float, or ValidationError naming it when it is not
-    one number."""
+def _real(value, name: str, domain: str = "(-inf, inf)") -> float:
+    """``value`` as one float inside ``domain``, an interval written as
+    "(0, 1)" or "[1, inf)": the one check of every public scalar.  A value
+    that is not one number raises ValidationError, and one outside the
+    interval DomainError naming the argument and the interval; NaN is
+    always outside, and an infinity is unless the interval closes on it."""
     x = _float_array(value, name)
     if x.ndim != 0:
         raise ValidationError(f"{name} must be one number, got shape {x.shape}")
-    return float(x)
+    x = float(x)
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    if not ((lo < x or (x == lo and domain[0] == "["))
+            and (x < hi or (x == hi and domain[-1] == "]"))):
+        raise DomainError(f"{name} must lie in {domain}, got {value!r}")
+    return x
+
+
+def _count(value, name: str, least: int) -> int:
+    """``value`` as an int >= ``least``: the one check of every public
+    count and seed.  ValidationError unless it is an integer (a bool is
+    not one), DomainError when it is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
+    return int(value)
 
 
 def _argument(x, name: str, *, finite: bool = False) -> np.ndarray:
@@ -64,15 +84,6 @@ def _shaped(x: np.ndarray, out) -> float | np.ndarray:
     return float(out) if out.ndim == 0 else out
 
 
-def dual_exponent(p: float) -> float:
-    """q = p / (p - 1), with the p = 1 -> q = oo convention."""
-    if p < 1.0:
-        raise DomainError(f"cost exponent must satisfy p >= 1, got {p}")
-    if p == 1.0:
-        return math.inf
-    return p / (p - 1.0)
-
-
 @dataclass(frozen=True)
 class CostSpec:
     """The exponent pair (p, q) with 1/p + 1/q = 1.
@@ -83,12 +94,11 @@ class CostSpec:
     p: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.p) or self.p < 1.0:
-            raise ValidationError(f"p must be a finite real >= 1, got {self.p}")
+        object.__setattr__(self, "p", _real(self.p, "p", "[1, inf)"))
 
     @property
     def q(self) -> float:
-        return dual_exponent(self.p)
+        return math.inf if self.p == 1.0 else self.p / (self.p - 1.0)
 
 
 def phi_p_eval(spec: CostSpec, x):
@@ -161,9 +171,8 @@ def graded_cost_grid(spec: CostSpec, x_max: float, n: int = 20001) -> np.ndarray
     conjugate of phi_p: spacing h(x) ~ x^{1 - p/2}, i.e. uniform in
     x^{p/2}, matches the curvature decay phi_p'' ~ x^{p - 2}.  ``x_max``
     must be finite and > 0, and x_max^{p/2} finite (DomainError)."""
-    x_max = _real(x_max, "x_max")
-    if not (math.isfinite(x_max) and x_max > 0):
-        raise DomainError(f"x_max must be finite and > 0, got {x_max}")
+    x_max = _real(x_max, "x_max", "(0, inf)")
+    n = _count(n, "n", 2)
     exponent = max(spec.p / 2.0, 0.5)
     try:
         top = x_max**exponent

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSpec, _float_array, phi_star_eval
+from .costs import CostSpec, _float_array, _real, phi_star_eval
 from .errors import DomainError, ValidationError
 from .measures import Measure1D
 from .reports import ConstantEntry
@@ -304,10 +304,10 @@ def functional_inequality_eval(mu: Measure1D, f: GridFunction, form: str,
     """
     if f.measure is not mu:
         raise ValidationError("grid function must live on the given measure")
+    rate = _real(rate, "rate", "(0, inf)")
     weights = mu.node_weights()
     if form == "q-LS":
-        if not 1.0 <= q <= 2.0:
-            raise DomainError("q-LS requires q in [1, 2]")
+        q = _real(q, "q", "[1, 2]")
         ent = _entropy(weights, np.abs(f.values) ** q)
         lhs = rate * ent ** (1.0 / q)
         grad = f.gradient_magnitude()
@@ -316,8 +316,7 @@ def functional_inequality_eval(mu: Measure1D, f: GridFunction, form: str,
             return FunctionalEvalResult(lhs, rhs, True, "zero-entropy")
         return FunctionalEvalResult(lhs, rhs, lhs <= rhs * (1 + 1e-12), "")
     if form == "mod-LS":
-        if q < 1.0:
-            raise DomainError("mod-LS requires q in [1, oo]")
+        q = _real(q, "q", "[1, inf]")
         ent = _entropy(weights, f.values**2)
         ratio = f.log_square_gradient_half() / rate
         if q == 1.0:

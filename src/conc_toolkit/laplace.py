@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import _argument, _float_array, _shaped, legendre_numeric
+from .costs import _argument, _count, _float_array, _real, _shaped, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D
 from .profiles import LOG2, invert_monotone
@@ -50,8 +50,7 @@ class _PhiBound:
         slopes = np.diff(vals) / np.diff(x)
         if np.any(np.diff(slopes) < -1e-9 * (1.0 + np.abs(vals).max())):
             raise ValidationError("Phi must be convex on its grid")
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValidationError("rate must be a positive finite real")
+        object.__setattr__(self, "rate", _real(self.rate, "rate", "(0, inf)"))
         object.__setattr__(self, "phi_x", x)
         object.__setattr__(self, "phi_vals", vals)
 
@@ -70,8 +69,8 @@ class LaplaceBound(_PhiBound):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.eps < 0 or self.delta < 0:
-            raise ValidationError("slacks eps, delta must be nonnegative")
+        object.__setattr__(self, "eps", _real(self.eps, "eps", "[0, inf)"))
+        object.__setattr__(self, "delta", _real(self.delta, "delta", "[0, inf)"))
 
     def phi_star_at(self, lam) -> float | np.ndarray:
         return legendre_numeric(self.phi_x, self.phi_vals, lam)[1]
@@ -89,10 +88,9 @@ class ConcBound(_PhiBound):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.offset < 0:
-            raise ValidationError("offset z' must be nonnegative")
-        if self.log_slack < -LOG2 - 1e-12:
-            raise ValidationError("log slack delta' must be >= -log 2")
+        object.__setattr__(self, "offset", _real(self.offset, "offset", "[0, inf)"))
+        object.__setattr__(self, "log_slack",
+                           _real(self.log_slack, "log_slack", f"[{-LOG2!r}, inf)"))
 
     def alpha_at(self, r) -> float | np.ndarray:
         """The concentration lower bound Phi((D' r - z')_+) - delta'."""
@@ -201,10 +199,7 @@ def conc_to_laplace(bound: ConcBound, tau: float = 0.5) -> LaplaceBound:
     tau defaults to 1/2, balancing the loss in the rate against the
     growth of the additive slacks.
     """
-    if not 0.0 < tau < 1.0:
-        raise DomainError("tau must lie in (0, 1)")
-    if bound.log_slack < -LOG2:
-        raise DomainError("delta' must be >= -log 2")
+    tau = _real(tau, "tau", "(0, 1)")
     d_new = tau * bound.rate
     delta_new = bound.log_slack + math.log(
         math.exp(-bound.log_slack) + tau / (1.0 - tau))
@@ -220,8 +215,7 @@ def herbst_laplace(rho: float) -> tuple[LaplaceBound, ConcBound]:
     a Laplace bound with Phi*(lam) = lam^2 / (4 rho) (i.e. Phi = rho x^2,
     D = 1, no slack), and its induced concentration bound
     K(r) >= rho (r - sqrt(log 2 / rho))_+^2."""
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"rho must be positive and finite, got {rho}")
+    rho = _real(rho, "rho", "(0, inf)")
     xs = np.linspace(0.0, math.sqrt(80.0 / rho), 16385)
     bound = LaplaceBound(phi_x=xs, phi_vals=rho * xs * xs, rate=1.0)
     return bound, laplace_to_conc(bound)
@@ -395,9 +389,8 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
     """
     n = space.n
     mu = _checked_weights(mu, n, "mu")
-    lam_arr = np.atleast_1d(_float_array(lam, "lam"))
-    if not np.all(np.isfinite(lam_arr)):
-        raise DomainError("lam must be finite")
+    lam_arr = np.atleast_1d(_argument(lam, "lam", finite=True))
+    seed = _count(seed, "seed", 0)
     if exact:
         verts = vertices if vertices is not None else mean_zero_lipschitz_vertices(
             space, mu)

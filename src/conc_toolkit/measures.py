@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .costs import _argument, _float_array, _shaped
+from .costs import _argument, _count, _float_array, _real, _shaped
 from .errors import DomainError, ToolkitError, ValidationError
 
 _CONVEXITY_TOL = 1e-9
@@ -315,7 +315,7 @@ class Measure1D:
     def partial_moment(self, a: float, b: float) -> float:
         """Integral of x over [a, b] against the measure, cell-exact."""
         lo, hi = self.support
-        a, b = max(a, lo), min(b, hi)
+        a, b = max(_real(a, "a", "[-inf, inf]"), lo), min(_real(b, "b", "[-inf, inf]"), hi)
         if b <= a:
             return 0.0
         xs = self.grid
@@ -468,34 +468,31 @@ def build_measure_1d(
             raise ValidationError("either a (grid, potential) pair or a preset is required")
         return Measure1D(grid=grid, potential=potential,
                          provenance={"source": "potential-grid"})
-    if n_points < 0:
-        raise DomainError(f"n_points must be nonnegative, got {n_points}")
-    for name, value in (("a", a), ("half_width", half_width)):
-        if value is not None and not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value}")
+    n_points = _count(n_points, "n_points", 0)
+    a = _real(a, "a")
+    if half_width is not None:
+        half_width = _real(half_width, "half_width")
 
     if preset == "gamma_p":
-        if p is None or not (1.0 <= p <= 8.0):
-            raise DomainError(f"gamma_p preset requires p in [1, 8], got {p}")
+        p = _real(p, "p", "[1, 8]")
         r = half_width if half_width is not None else (36.0 * p) ** (1.0 / p)
-        n = _odd_point_count(int(n_points))
+        n = _odd_point_count(n_points)
         xs = np.linspace(-r, r, n)
         vs = np.abs(xs) ** p / p
         return Measure1D(
             grid=xs, potential=vs,
-            provenance={"source": "preset", "preset": "gamma_p", "p": float(p),
+            provenance={"source": "preset", "preset": "gamma_p", "p": p,
                         "half_width": float(r)},
         )
 
     if preset == "gaussian_restricted":
         hi = half_width if half_width is not None else max(a + 10.0, 10.0)
-        n = int(n_points)
-        xs = np.linspace(a, hi, n)
+        xs = np.linspace(a, hi, n_points)
         vs = 0.5 * xs * xs
         return Measure1D(
             grid=xs, potential=vs,
             provenance={"source": "preset", "preset": "gaussian_restricted",
-                        "a": float(a), "hi": float(hi)},
+                        "a": a, "hi": float(hi)},
         )
 
     raise ValidationError(f"unknown preset {preset!r}")
@@ -525,9 +522,7 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
         raise ValidationError(f"derive mode {mode!r} requires {', '.join(missing)}")
     if mode == "density-ratio":
         phi = _float_array(kwargs["phi"], "phi")
-        cap = float(kwargs["cap"])
-        if not math.isfinite(cap):
-            raise DomainError(f"cap D must be finite, got {cap}")
+        cap = _real(kwargs["cap"], "cap", "[0, inf)")
         if phi.shape != mu1.grid.shape:
             raise ValidationError("phi must be tabulated on the same grid")
         # sup log(d mu2/d mu1) = sup phi - log int e^phi d mu1
@@ -541,8 +536,9 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
         return Measure1D(grid=mu1.grid, potential=mu1.potential - phi, provenance=prov)
 
     if mode == "restrict":
-        a = float(kwargs["a"])
-        b = float(kwargs["b"])
+        # the ends may be infinite: the CLI's defaults are -inf and inf
+        a = _real(kwargs["a"], "a", "[-inf, inf]")
+        b = _real(kwargs["b"], "b", "[-inf, inf]")
         lo, hi = mu1.support
         a, b = max(a, lo), min(b, hi)
         if not (a < b):
@@ -559,9 +555,7 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
                 "parent": mu1.provenance}
         return Measure1D(grid=xs, potential=vs, provenance=prov)
 
-    t = float(kwargs["t"])  # translate
-    if not math.isfinite(t):
-        raise DomainError(f"translation t must be finite, got {t}")
+    t = _real(kwargs["t"], "t")  # translate
     prov = {"source": "translate", "t": t, "parent": mu1.provenance}
     return Measure1D(grid=mu1.grid + t, potential=mu1.potential, provenance=prov)
 
@@ -656,7 +650,7 @@ def atomize_1d(mu: Measure1D, m: int) -> tuple[np.ndarray, np.ndarray]:
     values to within the (rare) sign-straddling cells.
     """
     if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-        raise DomainError(f"need an integer number of atoms >= 2, got {m!r}")
+        raise DomainError(f"m must be an integer number of atoms >= 2, got {m!r}")
     edges = mu.quantile(np.linspace(0.0, 1.0, m + 1))
     edges[0], edges[-1] = mu.support
     pos = np.empty(m)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import _argument, _float_array, _real, _shaped
+from .costs import _argument, _count, _float_array, _real, _shaped
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D, is_symmetric
 from .reports import ConstantEntry
@@ -306,6 +306,7 @@ def conc_profile(source, *, r_grid: np.ndarray | None = None,
     sets instead (``candidate-lower-bound``).  The radii are the
     breakpoints, so an ``r_grid`` raises ValidationError.
     """
+    seed = _count(seed, "seed", 0)
     if isinstance(source, Measure1D):
         return _conc_profile_1d(source, r_grid)
     if isinstance(source, DiscreteSpace):
@@ -378,8 +379,7 @@ def conc_going_down(alpha1: Profile, cap_d: float) -> Profile:
     """
     if alpha1.kind not in ("bound-alpha", "conc"):
         raise ValidationError("conc_going_down expects an alpha or conc profile")
-    if cap_d < 0:
-        raise DomainError("cap D must be nonnegative")
+    cap_d = _real(cap_d, "cap_d", "[0, inf)")
     r1 = alpha1.inverse_at(LOG2 + cap_d)
     shifted_r = alpha1.inputs + r1
     tail = shifted_r > 2.0 * r1 + 1e-15
@@ -403,14 +403,11 @@ def iso_stability_transform(gamma1: Profile, cap_d: float, *,
     """
     if gamma1.kind != "bound-gamma":
         raise ValidationError("iso_stability_transform expects a bound-gamma profile")
-    if cap_d < 0:
-        raise DomainError("cap D must be nonnegative")
+    cap_d = _real(cap_d, "cap_d", "[0, inf)")
+    kappa = _real(kappa, "kappa", "[0, inf)")
     if kappa > 0:
-        if delta0 is None or x0 is None:
-            raise DomainError("kappa > 0 requires delta0 and x0")
-        if delta0 <= 0.5:
-            raise DomainError("delta0 must exceed 1/2")
-        mask = gamma1.inputs >= x0
+        delta0 = _real(delta0, "delta0", "(0.5, inf)")
+        mask = gamma1.inputs >= _real(x0, "x0")
         required = 2.0 * np.sqrt(delta0 * kappa * gamma1.inputs[mask])
         bad = gamma1.values[mask] < required - 1e-12
         if np.any(bad):
@@ -439,8 +436,9 @@ def conc_to_iso_form(alpha: Profile, kappa: float = 0.0,
     """
     if alpha.kind not in ("bound-alpha", "conc"):
         raise ValidationError("conc_to_iso_form expects an alpha or conc profile")
-    if kappa > 0 and (delta0 is None or delta0 <= 0.5):
-        raise DomainError("kappa > 0 requires delta0 > 1/2")
+    kappa = _real(kappa, "kappa", "[0, inf)")
+    if kappa > 0:
+        delta0 = _real(delta0, "delta0", "(0.5, inf)")
     vals = alpha.values
     # drop the flat prefix (e.g. the log 2 plateau of a perturbed bound)
     start = int(np.searchsorted(vals, vals[0], side="right")) - 1
@@ -470,12 +468,10 @@ def exp_p_gamma_shape(c: float, p: float, x_max: float, n: int = 8193) -> Profil
     toward log 2 where downstream quadratures need the most resolution.
     ``x_max`` must be finite and > log 2 (DomainError).
     """
-    if p < 1:
-        raise DomainError("p must be >= 1")
-    x_max = _real(x_max, "x_max")
-    if not (math.isfinite(x_max) and x_max > LOG2):
-        raise DomainError(f"x_max must be finite and > log 2, got {x_max}")
-    u = np.linspace(0.0, 1.0, n) ** 1.5
+    c = _real(c, "c", "(0, inf)")
+    p = _real(p, "p", "[1, inf)")
+    x_max = _real(x_max, "x_max", f"({LOG2!r}, inf)")
+    u = np.linspace(0.0, 1.0, _count(n, "n", 2)) ** 1.5
     xs = LOG2 + (x_max - LOG2) * u
     inv_q = 0.0 if p == 1.0 else (p - 1.0) / p
     return Profile(kind="bound-gamma", inputs=xs, values=c * xs**inv_q)
@@ -502,8 +498,7 @@ def fit_constant(profile: Profile, template: str, *, p: float | None = None,
     certified = profile.exactness == "exact"
     quality = "certified" if certified else "heuristic"
     if template == "p-exp-conc":
-        if p is None or not (1.0 <= p < math.inf):
-            raise DomainError(f"p-exp-conc template requires a finite p >= 1, got {p}")
+        p = _real(p, "p", "[1, inf)")
         mask = (profile.inputs > 0) & np.isfinite(profile.values)
         if not np.any(mask):
             raise DomainError("no usable grid points in the profile")

@@ -31,8 +31,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .costs import CostSpec, phi_inverse, phi_p_eval
-from .errors import DomainError, ValidationError
+from .costs import CostSpec, _count, phi_inverse, phi_p_eval
+from .errors import DomainError
 from .laplace import (
     LaplaceBound,
     _pinned_lipschitz_vertices,
@@ -786,20 +786,11 @@ _CONFIG_RULES: dict[str, tuple[str, Callable[[Any], bool]]] = {
 }
 
 
-def _check_count(value, name: str, least: int) -> None:
-    """ValidationError unless ``value`` is an integer (a bool is not one),
-    DomainError when it is below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value}")
-
-
 def run_suite(suite_id: str, config: dict[str, Any] | None = None,
               *, seed: int = 0) -> SuiteReport:
     """Run one registered suite in this process, deterministically for the
     given seed."""
-    _check_count(seed, "seed", 0)  # a seed sequence takes nonnegative integers only
+    seed = _count(seed, "seed", 0)  # a seed sequence takes nonnegative integers only
     if suite_id not in _SUITES:
         raise DomainError(f"unknown suite {suite_id!r}; known: {SUITE_IDS}")
     merged = dict(SUITE_DEFAULTS[suite_id])
@@ -828,8 +819,7 @@ def run_suites(suite_ids: list[str], *, seed: int = 0,
     another in this process when that is one; reports come back in input
     order and are byte-identical for any ``jobs``, as each suite seeds
     itself."""
-    _check_count(seed, "seed", 0)
-    _check_count(jobs, "jobs", 1)
+    seed, jobs = _count(seed, "seed", 0), _count(jobs, "jobs", 1)
     workers = min(jobs, os.cpu_count() or 1, len(suite_ids))
     if workers <= 1:
         return [run_suite(sid, seed=seed) for sid in suite_ids]

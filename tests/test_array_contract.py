@@ -1,7 +1,11 @@
 """One array contract for every vectorized evaluator: a scalar argument
 gives a float, an array-like argument an ndarray of the same shape whose
 entries equal the scalar calls.  And one converter at every public entry
-point: an argument that is not numbers raises ValidationError."""
+point: an argument that is not numbers raises ValidationError.  And one
+scalar contract: every public scalar or count parameter takes one number
+in its interval (one integer from its least value), else ValidationError
+for what is not one number (integer) and DomainError for what lies
+outside."""
 
 import math
 import warnings
@@ -18,14 +22,33 @@ from conc_toolkit.costs import (
     phi_star_eval,
 )
 from conc_toolkit.errors import DomainError, ValidationError
-from conc_toolkit.functional import GridFunction
-from conc_toolkit.laplace import ConcBound, LaplaceBound, gibbs_check, log_laplace
+from conc_toolkit.functional import GridFunction, functional_inequality_eval
+from conc_toolkit.laplace import (
+    ConcBound,
+    LaplaceBound,
+    conc_to_laplace,
+    gibbs_check,
+    herbst_laplace,
+    laplace_sup_discrete,
+    log_laplace,
+)
 from conc_toolkit.measures import (
+    atomize_1d,
     build_measure_1d,
     derive_measure,
     discrete_space_from_atoms,
 )
-from conc_toolkit.profiles import Profile, conc_profile, exp_p_gamma_shape, iso_profile_1d
+from conc_toolkit.profiles import (
+    LOG2,
+    Profile,
+    conc_going_down,
+    conc_profile,
+    conc_to_iso_form,
+    exp_p_gamma_shape,
+    fit_constant,
+    iso_profile_1d,
+    iso_stability_transform,
+)
 from conc_toolkit.suites import run_suite, run_suites
 from conc_toolkit.transport import (
     kr_dual,
@@ -201,3 +224,139 @@ def test_graded_grid_whose_end_overflows_raises():
         graded_cost_grid(CostSpec(4.0), 1e300)
     xs = graded_cost_grid(CostSpec(4.0), 1e150)
     assert xs[0] == 0.0 and np.all(np.isfinite(xs)) and np.all(np.diff(xs) > 0)
+
+
+GAMMA = exp_p_gamma_shape(1.0, 2.0, 20.0)
+NU = np.array([0.5, 0.3, 0.2])
+GRID_F = GridFunction(MU, np.cos(MU.grid))
+
+
+def _phi_bound(cls, **scalars):
+    return cls(phi_x=_PHI_X, phi_vals=_PHI_X**2, **{"rate": 1.0, **scalars})
+
+
+# every public scalar and count parameter: (public name, parameter, a call
+# that hands it the value, its interval or, for a count, the least integer
+# it takes); ``test_public_surface`` checks that no parameter is missing
+SCALARS = [
+    ("CostSpec", "p", CostSpec, "[1, inf)"),
+    ("LaplaceBound", "rate", lambda v: _phi_bound(LaplaceBound, rate=v), "(0, inf)"),
+    ("LaplaceBound", "eps", lambda v: _phi_bound(LaplaceBound, eps=v), "[0, inf)"),
+    ("LaplaceBound", "delta", lambda v: _phi_bound(LaplaceBound, delta=v), "[0, inf)"),
+    ("ConcBound", "rate", lambda v: _phi_bound(ConcBound, rate=v), "(0, inf)"),
+    ("ConcBound", "offset", lambda v: _phi_bound(ConcBound, offset=v), "[0, inf)"),
+    ("ConcBound", "log_slack", lambda v: _phi_bound(ConcBound, log_slack=v),
+     f"[{-LOG2!r}, inf)"),
+    ("Measure1D.partial_moment", "a", lambda v: MU.partial_moment(v, 1.0), "[-inf, inf]"),
+    ("Measure1D.partial_moment", "b", lambda v: MU.partial_moment(-1.0, v), "[-inf, inf]"),
+    ("atomize_1d", "m", lambda v: atomize_1d(MU, v), 2),
+    ("build_measure_1d", "p",
+     lambda v: build_measure_1d(preset="gamma_p", p=v, n_points=201), "[1, 8]"),
+    ("build_measure_1d", "a",
+     lambda v: build_measure_1d(preset="gaussian_restricted", a=v, n_points=201),
+     "(-inf, inf)"),
+    ("build_measure_1d", "half_width",
+     lambda v: build_measure_1d(preset="gamma_p", p=2.0, half_width=v, n_points=201),
+     "(-inf, inf)"),
+    ("build_measure_1d", "n_points",
+     lambda v: build_measure_1d(preset="gamma_p", p=2.0, n_points=v), 0),
+    ("conc_going_down", "cap_d", lambda v: conc_going_down(LINEAR, v), "[0, inf)"),
+    ("conc_profile", "seed", lambda v: conc_profile(SPACE, exact=False, seed=v), 0),
+    ("conc_to_iso_form", "kappa", lambda v: conc_to_iso_form(LINEAR, v, 0.6), "[0, inf)"),
+    ("conc_to_iso_form", "delta0", lambda v: conc_to_iso_form(LINEAR, 1.0, v), "(0.5, inf)"),
+    ("conc_to_laplace", "tau", lambda v: conc_to_laplace(CB, v), "(0, 1)"),
+    ("derive_measure", "cap",
+     lambda v: derive_measure(MU, "density-ratio", phi=np.zeros(MU.grid.size), cap=v),
+     "[0, inf)"),
+    ("derive_measure", "a", lambda v: derive_measure(MU, "restrict", a=v, b=1.0),
+     "[-inf, inf]"),
+    ("derive_measure", "b", lambda v: derive_measure(MU, "restrict", a=-1.0, b=v),
+     "[-inf, inf]"),
+    ("derive_measure", "t", lambda v: derive_measure(MU, "translate", t=v), "(-inf, inf)"),
+    ("exp_p_gamma_shape", "c", lambda v: exp_p_gamma_shape(v, 2.0, 20.0), "(0, inf)"),
+    ("exp_p_gamma_shape", "p", lambda v: exp_p_gamma_shape(1.0, v, 20.0), "[1, inf)"),
+    ("exp_p_gamma_shape", "x_max", lambda v: exp_p_gamma_shape(1.0, 2.0, v),
+     f"({LOG2!r}, inf)"),
+    ("exp_p_gamma_shape", "n", lambda v: exp_p_gamma_shape(1.0, 2.0, 20.0, n=v), 2),
+    ("fit_constant", "p", lambda v: fit_constant(LINEAR, "p-exp-conc", p=v), "[1, inf)"),
+    ("functional_inequality_eval", "q",
+     lambda v: functional_inequality_eval(MU, GRID_F, "q-LS", q=v, rate=1.0), "[1, 2]"),
+    ("functional_inequality_eval", "q",
+     lambda v: functional_inequality_eval(MU, GRID_F, "mod-LS", q=v, rate=1.0), "[1, inf]"),
+    ("functional_inequality_eval", "rate",
+     lambda v: functional_inequality_eval(MU, GRID_F, "mod-LS", q=2.0, rate=v), "(0, inf)"),
+    ("graded_cost_grid", "x_max", lambda v: graded_cost_grid(SPEC, v), "(0, inf)"),
+    ("graded_cost_grid", "n", lambda v: graded_cost_grid(SPEC, 5.0, n=v), 2),
+    ("herbst_laplace", "rho", herbst_laplace, "(0, inf)"),
+    ("iso_stability_transform", "cap_d", lambda v: iso_stability_transform(GAMMA, v),
+     "[0, inf)"),
+    ("iso_stability_transform", "kappa",
+     lambda v: iso_stability_transform(GAMMA, 0.5, kappa=v, delta0=0.6, x0=1.0), "[0, inf)"),
+    ("iso_stability_transform", "delta0",
+     lambda v: iso_stability_transform(GAMMA, 0.5, kappa=1.0, delta0=v, x0=1.0),
+     "(0.5, inf)"),
+    ("iso_stability_transform", "x0",
+     lambda v: iso_stability_transform(GAMMA, 0.5, kappa=1.0, delta0=0.6, x0=v),
+     "(-inf, inf)"),
+    ("laplace_sup_discrete", "seed",
+     lambda v: laplace_sup_discrete(SPACE, WEIGHTS, 1.0, exact=False, seed=v), 0),
+    ("psi1_metric_bound", "seed", lambda v: psi1_metric_bound(SPACE, NU, WEIGHTS, seed=v), 0),
+    ("run_suite", "seed", lambda v: run_suite("going-down-exact", seed=v), 0),
+    ("run_suites", "seed", lambda v: run_suites(["going-down-exact"], seed=v), 0),
+    ("run_suites", "jobs", lambda v: run_suites(["going-down-exact"], jobs=v), 1),
+    ("te_constant_estimate", "p",
+     lambda v: te_constant_estimate(SPACE, "wTE(1,p)", p=v, mu=WEIGHTS), "[1, inf)"),
+    ("te_constant_estimate", "s",
+     lambda v: te_constant_estimate(SPACE, "TE(s,p)", s=v, mu=WEIGHTS), "[1, inf)"),
+    ("te_constant_estimate", "max_witnesses",
+     lambda v: te_constant_estimate(SPACE, "wTE(1,p)", mu=WEIGHTS, max_witnesses=v), 0),
+    ("wc_monotone_1d", "scale", lambda v: wc_monotone_1d(MU, MU, SPEC, v), "[0, inf)"),
+    ("ws_1d", "s", lambda v: ws_1d(MU, MU, v), "[1, inf)"),
+]
+# the one count that still raises DomainError for a non-integer (an open
+# item of the contract, pinned in test_measures)
+NON_INTEGER_DOMAIN_ERROR = {("atomize_1d", "m")}
+
+
+def _bad_values(row):
+    """(value, the error it must raise) for each probe of one parameter:
+    not one number, NaN, the infinities and the values just outside an
+    interval, or, for a count, what is not an integer and one below its
+    least value."""
+    name, param, _, domain = row
+    if isinstance(domain, int):
+        wrong = (DomainError if (name, param) in NON_INTEGER_DOMAIN_ERROR
+                 else ValidationError)
+        return [(v, wrong) for v in ("a", [1, 2], math.nan, math.inf, domain + 0.5, True)
+                ] + [(domain - 1, DomainError)]
+    lo, hi = (float(end) for end in domain[1:-1].split(","))
+    outside = [math.nan]
+    for end, closed, away in ((lo, domain[0] == "[", -math.inf),
+                              (hi, domain[-1] == "]", math.inf)):
+        if math.isinf(end):
+            outside += [] if closed else [end]
+        else:
+            outside += [away, np.nextafter(end, away) if closed else end]
+    return [("a", ValidationError), ([1.0, 2.0], ValidationError)] + [
+        (v, DomainError) for v in outside]
+
+
+PROBES = [(row, value, error) for row in SCALARS for value, error in _bad_values(row)]
+
+
+@pytest.mark.parametrize(
+    "row,value,error", PROBES,
+    ids=[f"{row[0]}.{row[1]}[{value!r}]" for row, value, _ in PROBES])
+def test_scalar_outside_its_contract_raises_naming_it(row, value, error):
+    name, param, call, _ = row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=rf"^{param}\b"):
+            call(value)
+
+
+def test_restriction_ends_may_be_infinite():
+    """The CLI's defaults for the ends of ``derive --mode restrict``."""
+    mu = derive_measure(MU, "restrict", a=-math.inf, b=math.inf)
+    assert mu.support == MU.support
+    np.testing.assert_array_equal(mu.grid, MU.grid)

@@ -200,5 +200,5 @@ def test_cost_spec_q():
     assert CostSpec(2.0).q == 2.0
     assert CostSpec(1.0).q == math.inf
     assert CostSpec(1.5).q == pytest.approx(3.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(DomainError, match=r"p must lie in \[1, inf\)"):
         CostSpec(0.5)

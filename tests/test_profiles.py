@@ -486,7 +486,7 @@ class TestFitConstant:
     def test_p_exp_conc_rejects_p_outside_its_domain(self, p):
         prof = Profile(kind="conc", inputs=np.linspace(0.0, 2.0, 5),
                        values=LOG2 + np.linspace(0.0, 2.0, 5))
-        with pytest.raises(DomainError, match="finite p >= 1"):
+        with pytest.raises(DomainError, match=r"p must lie in \[1, inf\)"):
             fit_constant(prof, "p-exp-conc", p=p)
 
     def test_constant_entry_rejects_an_unknown_direction(self):

@@ -1,9 +1,13 @@
 """The package's public surface: ``_EXPORTS`` is its one list, and every
 keyword default of a public function is pinned here, so a new knob edits
-this table in the change that adds it."""
+this table in the change that adds it.  Every parameter of a public
+function is either in the scalar contract's table (``SCALARS`` in
+test_array_contract) or named here as one that is not a scalar."""
 
 import inspect
 from importlib import import_module
+
+from test_array_contract import SCALARS
 
 import conc_toolkit
 
@@ -31,6 +35,53 @@ KNOBS = {
     "wc_discrete_lp": {"cost": None},
 }
 
+# public function -> its parameters that are not one scalar or count:
+# measures, spaces, profiles, bounds, arrays, names, flags and paths
+NOT_SCALARS = {
+    "atomize_1d": "mu",
+    "build_discrete_space": "dist weights",
+    "build_measure_1d": "grid potential preset",
+    "conc_going_down": "alpha1",
+    "conc_profile": "source r_grid exact",
+    "conc_to_iso_form": "alpha",
+    "conc_to_laplace": "bound",
+    "derive_measure": "mu1 mode kwargs",
+    "discrete_space_from_atoms": "pos weights",
+    "divergences": "nu mu",
+    "first_moment_constant": "source mode",
+    "fit_constant": "profile template reference constant_id",
+    "functional_inequality_eval": "mu f form",
+    "gibbs_check": "mu psi",
+    "graded_cost_grid": "spec",
+    "iso_profile_1d": "mu v_grid",
+    "iso_stability_transform": "gamma1",
+    "iso_to_conc": "gamma",
+    "kr_dual": "space nu mu",
+    "laplace_sup_discrete": "space mu lam exact vertices",
+    "laplace_to_conc": "bound",
+    "legendre_numeric": "x f lam",
+    "log_laplace": "mu f lam",
+    "logsob_constant_1d": "mu",
+    "mean_zero_lipschitz_vertices": "space mu",
+    "phi_inverse": "spec y",
+    "phi_p_eval": "spec x",
+    "phi_star_eval": "spec lam",
+    "poincare_constant_1d": "mu richardson",
+    "profile_from_csv": "path kind step",
+    "profile_to_csv": "profile path",
+    "profile_to_svg": "profile path",
+    "psi1_metric_bound": "space nu mu candidates refine",
+    "run_suite": "suite_id config",
+    "run_suites": "suite_ids",
+    "te_constant_estimate": "source mode mu witnesses",
+    "transport_costs": "space nus mu costs",
+    "w1_1d": "mu nu",
+    "w1_discrete": "space nu mu",
+    "wc_discrete_lp": "space nu mu cost",
+    "wc_monotone_1d": "mu nu spec",
+    "ws_1d": "mu nu",
+}
+
 
 def test_every_keyword_default_is_in_the_table():
     found = {}
@@ -49,3 +100,21 @@ def test_modules_keep_no_list_of_their_own():
     modules = sorted(set(conc_toolkit._EXPORTS.values()))
     assert [m for m in modules
             if hasattr(import_module(f"conc_toolkit.{m}"), "__all__")] == []
+
+
+def test_every_parameter_is_in_the_scalar_contract_or_not_a_scalar():
+    checked = {}
+    for name, param, *_ in SCALARS:
+        checked.setdefault(name, set()).add(param)
+    unlisted, stale = {}, {}
+    for name in conc_toolkit.__all__:
+        obj = getattr(conc_toolkit, name)
+        if not inspect.isfunction(obj):
+            continue
+        params = inspect.signature(obj).parameters
+        other = set(NOT_SCALARS.get(name, "").split())
+        if rest := set(params) - checked.get(name, set()) - other:
+            unlisted[name] = sorted(rest)
+        if gone := other - set(params):
+            stale[name] = sorted(gone)
+    assert unlisted == {} and stale == {}

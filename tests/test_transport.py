@@ -541,3 +541,44 @@ def test_w1_triangle_inequality_discrete():
         bc = w1_discrete(s, b, c)
         ac = w1_discrete(s, a, c)
         assert ac <= ab + bc + 1e-9
+
+
+@pytest.mark.parametrize("n", [3, 12], ids=["batch", "tree"])
+def test_transport_costs_with_no_marginals_is_an_empty_float_array(n):
+    space = random_space(np.random.default_rng(n), n)
+    out = transport_costs(space, np.zeros((0, n)), space.weights, np.zeros((0, n, n)))
+    assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == (0,)
+
+
+class TestTotalVariation1D:
+    """d_TV on the line is cell-exact: the sign pieces of the density
+    difference end at the linear roots of log nu - log mu on each cell."""
+
+    def test_translation_of_the_laplace_law(self, gamma1):
+        # TV(Lap(t), Lap(0)) = 1 - e^{-t/2}
+        nu = derive_measure(gamma1, "translate", t=0.25)
+        assert divergences(nu, gamma1).d_tv == pytest.approx(1.0 - math.exp(-0.125),
+                                                             rel=1e-12)
+
+    def test_restriction_to_a_half_line(self, gamma2):
+        # TV(mu|_A / mu(A), mu) = mu(A^c)
+        nu = derive_measure(gamma2, "restrict", a=0.3, b=math.inf)
+        assert divergences(nu, gamma2).d_tv == pytest.approx(float(gamma2.cdf(0.3)),
+                                                             rel=1e-12)
+
+    def test_disjoint_windows(self, gamma2):
+        far = derive_measure(gamma2, "translate", t=100.0)
+        assert divergences(far, gamma2).d_tv == 1.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_symmetric_and_below_pinsker(self, gamma1, gamma2, seed):
+        rng = np.random.default_rng(seed)
+        mu = gamma1 if seed % 2 else gamma2
+        nus = [derive_measure(mu, "translate", t=float(rng.uniform(-1.0, 1.0))),
+               derive_measure(mu, "restrict", a=float(rng.uniform(-1.0, 0.5)), b=math.inf),
+               Measure1D(grid=mu.grid, potential=mu.potential - rng.uniform(0.1, 1.0)
+                         * np.tanh(mu.grid))]
+        for nu in nus:
+            ab, ba = divergences(nu, mu), divergences(mu, nu)
+            assert ab.d_tv == pytest.approx(ba.d_tv, rel=1e-12, abs=1e-15)
+            assert 0.0 < ab.d_tv <= math.sqrt(0.5 * ab.h_nu_mu) + 1e-12
