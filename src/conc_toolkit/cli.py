@@ -176,8 +176,8 @@ def _cmd_profile(args) -> int:
     elif args.subcommand == "conc":
         r_grid = None
         if args.r_max is not None:
-            if not math.isfinite(args.r_max):  # linspace would warn first
-                raise ToolkitError(f"--r-max must be finite, got {args.r_max}")
+            if not 0.0 < args.r_max < math.inf:  # linspace would warn first
+                raise ToolkitError(f"--r-max must be finite and > 0, got {args.r_max}")
             r_grid = np.linspace(0.0, args.r_max, 1025)
         prof = conc_profile(mu, r_grid=r_grid)
     else:

@@ -9,8 +9,8 @@ the discretized Rayleigh quotient int f'^2 dmu / Var(f); the stiffness
 and mass assemblies are exact for piecewise-linear trial functions, so
 the usual O(h^2) finite-element convergence applies and is checked by a
 Richardson pass on a coarsened grid.  The eigenvalue is a Sturm-count
-bisection over Python floats; with the Richardson pass, the coarse grid
-is solved first and its eigenvalue brackets the fine one.
+bisection over Python floats from [0, R], R the Rayleigh quotient of
+f = x, which by Courant-Fischer bounds the eigenvalue from above.
 
 Log-Sobolev constants are reported as certified *upper* bounds on the
 best constant: any single admissible function gives one, and the
@@ -78,22 +78,21 @@ def _entropy(weights: np.ndarray, g: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 _MASS_CUT = 1e-250
-# relative half-width of the fine-grid bracket around the coarse eigenvalue
-_COARSE_BRACKET = 2e-3
 
 
-def _poincare_eigenvalue(mu: Measure1D, guess: float | None = None) -> float:
+def _poincare_eigenvalue(mu: Measure1D) -> float:
     """Smallest nonzero generalized eigenvalue of the pencil
     (stiffness, lumped mass).  Both matrices are assembled from exact
     cell masses; constants span the stiffness nullspace, so the second
-    eigenvalue is the Rayleigh infimum over mean-zero functions.
+    eigenvalue is the Rayleigh infimum over mean-zero functions, and the
+    quotient of f = x minus its mean, sum of cell masses over
+    sum node_mass (x - mean)^2, bounds it from above (Courant-Fischer).
 
     Nodes whose cumulative mass falls below ``_MASS_CUT`` are dropped
     before the solve (natural Neumann condition at the cut): it sits just
     above double-precision underflow, where cell masses become exact zeros
     and would otherwise produce NaN rows in the symmetrized matrix; the
-    perturbation of the low eigenvalues is O(_MASS_CUT).  ``guess``, an
-    estimate of the eigenvalue, is passed on to the solve.
+    perturbation of the low eigenvalues is O(_MASS_CUT).
     """
     keep = (mu.cdf_nodes >= _MASS_CUT) & (mu.sf_nodes >= _MASS_CUT)
     if keep.sum() < 16:
@@ -115,23 +114,27 @@ def _poincare_eigenvalue(mu: Measure1D, guess: float | None = None) -> float:
     k = cell_mass / h**2
     d = (np.append(k, 0.0) + np.insert(k, 0, 0.0)) / node_mass
     e = -k / np.sqrt(node_mass[:-1] * node_mass[1:])
-    return _second_eigenvalue(d, e, guess)
+    centred = xs - np.dot(node_mass, xs) / node_mass.sum()
+    return _second_eigenvalue(d, e, float(cell_mass.sum() / np.dot(node_mass, centred**2)))
 
 
-def _second_eigenvalue(d: np.ndarray, e: np.ndarray,
-                       guess: float | None = None) -> float:
-    """Second-smallest eigenvalue of the symmetric tridiagonal matrix (d, e):
-    Sturm-count bisection over Python floats (numpy's is ~20x slower) until
-    the midpoint rounds to an end.  LAPACK's pivmin guard keeps the count
-    monotone in x (Demmel, Dhillon, Ren 1995), so the bisection ends at the
-    smallest float with two eigenvalues below it from any bracket whose low
-    end counts fewer and whose high end counts two.  It starts from
-    guess (1 -+ _COARSE_BRACKET) when one count at each end shows that this
-    is such a bracket, and else from the Gershgorin bracket."""
+def _second_eigenvalue(d: np.ndarray, e: np.ndarray, hi: float) -> float:
+    """Second-smallest eigenvalue of the symmetric tridiagonal matrix (d, e)
+    of a positive semidefinite pencil, given ``hi`` > 0, an estimate of it
+    from above such as a Rayleigh quotient: Sturm-count bisection over Python
+    floats (numpy's is ~20x slower) until the midpoint rounds to an end.
+    LAPACK's pivmin guard keeps the count monotone in x (Demmel, Dhillon,
+    Ren 1995), so the bisection ends at the smallest float with two
+    eigenvalues below it from any bracket whose low end counts fewer and
+    whose high end counts two.  The bracket is [0, hi], with hi doubled
+    until it counts two: a Rayleigh quotient can sit a rounding below the
+    computed eigenvalue when its test function is the eigenfunction.
+    When 0 already counts two, the eigenvalue is 0 to working precision
+    and 0.0 is returned."""
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValidationError("tridiagonal entries must be finite")
-    radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
-    lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
+    if not 0.0 < hi < math.inf:
+        raise ValidationError(f"hi must lie in (0, inf), got {hi!r}")
     d_list, e2 = d.tolist(), [0.0] + (e * e).tolist()
     pivmin = float(np.finfo(float).tiny) * max(e2 + [1.0])
 
@@ -146,10 +149,11 @@ def _second_eigenvalue(d: np.ndarray, e: np.ndarray,
                 q = min(q, -pivmin)
         return False
 
-    if guess is not None:
-        a, b = guess * (1.0 - _COARSE_BRACKET), guess * (1.0 + _COARSE_BRACKET)
-        if not two_below(a) and two_below(b):
-            lo, hi = a, b
+    lo = 0.0
+    if two_below(lo):
+        return lo
+    while not two_below(hi):
+        hi *= 2.0
     while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         lo, hi = (lo, mid) if two_below(mid) else (mid, hi)
     return hi
@@ -160,19 +164,15 @@ def poincare_constant_1d(mu: Measure1D, *, richardson: bool = True) -> ConstantE
     gap of the discretized quotient; two-sided up to grid error.
 
     A Richardson pass on the half-resolution grid estimates the
-    discretization error and is stored with the witnesses; it runs first,
-    and its eigenvalue brackets the fine solve.
+    discretization error and is stored with the witnesses.
     """
     if mu.grid.size < 256:
         raise DomainError("Poincare solve needs a grid with >= 256 points")
-    lam_coarse = None
-    if richardson:
-        coarse = Measure1D(grid=mu.grid[::2], potential=mu.potential[::2],
-                           provenance={})
-        lam_coarse = _poincare_eigenvalue(coarse)
-    lam = _poincare_eigenvalue(mu, lam_coarse)
+    lam = _poincare_eigenvalue(mu)
     witnesses = {"eigenvalue": lam}
     if richardson:
+        lam_coarse = _poincare_eigenvalue(Measure1D(
+            grid=mu.grid[::2], potential=mu.potential[::2], provenance={}))
         # second-order extrapolation: lam_true ~ lam + (lam - lam_coarse)/3
         witnesses["eigenvalue_coarse"] = lam_coarse
         witnesses["richardson"] = lam + (lam - lam_coarse) / 3.0

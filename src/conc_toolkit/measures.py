@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -343,7 +342,7 @@ class Measure1D:
     def integrate_nodes(self, values) -> float:
         """Integral of the piecewise-linear interpolant of node values,
         cell-exact against the density."""
-        values = _float_array(values, "values")
+        values = _argument(values, "values")
         if values.shape != self.grid.shape:
             raise ValidationError("node values must match the grid")
         f_slope = np.diff(values) / self._widths
@@ -356,10 +355,10 @@ class Measure1D:
         Exact for the grid model: the tilted potential V - lam * f is
         again piecewise linear, so the same cell formulas apply.
         """
-        values = _float_array(values, "values")
+        values = _argument(values, "values")
         if values.shape != self.grid.shape:
             raise ValidationError("node values must match the grid")
-        shift, _, _, mass = self._tilted_cells(values, lam)
+        shift, _, _, mass = self._tilted_cells(values, _real(lam, "lam"))
         total = float(mass.sum())
         if not math.isfinite(total) or total <= 0.0:
             return math.inf
@@ -468,7 +467,7 @@ def build_measure_1d(
             raise ValidationError("either a (grid, potential) pair or a preset is required")
         return Measure1D(grid=grid, potential=potential,
                          provenance={"source": "potential-grid"})
-    n_points = _count(n_points, "n_points", 0)
+    n_points = _count(n_points, "n_points", 3)
     a = _real(a, "a")
     if half_width is not None:
         half_width = _real(half_width, "half_width")
@@ -649,8 +648,7 @@ def atomize_1d(mu: Measure1D, m: int) -> tuple[np.ndarray, np.ndarray]:
     two measures atomized at the same levels agree with the continuum
     values to within the (rare) sign-straddling cells.
     """
-    if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 2:
-        raise DomainError(f"m must be an integer number of atoms >= 2, got {m!r}")
+    m = _count(m, "m", 2)
     edges = mu.quantile(np.linspace(0.0, 1.0, m + 1))
     edges[0], edges[-1] = mu.support
     pos = np.empty(m)

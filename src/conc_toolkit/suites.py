@@ -800,10 +800,7 @@ def run_suite(suite_id: str, config: dict[str, Any] | None = None,
             raise DomainError(f"unknown config keys for {suite_id}: {unknown}")
         merged.update(config)
     for key, least in _CONFIG_FLOORS.get(suite_id, {}).items():
-        value = merged[key]
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise DomainError(f"{suite_id} config {key!r} must be an integer >= {least}, "
-                              f"got {value!r}")
+        merged[key] = _count(merged[key], f"{suite_id} config {key!r}", least)
     for key, (what, holds) in _CONFIG_RULES.items():
         if key in merged and not holds(merged[key]):
             raise DomainError(f"{suite_id} config {key!r} must be {what}, got {merged[key]!r}")

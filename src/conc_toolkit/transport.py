@@ -385,18 +385,24 @@ def _merged_nodes(mu: Measure1D, nu: Measure1D) -> np.ndarray:
     return np.unique(np.concatenate((mu.grid, nu.grid, fill)))
 
 
+def _with_sign_crossings(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The sorted nodes ``xs`` with the linear root of ``vals`` inserted on
+    every cell whose end values differ in sign; ``xs`` itself when there
+    is none."""
+    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    if not cross.size:
+        return xs
+    return np.union1d(xs, xs[cross] - vals[cross] * (xs[cross + 1] - xs[cross]) / (
+        vals[cross + 1] - vals[cross]))
+
+
 def _refine_sign_crossings(xs: np.ndarray, evaluate,
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and values of ``evaluate`` on ``xs`` with the linear root of
     every sign change inserted, so the kinks of |evaluate| land on nodes."""
     vals = evaluate(xs)
-    cross = np.nonzero(vals[:-1] * vals[1:] < 0)[0]
-    if cross.size:
-        x_c = xs[cross] - vals[cross] * (xs[cross + 1] - xs[cross]) / (
-            vals[cross + 1] - vals[cross])
-        xs = np.unique(np.concatenate((xs, x_c)))
-        vals = evaluate(xs)
-    return xs, vals
+    dense = _with_sign_crossings(xs, vals)
+    return (xs, vals) if dense is xs else (dense, evaluate(dense))
 
 
 def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
@@ -502,9 +508,9 @@ def _tv_1d(nu: Measure1D, mu: Measure1D) -> float:
     xs = np.union1d(mu.grid, nu.grid)
     g = (mu.potential_at(xs) + mu.log_z) - (nu.potential_at(xs) + nu.log_z)
     lo, hi = max(mu.support[0], nu.support[0]), min(mu.support[1], nu.support[1])
-    cross = np.flatnonzero((xs[:-1] >= lo) & (xs[1:] <= hi) & (g[:-1] * g[1:] < 0))
-    xs = np.union1d(xs, xs[cross] - g[cross] * (xs[cross + 1] - xs[cross]) / (
-        g[cross + 1] - g[cross]))
+    # g is zeroed at the nodes outside the common window, so no root is
+    # sought on a cell that leaves it
+    xs = _with_sign_crossings(xs, np.where((xs >= lo) & (xs <= hi), g, 0.0))
     mid = 0.5 * (xs[:-1] + xs[1:])
     with np.errstate(invalid="ignore"):  # NaN where both windows miss a cell
         sign = np.sign(nu.log_density(mid) - mu.log_density(mid))
@@ -915,9 +921,13 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     Finite spaces (n <= ``laplace._VERTEX_CAP``): exact, two-sided, as the
     maximum over the vertices of the Lipschitz polytope (``_first_moment_exact``);
     with ``mode='heuristic'``, distance-cone candidates, an upper bound on D.
-    1-D measures: candidate family {x, |x - x0|} with local search; the
-    result lower-bounds sup int |f - med| dmu, i.e. upper-bounds D.  Any
-    other ``mode`` than "exact" or "heuristic" raises DomainError.
+    1-D measures: f = x alone, the maximizer of the family {x, |x - x0|}
+    and of sup int |f - med f| dmu itself: for 1-Lipschitz f and a median
+    m of mu, int |f - med f| <= int |f - f(m)| <= int |x - m|.  The median
+    of x is a grid estimate, which can only raise int |x - med|, so the
+    reported D can sit up to about 1e-4 relative below the best constant
+    (README, "Bound-direction discipline").  Any other ``mode`` than
+    "exact" or "heuristic" raises DomainError.
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
@@ -945,18 +955,11 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
             witnesses={"one_over_d": best, "f": best_f})
 
     if isinstance(source, Measure1D):
-        lo, hi = source.support
-        best = _abs_deviation_1d(source, source.grid)  # f = x
-        best_tag = {"f": "x"}
-        for x0 in np.linspace(lo, hi, 9)[1:-1]:
-            val = _abs_deviation_1d(source, np.abs(source.grid - x0))
-            if val > best:
-                best = val
-                best_tag = {"f": "|x - x0|", "x0": float(x0)}
-        d_fm = math.inf if best <= 1e-300 else 1.0 / best
+        val = _abs_deviation_1d(source, source.grid)  # f = x
+        d_fm = math.inf if val <= 1e-300 else 1.0 / val
         return ConstantEntry(
             constant_id="D_FM", value=d_fm, direction="upper",
             method="1-D candidate family {x, |x - x0|}; lower bound on "
                    "sup int |f - med| dmu (direction: lower on 1/D)",
-            witnesses={"one_over_d": best, **best_tag})
+            witnesses={"one_over_d": val, "f": "x"})
     raise ValidationError("source must be a DiscreteSpace or Measure1D")

@@ -249,6 +249,7 @@ SCALARS = [
      f"[{-LOG2!r}, inf)"),
     ("Measure1D.partial_moment", "a", lambda v: MU.partial_moment(v, 1.0), "[-inf, inf]"),
     ("Measure1D.partial_moment", "b", lambda v: MU.partial_moment(-1.0, v), "[-inf, inf]"),
+    ("Measure1D.log_mgf_nodes", "lam", lambda v: MU.log_mgf_nodes(MU.grid, v), "(-inf, inf)"),
     ("atomize_1d", "m", lambda v: atomize_1d(MU, v), 2),
     ("build_measure_1d", "p",
      lambda v: build_measure_1d(preset="gamma_p", p=v, n_points=201), "[1, 8]"),
@@ -259,7 +260,7 @@ SCALARS = [
      lambda v: build_measure_1d(preset="gamma_p", p=2.0, half_width=v, n_points=201),
      "(-inf, inf)"),
     ("build_measure_1d", "n_points",
-     lambda v: build_measure_1d(preset="gamma_p", p=2.0, n_points=v), 0),
+     lambda v: build_measure_1d(preset="gamma_p", p=2.0, n_points=v), 3),
     ("conc_going_down", "cap_d", lambda v: conc_going_down(LINEAR, v), "[0, inf)"),
     ("conc_profile", "seed", lambda v: conc_profile(SPACE, exact=False, seed=v), 0),
     ("conc_to_iso_form", "kappa", lambda v: conc_to_iso_form(LINEAR, v, 0.6), "[0, inf)"),
@@ -313,9 +314,6 @@ SCALARS = [
     ("wc_monotone_1d", "scale", lambda v: wc_monotone_1d(MU, MU, SPEC, v), "[0, inf)"),
     ("ws_1d", "s", lambda v: ws_1d(MU, MU, v), "[1, inf)"),
 ]
-# the one count that still raises DomainError for a non-integer (an open
-# item of the contract, pinned in test_measures)
-NON_INTEGER_DOMAIN_ERROR = {("atomize_1d", "m")}
 
 
 def _bad_values(row):
@@ -325,9 +323,8 @@ def _bad_values(row):
     least value."""
     name, param, _, domain = row
     if isinstance(domain, int):
-        wrong = (DomainError if (name, param) in NON_INTEGER_DOMAIN_ERROR
-                 else ValidationError)
-        return [(v, wrong) for v in ("a", [1, 2], math.nan, math.inf, domain + 0.5, True)
+        return [(v, ValidationError) for v in ("a", [1, 2], math.nan, math.inf,
+                                               domain + 0.5, True)
                 ] + [(domain - 1, DomainError)]
     lo, hi = (float(end) for end in domain[1:-1].split(","))
     outside = [math.nan]
@@ -353,6 +350,25 @@ def test_scalar_outside_its_contract_raises_naming_it(row, value, error):
         warnings.simplefilter("error")
         with pytest.raises(error, match=rf"^{param}\b"):
             call(value)
+
+
+# a public method that takes node values on the measure's grid -> a call
+# that hands it ``values``
+NODE_VALUES = {
+    "Measure1D.integrate_nodes": MU.integrate_nodes,
+    "Measure1D.log_mgf_nodes": lambda values: MU.log_mgf_nodes(values, 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_VALUES))
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_nan_node_values_raise_naming_them(name, where):
+    values = np.full(MU.grid.size, math.nan) if where == "all" else np.cos(MU.grid)
+    values[MU.grid.size // 2] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^values must not be NaN"):
+            NODE_VALUES[name](values)
 
 
 def test_restriction_ends_may_be_infinite():

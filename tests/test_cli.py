@@ -187,6 +187,15 @@ def test_out_into_missing_directory_exits_2(tmp_path, capsys):
                                "--out", str(tmp_path / "nodir" / "x.csv")])
 
 
+@pytest.mark.parametrize("r_max", ["-1", "0", "nan", "inf"])
+def test_r_max_outside_zero_to_infinity_is_named(tmp_path, capsys, r_max):
+    assert dispatch(["profile", "conc", "--preset", "gamma_p", "--p", "2",
+                     "--grid-points", "65", "--r-max", r_max,
+                     "--out", str(tmp_path / "conc.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --r-max must be finite and > 0, got {float(r_max)}\n"
+
+
 def _density_ratio_args(tmp_path, phi_path):
     m1 = tmp_path / "m1.json"
     dispatch(["measure", "build", "--preset", "gamma_p", "--p", "2",
@@ -368,11 +377,14 @@ _OUT = ["--out", "out.file"]
     ["transport", "wc", "--a", "M", "--b", "M", "--scale", "nan"],
     ["transport", "wc", "--a", "M", "--b", "M", "--scale", "inf"],
     ["profile", "conc", "--preset", "gamma_p", "--p", "2", "--r-max", "inf", *_OUT],
+    ["profile", "conc", "--preset", "gamma_p", "--p", "2", "--r-max", "-1", *_OUT],
+    ["profile", "conc", "--preset", "gamma_p", "--p", "2", "--r-max", "0", *_OUT],
     ["profile", "iso", "--preset", "gamma_p", "--p", "2", "--half-width", "inf", *_OUT],
     ["profile", "iso", "--preset", "gaussian_restricted", "--a", "inf", *_OUT],
     ["measure", "derive", "--in", "M", "--mode", "translate", "--t", "inf", *_OUT],
 ], ids=["negative-seed", "negative-grid-points", "nan-cap", "inf-cap", "nan-scale",
-        "inf-scale", "inf-r-max", "inf-half-width", "inf-a", "inf-t"])
+        "inf-scale", "inf-r-max", "negative-r-max", "zero-r-max", "inf-half-width",
+        "inf-a", "inf-t"])
 def test_out_of_domain_number_exits_2(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     argv = _measure_args(tmp_path, args)

@@ -69,14 +69,14 @@ def _norm1(d, e):
 
 @pytest.fixture(scope="module")
 def gamma_p_tridiagonals():
-    """The 8 (d, e, guess) triples poincare_constant_1d solves on gamma_p,
-    p in {1, 1.5, 2, 3}, 8,192 points: each coarsening (no guess), then
-    the fine grid (the coarse eigenvalue as its guess)."""
+    """The 8 (d, e, hi) triples poincare_constant_1d solves on gamma_p,
+    p in {1, 1.5, 2, 3}, 8,192 points: each fine grid, then its
+    coarsening, with hi the Rayleigh quotient of f = x."""
     seen, solve = [], functional._second_eigenvalue
 
-    def record(d, e, guess=None):
-        seen.append((d, e, guess))
-        return solve(d, e, guess)
+    def record(d, e, hi):
+        seen.append((d, e, hi))
+        return solve(d, e, hi)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(functional, "_second_eigenvalue", record)
@@ -85,29 +85,34 @@ def gamma_p_tridiagonals():
     return seen
 
 
-def _random_tridiagonal(seed):
+def _pencil_tridiagonal(seed):
+    """(d, e, hi) of a random Poincare pencil: positive cell masses and
+    steps, assembled as _poincare_eigenvalue does (a zero eigenvalue, then
+    a positive one), with hi the Rayleigh quotient of f = x."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 201))
-    scale = 10.0 ** rng.uniform(-3.0, 3.0)
-    d, e = rng.normal(0.0, scale, n), rng.normal(0.0, scale, n - 1)
-    if seed % 3 == 0:
-        e[rng.random(n - 1) < 0.2] = 0.0  # the matrix splits into blocks
-    if seed % 5 == 0:
-        d = np.round(d)  # repeated diagonal entries
-    return d, e
+    n = int(rng.integers(3, 200))
+    cell_mass = rng.uniform(0.01, 1.0, n - 1) * 10.0 ** rng.uniform(-6.0, 0.0, n - 1)
+    h = rng.uniform(0.1, 1.0, n - 1) * 10.0 ** rng.uniform(-3.0, 1.0)
+    half = 0.5 * cell_mass
+    node_mass = np.append(half, 0.0) + np.insert(half, 0, 0.0)
+    k = cell_mass / h**2
+    d = (np.append(k, 0.0) + np.insert(k, 0, 0.0)) / node_mass
+    xs = np.concatenate(([0.0], np.cumsum(h)))
+    centred = xs - np.dot(node_mass, xs) / node_mass.sum()
+    hi = float(cell_mass.sum() / np.dot(node_mass, centred**2))
+    return d, -k / np.sqrt(node_mass[:-1] * node_mass[1:]), hi
 
 
 def test_second_eigenvalue_agrees_with_lapack_bisection(gamma_p_tridiagonals):
     """Against dstebz (scipy, a test-only oracle), whose own tolerance is
-    ulp * ||T||_1: on the gamma_p matrices and on random tridiagonals."""
+    ulp * ||T||_1: on the gamma_p matrices and on random pencils."""
     from scipy.linalg import eigvalsh_tridiagonal
 
-    pairs = ([(d, e) for d, e, _ in gamma_p_tridiagonals]
-             + [_random_tridiagonal(s) for s in range(100)])
-    assert [d.size for d, _, _ in gamma_p_tridiagonals] == [4095, 8191] * 4
-    for d, e in pairs:
+    triples = gamma_p_tridiagonals + [_pencil_tridiagonal(s) for s in range(100)]
+    assert [d.size for d, _, _ in gamma_p_tridiagonals] == [8191, 4095] * 4
+    for d, e, hi in triples:
         want = eigvalsh_tridiagonal(d, e, select="i", select_range=(1, 1))[0]
-        got = _second_eigenvalue(d, e)
+        got = _second_eigenvalue(d, e, hi)
         assert abs(got - want) <= EPS * _norm1(d, e) + 4 * EPS * abs(want)
 
 
@@ -115,13 +120,13 @@ def test_second_eigenvalue_agrees_with_a_dense_eigensolve():
     """Against numpy's dense eigvalsh, backward stable to about
     n * ulp * ||T||, for n <= 200."""
     for seed in range(100):
-        d, e = _random_tridiagonal(seed)
+        d, e, hi = _pencil_tridiagonal(seed)
         want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[1]
-        assert abs(_second_eigenvalue(d, e) - want) <= d.size * EPS * _norm1(d, e)
+        assert abs(_second_eigenvalue(d, e, hi) - want) <= d.size * EPS * _norm1(d, e)
 
 
 def _gershgorin_second_eigenvalue(d, e):
-    """The solve as it was before the coarse bracket: bisection from the
+    """The solve as it was before the Rayleigh bracket: bisection from the
     Gershgorin bracket alone (the oracle of the bracket tests)."""
     radius = np.abs(np.append(e, 0.0)) + np.abs(np.insert(e, 0, 0.0))
     lo, hi = float(np.min(d - radius)), float(np.max(d + radius))
@@ -144,52 +149,43 @@ def _gershgorin_second_eigenvalue(d, e):
     return hi
 
 
-def _pencil_tridiagonal(seed):
-    """(d, e) of a random Poincare pencil: positive cell masses and steps,
-    assembled as _poincare_eigenvalue does (a zero eigenvalue, then a
-    positive one)."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 200))
-    cell_mass = rng.uniform(0.01, 1.0, n - 1) * 10.0 ** rng.uniform(-6.0, 0.0, n - 1)
-    h = rng.uniform(0.1, 1.0, n - 1) * 10.0 ** rng.uniform(-3.0, 1.0)
-    half = 0.5 * cell_mass
-    node_mass = np.append(half, 0.0) + np.insert(half, 0, 0.0)
-    k = cell_mass / h**2
-    d = (np.append(k, 0.0) + np.insert(k, 0, 0.0)) / node_mass
-    return d, -k / np.sqrt(node_mass[:-1] * node_mass[1:])
+# the bracket's upper end: the Rayleigh quotient R, R / 8 (doubled, on
+# gamma_p) and 1e6 R
+HI_SCALES = [1.0, 0.125, 1e6]
 
 
 @settings(max_examples=150, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
-       pencil=st.booleans(),
-       offset=st.floats(min_value=-1e-3, max_value=1e-3))
-def test_coarse_bracket_gives_the_gershgorin_float(seed, pencil, offset):
-    """A guess within 0.1 % of the eigenvalue (inside the checked bracket)
-    ends the bisection at the same float as the Gershgorin bracket, on
-    Poincare pencils and on random positive tridiagonals."""
-    if pencil:
-        d, e = _pencil_tridiagonal(seed)
-    else:
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 200))
-        d, e = rng.uniform(0.5, 4.0, n), rng.uniform(-1.0, 1.0, n - 1)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_rayleigh_bracket_gives_the_gershgorin_float(seed):
+    """From [0, R], [0, R / 8] doubled, and [0, 1e6 R] the bisection ends
+    at the same float as from the Gershgorin bracket, on Poincare pencils."""
+    d, e, hi = _pencil_tridiagonal(seed)
     want = _gershgorin_second_eigenvalue(d, e)
-    assume(want > 0)
-    assert _second_eigenvalue(d, e, want * (1.0 + offset)) == want
+    assert want > 0.0
+    for scale in HI_SCALES:
+        assert _second_eigenvalue(d, e, hi * scale) == want
 
 
-def test_gamma_p_fine_solves_give_the_gershgorin_float(gamma_p_tridiagonals):
-    for d, e, guess in gamma_p_tridiagonals:
-        assert _second_eigenvalue(d, e, guess) == _gershgorin_second_eigenvalue(d, e)
-
-
-@pytest.mark.parametrize("miss", [0.99, 1.01])
-def test_a_guess_off_by_one_percent_falls_back_to_gershgorin(gamma_p_tridiagonals, miss):
-    """The bracket guess (1 -+ 2e-3) misses the eigenvalue, its end check
-    fails, and the Gershgorin bisection gives the same float."""
-    for d, e, _ in gamma_p_tridiagonals[1::2]:
+def test_gamma_p_solves_give_the_gershgorin_float(gamma_p_tridiagonals):
+    """On gamma_p the Rayleigh quotient of f = x sits within a factor 8 of
+    the eigenvalue, so R / 8 takes the doubling path.  On the Gaussian
+    fine grid, where f = x is the eigenfunction, R lies 2.7e-11 relative
+    below the computed eigenvalue (inside the count's rounding), and R is
+    doubled too."""
+    for d, e, hi in gamma_p_tridiagonals:
         want = _gershgorin_second_eigenvalue(d, e)
-        assert _second_eigenvalue(d, e, want * miss) == want
+        assert hi / 8.0 < want <= 2.0 * hi
+        for scale in HI_SCALES:
+            assert _second_eigenvalue(d, e, hi * scale) == want
+
+
+@pytest.mark.parametrize("d", [np.zeros(5), np.array([-1.0, -0.5, 2.0, 3.0]),
+                               np.array([-2.0, 0.0, 1.0])],
+                         ids=["zero", "negative", "zero-second"])
+def test_second_eigenvalue_at_or_below_zero_is_zero(d):
+    e = np.zeros(d.size - 1)
+    assert np.sort(d)[1] <= 0.0
+    assert _second_eigenvalue(d, e, 1.0) == 0.0
 
 
 @pytest.mark.parametrize("bad", ["d", "e"])
@@ -198,7 +194,13 @@ def test_second_eigenvalue_rejects_non_finite_entries(bad, value):
     d, e = np.full(5, 2.0), np.full(4, -1.0)
     (d if bad == "d" else e)[2] = value
     with pytest.raises(ValidationError, match="finite"):
-        _second_eigenvalue(d, e)
+        _second_eigenvalue(d, e, 1.0)
+
+
+@pytest.mark.parametrize("hi", [np.nan, np.inf, 0.0, -1.0])
+def test_second_eigenvalue_rejects_a_bracket_end_outside_zero_to_infinity(hi):
+    with pytest.raises(ValidationError, match="hi must lie in"):
+        _second_eigenvalue(np.full(5, 2.0), np.full(4, -1.0), hi)
 
 
 class TestLogSobolev:

@@ -419,9 +419,12 @@ def test_atomize_preserves_mean(gamma2):
     assert space.n == 64
 
 
-@pytest.mark.parametrize("m", [2.5, 17.0, math.inf, math.nan, "17", True, 1])
-def test_atomize_rejects_a_count_that_is_not_an_integer_from_2(gamma2, m):
-    with pytest.raises(DomainError, match="integer number of atoms >= 2"):
+@pytest.mark.parametrize("m, error", [
+    (2.5, ValidationError), (17.0, ValidationError), (math.inf, ValidationError),
+    (math.nan, ValidationError), ("17", ValidationError), (None, ValidationError),
+    (True, ValidationError), (1, DomainError), (-3, DomainError)])
+def test_atomize_rejects_a_count_that_is_not_an_integer_from_2(gamma2, m, error):
+    with pytest.raises(error, match="^m must be an integer"):
         atomize_1d(gamma2, m)
 
 

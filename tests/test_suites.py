@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conc_toolkit import functional, suites
-from conc_toolkit.errors import DomainError
+from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import DiscreteSpace, Measure1D, build_measure_1d
 from conc_toolkit.profiles import LOG2, conc_profile
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
@@ -202,22 +202,31 @@ def test_conc_te_equiv_leaves_scipy_unloaded(fresh_python):
     assert fresh_python(script) == ["True", "[]"]
 
 
-@pytest.mark.parametrize("suite_id, key, value", [
-    ("going-down-exact", "trials", -1), ("going-down-exact", "trials", 0),
-    ("going-down-exact", "n_max", 1), ("going-down-exact", "n_max", 2),
-    ("going-down-exact", "trials", 2.5), ("going-down-exact", "trials", True),
-    ("w1-fm-exact", "trials", -1), ("w1-fm-exact", "n_max", 1),
-    ("te-jensen-pointwise", "trials_per_p", 0), ("te-jensen-pointwise", "trials_per_p", "3"),
-    ("bg-duality", "trials", -1), ("bg-duality", "n_max", 2),
-    ("bg-duality", "witness_cap", 0), ("bg-duality", "witness_cap", None),
-    ("conc-te-equiv", "max_witnesses", -3), ("conc-te-equiv", "max_witnesses", 0),
-    ("conc-te-equiv", "atoms", 1),
+@pytest.mark.parametrize("suite_id, key, value, error", [
+    ("going-down-exact", "trials", -1, DomainError),
+    ("going-down-exact", "trials", 0, DomainError),
+    ("going-down-exact", "n_max", 1, DomainError),
+    ("going-down-exact", "n_max", 2, DomainError),
+    ("going-down-exact", "trials", 2.5, ValidationError),
+    ("going-down-exact", "trials", True, ValidationError),
+    ("w1-fm-exact", "trials", -1, DomainError),
+    ("w1-fm-exact", "n_max", 1, DomainError),
+    ("te-jensen-pointwise", "trials_per_p", 0, DomainError),
+    ("te-jensen-pointwise", "trials_per_p", "3", ValidationError),
+    ("bg-duality", "trials", -1, DomainError),
+    ("bg-duality", "n_max", 2, DomainError),
+    ("bg-duality", "witness_cap", 0, DomainError),
+    ("bg-duality", "witness_cap", None, ValidationError),
+    ("conc-te-equiv", "max_witnesses", -3, DomainError),
+    ("conc-te-equiv", "max_witnesses", 0, DomainError),
+    ("conc-te-equiv", "atoms", 1, DomainError),
 ])
-def test_finite_suite_config_values_checked(suite_id, key, value):
+def test_finite_suite_config_values_checked(suite_id, key, value, error):
     """Counts are integers >= 1 and n_max leaves room for the smallest point
-    count the suite draws; anything else raises DomainError naming the key
-    before an instance is drawn."""
-    with pytest.raises(DomainError, match=f"config '{key}' must be an integer >= "):
+    count the suite draws: what is not an integer raises ValidationError,
+    and an integer below the floor DomainError, naming the key before an
+    instance is drawn."""
+    with pytest.raises(error, match=f"^{suite_id} config '{key}' must be an integer"):
         run_suite(suite_id, {key: value})
 
 
@@ -249,7 +258,7 @@ def test_suite_config_grids_and_tolerances_checked(suite_id, key, value, what):
 
 
 def test_conc_te_equiv_rejects_a_fractional_atom_count():
-    with pytest.raises(DomainError, match="config 'atoms' must be an integer >= 2"):
+    with pytest.raises(ValidationError, match="config 'atoms' must be an integer, got 2.5"):
         run_suite("conc-te-equiv", {"atoms": 2.5})
 
 

@@ -15,6 +15,7 @@ from conc_toolkit.measures import (
     derive_measure,
 )
 from conc_toolkit.transport import (
+    _abs_deviation_1d,
     divergences,
     first_moment_constant,
     kr_dual,
@@ -520,6 +521,44 @@ class TestFirstMoment:
             inv2 = first_moment_constant(s2).witnesses["one_over_d"]
             w1 = w1_discrete(s, nu, s.weights)
             assert abs(inv2 - inv1) <= w1 + 1e-9
+
+
+def _first_moment_measures():
+    """80 measures: gamma_p, p in {1, 1.5, 2, 3, 5}, at 301 and 4,096 points,
+    each as built, restricted above its 0.2-quantile and below its
+    0.7-quantile, translated, tilted by e^{x/2} and e^{-x/4}, and
+    density-ratio perturbed; and gaussian_restricted at a in -1..3."""
+    out = []
+    for n in (301, 4096):
+        for p in (1.0, 1.5, 2.0, 3.0, 5.0):
+            mu = build_measure_1d(preset="gamma_p", p=p, n_points=n)
+            lo, hi = mu.quantile([0.2, 0.7])
+            out += [mu, derive_measure(mu, "restrict", a=lo, b=math.inf),
+                    derive_measure(mu, "restrict", a=-math.inf, b=hi),
+                    derive_measure(mu, "translate", t=0.25)]
+            out += [Measure1D(grid=mu.grid, potential=mu.potential - lam * mu.grid,
+                              provenance={}) for lam in (0.5, -0.25)]
+            out.append(derive_measure(mu, "density-ratio", phi=0.5 * np.tanh(mu.grid),
+                                      cap=1.0))
+        out += [build_measure_1d(preset="gaussian_restricted", a=a, n_points=n)
+                for a in (-1.0, 0.0, 1.0, 2.0, 3.0)]
+    return out
+
+
+def test_no_folded_candidate_beats_x_past_rounding():
+    """For 1-Lipschitz f and a median m, int |f - med f| <= int |f - f(m)|
+    <= int |x - m|, so no |x - x0| beats f = x, which first_moment_constant
+    scores alone; the computed values may differ only by rounding."""
+    measures = _first_moment_measures()
+    assert len(measures) == 80
+    for mu in measures:
+        at_x = _abs_deviation_1d(mu, mu.grid)
+        lo, hi = mu.support
+        for x0 in np.linspace(lo, hi, 9)[1:-1]:
+            assert _abs_deviation_1d(mu, np.abs(mu.grid - x0)) <= at_x * (1.0 + 1e-14)
+        entry = first_moment_constant(mu)
+        assert entry.value == 1.0 / at_x
+        assert entry.witnesses == {"one_over_d": at_x, "f": "x"}
 
 
 def test_weighted_median():
