@@ -157,15 +157,6 @@ def phi_inverse(spec: CostSpec, y):
     return _shaped(y, out)
 
 
-def conjugate_window(spec: CostSpec, lam_max: float) -> float:
-    """Right edge of an x-window large enough that the sup defining
-    phi_star_q(lam) is attained inside it for all lam <= lam_max."""
-    if spec.p == 1.0:
-        return max(2.0, 2.0 * lam_max)  # conjugate infinite past lam = 1
-    x_star = lam_max ** (1.0 / (spec.p - 1.0))
-    return 1.25 * max(1.0, x_star)
-
-
 def graded_cost_grid(spec: CostSpec, x_max: float, n: int = 20001) -> np.ndarray:
     """Grid on [0, x_max] equidistributing the discrete-sup error of the
     conjugate of phi_p: spacing h(x) ~ x^{1 - p/2}, i.e. uniform in

@@ -13,10 +13,13 @@ time by a spanning-tree simplex, whose plans must pass it too.  ``kr_dual``'s
 potential is the c-transform f(i) = min_j d(i, j) - v_j of the certified
 column duals v, so W_1 and its dual come from one solve.
 
-All "best constant" estimators here are one-sided by construction and say
-so in their :class:`~conc_toolkit.reports.ConstantEntry` metadata: a
-transport-entropy constant is an infimum over *all* probability measures,
-so a finite witness family can only certify an upper bound.
+The "best constant" estimators say how far they are certified in their
+:class:`~conc_toolkit.reports.ConstantEntry` metadata: a transport-entropy
+constant is an infimum over *all* probability measures, so a finite witness
+family can only certify an upper bound.  The first-moment constant is exact
+on finite spaces (a vertex maximum) and on the line, where f = x attains it
+and int |x - med| dmu has a closed form in the cell-exact CDF and partial
+moments.
 """
 
 from __future__ import annotations
@@ -396,24 +399,19 @@ def _with_sign_crossings(xs: np.ndarray, vals: np.ndarray) -> np.ndarray:
         vals[cross + 1] - vals[cross]))
 
 
-def _refine_sign_crossings(xs: np.ndarray, evaluate,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and values of ``evaluate`` on ``xs`` with the linear root of
-    every sign change inserted, so the kinks of |evaluate| land on nodes."""
-    vals = evaluate(xs)
-    dense = _with_sign_crossings(xs, vals)
-    return (xs, vals) if dense is xs else (dense, evaluate(dense))
-
-
 def w1_1d(mu: Measure1D, nu: Measure1D) -> float:
-    """W_1 between 1-D measures as the area between their CDFs."""
+    """W_1 between 1-D measures as the area between their CDFs, with the
+    linear root of every sign change of F_mu - F_nu inserted, so the kinks
+    of |F_mu - F_nu| land on nodes."""
     if not isinstance(mu, Measure1D) or not isinstance(nu, Measure1D):
         raise ValidationError("w1_1d expects two Measure1D inputs")
     xs = _merged_nodes(mu, nu)
     if xs.size < 2:
         raise ValidationError("incompatible grids: empty merged window")
-    xs, diff = _refine_sign_crossings(
-        xs, lambda x: mu.cdf(x) - nu.cdf(x))
+    diff = mu.cdf(xs) - nu.cdf(xs)
+    dense = _with_sign_crossings(xs, diff)
+    if dense is not xs:
+        xs, diff = dense, mu.cdf(dense) - nu.cdf(dense)
     return float(np.trapezoid(np.abs(diff), xs))
 
 
@@ -433,6 +431,8 @@ def _monotone_gap(mu: Measure1D, nu: Measure1D) -> np.ndarray:
     """|q_mu - q_nu| on the _N_U midpoints of (0, 1): the displacement of
     the monotone coupling, which is optimal for every convex cost of the
     distance, so one gap serves every such cost."""
+    if not isinstance(mu, Measure1D) or not isinstance(nu, Measure1D):
+        raise ValidationError("the monotone coupling expects two Measure1D inputs")
     return np.abs(_monotone_quantiles(mu) - _monotone_quantiles(nu))
 
 
@@ -900,20 +900,6 @@ def _first_moment_exact(verts: np.ndarray, mu: np.ndarray) -> tuple[float, np.nd
     return float(dev[j, k]), verts[j] - verts[j, k]
 
 
-def _abs_deviation_1d(mu: Measure1D, values: np.ndarray) -> float:
-    """int |f - med_mu(f)| dmu for the piecewise-linear f with node values
-    ``values`` on mu's grid, cell-exact once the (grid-estimated) median and
-    the sign crossings are inserted."""
-    # grid estimate of the median of f; the integral is flat to first
-    # order in the median, so grid accuracy suffices
-    steps = np.diff(mu.grid)
-    node_w = np.concatenate(([0.0], 0.5 * steps)) + np.concatenate((0.5 * steps, [0.0]))
-    med = weighted_median(values, mu.density(mu.grid) * node_w)
-    dense, g = _refine_sign_crossings(
-        mu.grid, lambda x: np.interp(x, mu.grid, values) - med)
-    return _resample_1d(mu, dense).integrate_nodes(np.abs(g))
-
-
 def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     """Best constant in the first-moment inequality
     int |f - med(f)| dmu <= 1/D over 1-Lipschitz f.
@@ -921,45 +907,39 @@ def first_moment_constant(source, mode: str = "exact") -> ConstantEntry:
     Finite spaces (n <= ``laplace._VERTEX_CAP``): exact, two-sided, as the
     maximum over the vertices of the Lipschitz polytope (``_first_moment_exact``);
     with ``mode='heuristic'``, distance-cone candidates, an upper bound on D.
-    1-D measures: f = x alone, the maximizer of the family {x, |x - x0|}
-    and of sup int |f - med f| dmu itself: for 1-Lipschitz f and a median
-    m of mu, int |f - med f| <= int |f - f(m)| <= int |x - m|.  The median
-    of x is a grid estimate, which can only raise int |x - med|, so the
-    reported D can sit up to about 1e-4 relative below the best constant
-    (README, "Bound-direction discipline").  Any other ``mode`` than
-    "exact" or "heuristic" raises DomainError.
+    1-D measures: f = x attains the supremum, since for 1-Lipschitz f and
+    the median m of mu, int |f - med f| <= int |f - f(m)| <= int |x - m|;
+    and int |x - m| dmu = m (2 F(m) - 1) - M(lo, m) + M(m, hi), with the
+    cell-exact median, CDF F and partial moment M, so D is the best
+    constant to rounding (README, "Bound-direction discipline").  Any
+    other ``mode`` than "exact" or "heuristic" raises DomainError.
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"mode must be 'exact' or 'heuristic', got {mode!r}")
-    if isinstance(source, DiscreteSpace):
-        if mode == "exact":
-            val, f_opt = _first_moment_exact(mean_zero_lipschitz_vertices(
-                source, source.weights), source.weights)
-            d_fm = math.inf if val <= 1e-300 else 1.0 / val
-            return ConstantEntry(
-                constant_id="D_FM", value=d_fm, direction="two-sided",
-                method="exact maximum over the vertices of the Lipschitz polytope",
-                witnesses={"one_over_d": val, "f": f_opt})
-        # heuristic: distance-cone candidates
-        best, best_f = 0.0, np.zeros(source.n)
+    if isinstance(source, DiscreteSpace) and mode == "exact":
+        val, f = _first_moment_exact(mean_zero_lipschitz_vertices(
+            source, source.weights), source.weights)
+        direction = "two-sided"
+        method = "exact maximum over the vertices of the Lipschitz polytope"
+    elif isinstance(source, DiscreteSpace):  # distance-cone candidates
+        val, f = 0.0, np.zeros(source.n)
         for j in range(source.n):
-            for f in (source.dist[j], -source.dist[j]):
-                med = weighted_median(f, source.weights)
-                val = float(np.dot(np.abs(f - med), source.weights))
-                if val > best:
-                    best, best_f = val, f - med
-        d_fm = math.inf if best <= 1e-300 else 1.0 / best
-        return ConstantEntry(
-            constant_id="D_FM", value=d_fm, direction="upper",
-            method="candidate lower bound on sup int |f - med| (heuristic)",
-            witnesses={"one_over_d": best, "f": best_f})
-
-    if isinstance(source, Measure1D):
-        val = _abs_deviation_1d(source, source.grid)  # f = x
-        d_fm = math.inf if val <= 1e-300 else 1.0 / val
-        return ConstantEntry(
-            constant_id="D_FM", value=d_fm, direction="upper",
-            method="1-D candidate family {x, |x - x0|}; lower bound on "
-                   "sup int |f - med| dmu (direction: lower on 1/D)",
-            witnesses={"one_over_d": val, "f": "x"})
-    raise ValidationError("source must be a DiscreteSpace or Measure1D")
+            for g in (source.dist[j], -source.dist[j]):
+                med = weighted_median(g, source.weights)
+                dev = float(np.dot(np.abs(g - med), source.weights))
+                if dev > val:
+                    val, f = dev, g - med
+        direction = "upper"
+        method = "candidate lower bound on sup int |f - med| (heuristic)"
+    elif isinstance(source, Measure1D):
+        m, (lo, hi) = source.median(), source.support
+        val = float(m * (2.0 * source.cdf(m) - 1.0) - source.partial_moment(lo, m)
+                    + source.partial_moment(m, hi))
+        f, direction = "x", "upper"
+        method = ("1-D candidate family {x, |x - x0|}; lower bound on "
+                  "sup int |f - med| dmu (direction: lower on 1/D)")
+    else:
+        raise ValidationError("source must be a DiscreteSpace or Measure1D")
+    return ConstantEntry(constant_id="D_FM", value=math.inf if val <= 1e-300 else 1.0 / val,
+                         direction=direction, method=method,
+                         witnesses={"one_over_d": val, "f": f})

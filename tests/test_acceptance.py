@@ -13,7 +13,6 @@ import pytest
 from conc_toolkit.cli import dispatch
 from conc_toolkit.costs import (
     CostSpec,
-    conjugate_window,
     graded_cost_grid,
     legendre_numeric,
     phi_star_eval,
@@ -141,7 +140,10 @@ def test_criterion_07_jensen_pointwise():
 @pytest.mark.parametrize("p", [1.0, 1.2, 1.5, 2.0, 3.0])
 def test_criterion_08_legendre_pairing(p):
     spec = CostSpec(p)
-    xs = graded_cost_grid(spec, conjugate_window(spec, 5.0), 30001)
+    # the sup defining phi_star(lam), lam <= 5, sits at x = lam^{1/(p-1)};
+    # for p = 1 the conjugate is infinite past lam = 1
+    x_max = 10.0 if p == 1.0 else 1.25 * max(1.0, 5.0 ** (1.0 / (p - 1.0)))
+    xs = graded_cost_grid(spec, x_max, 30001)
     lam = np.linspace(0.0, 5.0, 501)
     _, fstar = legendre_numeric(xs, phi_p_eval(spec, xs), lam)
     ref = phi_star_eval(spec, lam)

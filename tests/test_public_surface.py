@@ -2,10 +2,14 @@
 keyword default of a public function is pinned here, so a new knob edits
 this table in the change that adds it.  Every parameter of a public
 function is either in the scalar contract's table (``SCALARS`` in
-test_array_contract) or named here as one that is not a scalar."""
+test_array_contract) or named here as one that is not a scalar.  A
+module-level function or class that is neither public nor used in the
+package is dead code."""
 
+import ast
 import inspect
 from importlib import import_module
+from pathlib import Path
 
 from test_array_contract import SCALARS
 
@@ -118,3 +122,22 @@ def test_every_parameter_is_in_the_scalar_contract_or_not_a_scalar():
         if gone := other - set(params):
             stale[name] = sorted(gone)
     assert unlisted == {} and stale == {}
+
+
+def test_every_module_level_definition_is_public_or_used():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in Path(conc_toolkit.__file__).parent.glob("*.py")}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in conc_toolkit._EXPORTS or (name.startswith("__") and name.endswith("__")):
+                continue
+            own = {id(sub) for sub in ast.walk(node)}
+            if not any(getattr(sub, "id", getattr(sub, "attr", None)) == name
+                       and id(sub) not in own
+                       for other in trees.values() for sub in ast.walk(other)):
+                unused.append(f"{module}.{name}")
+    assert unused == []

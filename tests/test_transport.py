@@ -13,9 +13,9 @@ from conc_toolkit.measures import (
     build_discrete_space,
     build_measure_1d,
     derive_measure,
+    discrete_space_from_atoms,
 )
 from conc_toolkit.transport import (
-    _abs_deviation_1d,
     divergences,
     first_moment_constant,
     kr_dual,
@@ -242,6 +242,18 @@ class TestMonotoneCost:
     def test_ws_translation(self, gamma2):
         nu = derive_measure(gamma2, "translate", t=2.0)
         assert ws_1d(gamma2, nu, 2.0) == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("call", [
+        w1_1d,
+        lambda mu, nu: ws_1d(mu, nu, 1.0),
+        lambda mu, nu: wc_monotone_1d(mu, nu, CostSpec(2.0), 1.0),
+    ], ids=["w1_1d", "ws_1d", "wc_monotone_1d"])
+    def test_argument_that_is_not_a_measure_raises(self, gamma2, call, slot):
+        args = [gamma2, gamma2]
+        args[slot] = "x"
+        with pytest.raises(ValidationError, match="two Measure1D inputs"):
+            call(*args)
 
     @pytest.mark.parametrize("s", [math.inf, math.nan])
     def test_ws_non_finite_order_rejected(self, gamma2, s):
@@ -545,20 +557,63 @@ def _first_moment_measures():
     return out
 
 
+def _abs_deviation_about_grid_median(mu, values):
+    """int |f - c| dmu for the piecewise-linear f with node values
+    ``values`` on mu's grid, c the median of f under node weights, cell-exact
+    once the linear roots of f - c are inserted.  c sits within a cell of
+    med f, so this is at least int |f - med f| up to rounding: an
+    independent upper reference for the closed form."""
+    steps = np.diff(mu.grid)
+    node_w = np.concatenate(([0.0], 0.5 * steps)) + np.concatenate((0.5 * steps, [0.0]))
+    g = values - weighted_median(values, mu.density(mu.grid) * node_w)
+    cross = np.flatnonzero(g[:-1] * g[1:] < 0)
+    xs = np.union1d(mu.grid, mu.grid[cross] - g[cross] * steps[cross] / (g[cross + 1] - g[cross]))
+    dense = Measure1D(grid=xs, potential=mu.potential_at(xs), provenance={})
+    return dense.integrate_nodes(np.abs(np.interp(xs, mu.grid, g)))
+
+
 def test_no_folded_candidate_beats_x_past_rounding():
     """For 1-Lipschitz f and a median m, int |f - med f| <= int |f - f(m)|
     <= int |x - m|, so no |x - x0| beats f = x, which first_moment_constant
-    scores alone; the computed values may differ only by rounding."""
+    scores alone in closed form; past rounding, that form never exceeds
+    the reference integral of f = x about a grid-estimated median."""
     measures = _first_moment_measures()
     assert len(measures) == 80
     for mu in measures:
-        at_x = _abs_deviation_1d(mu, mu.grid)
+        at_x = _abs_deviation_about_grid_median(mu, mu.grid)
         lo, hi = mu.support
         for x0 in np.linspace(lo, hi, 9)[1:-1]:
-            assert _abs_deviation_1d(mu, np.abs(mu.grid - x0)) <= at_x * (1.0 + 1e-14)
+            folded = _abs_deviation_about_grid_median(mu, np.abs(mu.grid - x0))
+            assert folded <= at_x * (1.0 + 1e-14)
         entry = first_moment_constant(mu)
-        assert entry.value == 1.0 / at_x
-        assert entry.witnesses == {"one_over_d": at_x, "f": "x"}
+        closed = entry.witnesses["one_over_d"]
+        assert closed <= at_x * (1.0 + 1e-14)
+        assert entry.value == 1.0 / closed
+        assert entry.witnesses == {"one_over_d": closed, "f": "x"}
+
+
+def test_one_dimensional_first_moment_is_the_quadrature_value():
+    """gamma_p(1) restricted above its 0.2-quantile: int |x - m| dmu from
+    scipy quad on the same model measure is 0.7440708683456656; a median
+    estimated on the grid overshoots it by 1.9e-5."""
+    mu = build_measure_1d(preset="gamma_p", p=1.0)
+    mu = derive_measure(mu, "restrict", a=float(mu.quantile(0.2)), b=math.inf)
+    val = first_moment_constant(mu).witnesses["one_over_d"]
+    assert val == pytest.approx(0.7440708683456656, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 8])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_exact_first_moment_on_atoms_is_attained_at_x(m, p):
+    """On the line f = x attains the first-moment supremum, so the vertex
+    maximum on an atomization equals sum w |x - med| over its atoms."""
+    mu = build_measure_1d(preset="gamma_p", p=p, n_points=1001)
+    lo = float(mu.quantile(0.2))
+    for nu in (mu, derive_measure(mu, "restrict", a=lo, b=math.inf)):
+        pos, w = atomize_1d(nu, m)
+        exact = first_moment_constant(discrete_space_from_atoms(pos, w))
+        at_x = float(np.dot(w, np.abs(pos - weighted_median(pos, w))))
+        assert exact.witnesses["one_over_d"] == pytest.approx(at_x, rel=1e-13, abs=0.0)
 
 
 def test_weighted_median():
