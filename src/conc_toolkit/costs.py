@@ -66,6 +66,14 @@ def _count(value, name: str, least: int) -> int:
     return int(value)
 
 
+def _typed(value, name: str, kind: type):
+    """``value`` if it is a ``kind``, else ValidationError naming it as
+    ``name``: the type check of a public object argument."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _argument(x, name: str, *, finite: bool = False) -> np.ndarray:
     """The argument check of every vectorized evaluator: ``x`` as a float
     array (ValidationError for non-numbers), or DomainError when an entry

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .costs import _argument, _count, _float_array, _real, _shaped, legendre_numeric
+from .costs import _argument, _count, _float_array, _real, _shaped, _typed, legendre_numeric
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .measures import DiscreteSpace, Measure1D
 from .profiles import LOG2, invert_monotone
@@ -232,37 +232,56 @@ _VERTEX_CAP = 8
 _PRIMES = np.array([2.0, 3.0, 5.0, 7.0, 11.0, 13.0, 17.0, 19.0])  # one per point
 
 
-def _lipschitz_walk(d: np.ndarray) -> np.ndarray:
-    """The vertex of every basis the walk reaches on ``d``, repeats included."""
-    n, eye = len(d), np.eye(len(d))
-    m, k, seen, found = n - 1, np.arange(n - 1), set(), []
+# the walk's (B, m, n, n) temporaries take blocks of about this many entries
+_WALK_BLOCK = 2**15
+
+
+def _lipschitz_walk(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(vertices, owners): the vertex of every basis the walk reaches on each
+    metric of the (K, n, n) stack ``d``, repeats included, and the index of
+    its metric.  The rows of one metric come in the order a walk on it alone
+    takes, as the bases are keyed by (metric, bitmask) and every row of the
+    pivot step is its own basis's."""
+    count, n = d.shape[:2]
+    m, k, eye, seen, found, owners = n - 1, np.arange(n - 1), np.eye(n), set(), [], []
     p = 1.0 + 1e-3 * np.sqrt(np.outer(_PRIMES[:n], _PRIMES[:n]))  # ties: d + eps p
     bits = (np.uint64(1) << np.arange(n * n, dtype=np.uint64)).reshape(n, n)
-    tails, heads = (x.reshape(n, m) for x in np.nonzero(eye == 0))  # star trees
+    tails, heads = (np.tile(x.reshape(n, m), (count, 1)) for x in np.nonzero(eye == 0))
+    own = np.repeat(np.arange(count), n)  # the star trees of each metric
+    block = max(1, _WALK_BLOCK // (m * n * n))
     while len(tails):
         key = np.minimum(bits[tails, heads].sum(1), bits[heads, tails].sum(1))
-        keys, first = np.unique(key, return_index=True)  # one of each mirrored pair
-        fresh = first[[b not in seen for b in keys.tolist()]]
-        seen.update(keys.tolist())
-        tails, heads = tails[fresh], heads[fresh]
-        a = np.zeros((len(tails), n, n))
-        a[:, :m], a[:, m, 0] = eye[tails] - eye[heads], 1.0  # tree rows, f_0 = 0
-        moves = -np.linalg.inv(a)[:, :, :m]  # each relaxes one row, keeps the rest
-        v, w = ((-moves @ c[tails, heads, None])[..., 0] for c in (d, p))
+        order = np.lexsort((key, own))  # one of each mirrored pair, by metric and key
+        first = order[np.r_[True, (np.diff(own[order]) != 0) | (np.diff(key[order]) != 0)]]
+        pairs = list(zip(own[first].tolist(), key[first].tolist()))
+        fresh = first[[pair not in seen for pair in pairs]]
+        seen.update(pairs)
+        tails, heads, own = tails[fresh], heads[fresh], own[fresh]
+        v, enter = np.empty((len(own), n)), np.empty((2, len(own), m), dtype=np.intp)
+        for b in range(0, len(own), block):
+            t, h, at = tails[b:b + block], heads[b:b + block], d[own[b:b + block]]
+            a = np.zeros((len(t), n, n))
+            a[:, :m], a[:, m, 0] = eye[t] - eye[h], 1.0  # tree rows, f_0 = 0
+            moves = -np.linalg.inv(a)[:, :, :m]  # each relaxes one row, keeps the rest
+            vb = (-moves @ at[np.arange(len(t))[:, None], t, h, None])[..., 0]
+            wb = (-moves @ p[t, h, None])[..., 0]
+            lift = moves.transpose(0, 2, 1)[..., None]  # move k lifts row (i, j) by 1
+            rises = lift > lift.transpose(0, 1, 3, 2) + 0.5
+            step = np.where(rises, (at - vb[:, :, None] + vb[:, None])[:, None], np.inf)
+            tie = step <= step.min(axis=(2, 3), keepdims=True) + 1e-12  # rounding
+            lex = np.where(tie, (p - wb[:, :, None] + wb[:, None])[:, None], np.inf)
+            v[b:b + block] = vb
+            enter[:, b:b + block] = np.divmod(np.argmin(lex.reshape(len(t), m, n * n), axis=2), n)
         found += [v, -v]
-        lift = moves.transpose(0, 2, 1)[..., None]  # move k lifts row (i, j) by 1
-        rises = lift > lift.transpose(0, 1, 3, 2) + 0.5
-        step = np.where(rises, (d - v[:, :, None] + v[:, None])[:, None], np.inf)
-        tie = step <= step.min(axis=(2, 3), keepdims=True) + 1e-12  # rounding
-        lex = np.where(tie, (p - w[:, :, None] + w[:, None])[:, None], np.inf)
-        enter = np.divmod(np.argmin(lex.reshape(len(tails), m, n * n), axis=2), n)
-        tails, heads = np.repeat(tails, m, axis=0), np.repeat(heads, m, axis=0)
+        owners += [own, own]
+        tails, heads, own = (np.repeat(x, m, axis=0) for x in (tails, heads, own))
         tails.reshape(-1, m, m)[:, k, k], heads.reshape(-1, m, m)[:, k, k] = enter
-    return np.concatenate(found)
+    return np.concatenate(found), np.concatenate(owners)
 
 
-def _pinned_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
-    """Vertices of {f : f_i - f_j <= d_ij, f_0 = 0}, by a self-certifying walk.
+def _pinned_lipschitz_vertices(dist: np.ndarray) -> list[np.ndarray]:
+    """Per metric of the (K, n, n) stack ``dist``, the vertices of
+    {f : f_i - f_j <= d_ij, f_0 = 0}, by one self-certifying walk on all K.
 
     A basis is a spanning tree of tight rows f_i - f_j = d_ij (i -> j),
     keyed by its bitmask of rows; each of its n - 1 moves relaxes one row
@@ -276,24 +295,30 @@ def _pinned_lipschitz_vertices(space: DiscreteSpace) -> np.ndarray:
     symmetry one tree of each mirrored pair is expanded.  The walk runs on
     the distances divided by the diameter; vertices are told apart at 1e-9.
     """
-    n = space.n
+    count, n = dist.shape[:2]
     if n > _VERTEX_CAP:
         raise UnsupportedSizeError(f"vertex enumeration capped at n = {_VERTEX_CAP}; use a "
                                    "heuristic: laplace_sup_discrete(..., exact=False) or "
                                    "first_moment_constant(..., mode='heuristic')")
     if n == 1:
-        return np.zeros((1, 1))
-    d = space.dist / space.diameter
+        return [np.zeros((1, 1)) for _ in range(count)]
+    diameter = dist.max(axis=(1, 2))
+    d = dist / diameter[:, None, None]
     try:
-        f = _lipschitz_walk(d)
+        f, own = _lipschitz_walk(d)
     except np.linalg.LinAlgError as exc:
         raise ValidationError(f"Lipschitz vertex enumeration failed: {exc}") from None
-    f = f[np.unique(np.round(f, 9), axis=0, return_index=True)[1]]
-    stretch = float(np.max(f[:, :, None] - f[:, None, :] - d))
-    if not stretch <= 1e-9:
+    # each metric's vertices told apart at 1e-9, the first of each kept, by metric
+    keep = np.unique(np.column_stack([own, np.round(f, 9)]), axis=0, return_index=True)[1]
+    f, own = f[keep], own[keep]
+    stretch = np.empty(len(f))  # max_ij f_i - f_j - d_ij per vertex, in blocks of rows
+    for b in range(0, len(f), _WALK_BLOCK // (n * n)):
+        r = slice(b, b + _WALK_BLOCK // (n * n))
+        stretch[r] = np.max(f[r, :, None] - f[r, None, :] - d[own[r]], axis=(1, 2))
+    if not np.all(stretch <= 1e-9):
         raise ValidationError(f"Lipschitz vertex enumeration failed: a vertex breaks "
-                              f"the Lipschitz bound by {stretch:.3g} x diameter")
-    return f * space.diameter
+                              f"the Lipschitz bound by {np.max(stretch):.3g} x diameter")
+    return np.split(f * diameter[own, None], np.flatnonzero(np.diff(own)) + 1)
 
 
 def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -303,8 +328,8 @@ def _recentred(pinned: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def mean_zero_lipschitz_vertices(space: DiscreteSpace, mu: np.ndarray) -> np.ndarray:
     """Vertices of {f : |f_i - f_j| <= d_ij, sum mu_i f_i = 0}: those of
     the polytope pinned at f_0 = 0, recentred by mu."""
-    mu = _checked_weights(mu, space.n, "mu")
-    return _recentred(_pinned_lipschitz_vertices(space), mu)
+    mu = _checked_weights(mu, _typed(space, "space", DiscreteSpace).n, "mu")
+    return _recentred(_pinned_lipschitz_vertices(space.dist[None])[0], mu)
 
 
 def _lipschitz_repair(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -387,7 +412,7 @@ def laplace_sup_discrete(space: DiscreteSpace, mu, lam, *, exact: bool = True,
 
     Returns (values over the lam grid, exactness flag, best f per lam).
     """
-    n = space.n
+    n = _typed(space, "space", DiscreteSpace).n
     mu = _checked_weights(mu, n, "mu")
     lam_arr = np.atleast_1d(_argument(lam, "lam", finite=True))
     seed = _count(seed, "seed", 0)

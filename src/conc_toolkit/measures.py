@@ -563,6 +563,56 @@ def derive_measure(mu1: Measure1D, mode: str, **kwargs) -> Measure1D:
 # DiscreteSpace
 # ---------------------------------------------------------------------------
 
+def _checked_spaces(d: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of DiscreteSpace on K spaces at once, distances ``d``
+    (K, n, n) and weights ``w`` (K, n); past K = 1 a message names the first
+    space at fault.  Returns the stacks as DiscreteSpace stores them."""
+
+    def fault(bad: np.ndarray, text) -> None:  # text(k): the message for space k
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValidationError(text(k) if len(d) == 1 else f"space {k}: {text(k)}")
+
+    for name, values in (("dist", d), ("weights", w)):
+        fault(~np.isfinite(values).reshape(len(values), -1).all(axis=1),
+              lambda k: f"{name} must hold finite numbers only")
+    if d.ndim != 3 or d.shape[1] != d.shape[2]:
+        raise ValidationError("distance matrix must be square")
+    count, n = d.shape[:2]
+    if w.shape != (count, n):
+        raise ValidationError("weights length must match the point count")
+    fault(np.abs(d - d.transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > _SPACE_TOL,
+          lambda k: "distance matrix must be symmetric")
+    fault(np.abs(np.diagonal(d, axis1=1, axis2=2)).max(axis=1, initial=0.0) > _SPACE_TOL,
+          lambda k: "dist(i, i) must be 0")
+    # the tolerated asymmetry and diagonal must not count: keep the upper
+    # triangle, mirrored, on a copy (``d`` may be the caller's array)
+    upper = np.triu(d, 1)
+    d = upper + upper.transpose(0, 2, 1)
+    close = d + np.eye(n) <= 0.0
+    fault(close.any(axis=(1, 2)), lambda k: "dist({}, {}) must be positive for i != j".format(
+        *np.argwhere(close[k])[0]))
+    fault((w < -_SPACE_TOL).any(axis=1), lambda k: f"negative weight at point {np.argmin(w[k])}")
+    sums = w.sum(axis=1)
+    fault(np.abs(sums - 1.0) > 1e-9, lambda k: f"weights sum to {sums[k]:.12g}, expected 1")
+    # Triangle inequality d[i,j] <= d[i,k] + d[k,j], over blocks of k of at
+    # most 2^16 entries (one k at a time at K n^2 >= 2^16), so no K n^3
+    # temporary is built; the violation named is the first (space, k, i, j).
+    step, hits = max(1, 2**16 // max(d.size, 1)), []
+    for k0 in range(0, n, step):
+        ks = slice(k0, k0 + step)
+        slack = d[:, None] - (d[:, :, ks].transpose(0, 2, 1)[..., None] + d[:, ks, None, :])
+        if np.any(slack > _SPACE_TOL):
+            s, k, i, j = np.argwhere(slack > _SPACE_TOL)[0]
+            hits.append((s, k + k0, i, j))
+    if hits:
+        s, k, i, j = min(hits)
+        fault(np.arange(count) == s, lambda _: (
+            f"triangle inequality violated by triple ({i}, {k}, {j}): "
+            f"d({i},{j}) = {d[s, i, j]:.6g} > {d[s, i, k] + d[s, k, j]:.6g}"))
+    return d, np.maximum(w, 0.0)
+
+
 @dataclass(frozen=True)
 class DiscreteSpace:
     """Finite metric-measure space: symmetric distance matrix + weights.
@@ -578,48 +628,10 @@ class DiscreteSpace:
     __setstate__ = _read_only_state
 
     def __post_init__(self) -> None:
-        d = _float_array(self.dist, "dist")
-        w = _float_array(self.weights, "weights")
-        for name, values in (("dist", d), ("weights", w)):
-            if not np.all(np.isfinite(values)):
-                raise ValidationError(f"{name} must hold finite numbers only")
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValidationError("distance matrix must be square")
-        n = d.shape[0]
-        if w.shape != (n,):
-            raise ValidationError("weights length must match the point count")
-        if np.abs(d - d.T).max(initial=0.0) > _SPACE_TOL:
-            raise ValidationError("distance matrix must be symmetric")
-        if np.any(np.abs(np.diag(d)) > _SPACE_TOL):
-            raise ValidationError("dist(i, i) must be 0")
-        # the tolerated asymmetry and diagonal must not count: keep the upper
-        # triangle, mirrored, on a copy (``d`` may be the caller's array)
-        upper = np.triu(d, 1)
-        d = upper + upper.T
-        off = d + np.eye(n) * 1.0
-        if np.any(off <= 0.0):
-            i, j = np.argwhere(off <= 0)[0]
-            raise ValidationError(f"dist({i}, {j}) must be positive for i != j")
-        if np.any(w < -_SPACE_TOL):
-            i = int(np.argmin(w))
-            raise ValidationError(f"negative weight at point {i}")
-        if abs(w.sum() - 1.0) > 1e-9:
-            raise ValidationError(f"weights sum to {w.sum():.12g}, expected 1")
-        # Triangle inequality d[i,j] <= d[i,k] + d[k,j], over blocks of k of
-        # at most 2^16 entries (one k at a time at n = 200), so no n^3
-        # temporary is built; the violation named is the first (k, i, j).
-        step = max(1, 2**16 // max(n * n, 1))
-        for k0 in range(0, n, step):
-            ks = slice(k0, k0 + step)
-            slack = d - (d[:, ks].T[:, :, None] + d[ks, None, :])
-            if np.any(slack > _SPACE_TOL):
-                k, i, j = np.argwhere(slack > _SPACE_TOL)[0]
-                k += k0
-                raise ValidationError(
-                    f"triangle inequality violated by triple ({i}, {k}, {j}): "
-                    f"d({i},{j}) = {d[i, j]:.6g} > {d[i, k] + d[k, j]:.6g}")
-        object.__setattr__(self, "dist", _read_only(d))
-        object.__setattr__(self, "weights", _read_only(np.maximum(w, 0.0)))
+        d, w = _checked_spaces(_float_array(self.dist, "dist")[None],
+                               _float_array(self.weights, "weights")[None])
+        object.__setattr__(self, "dist", _read_only(d[0]))
+        object.__setattr__(self, "weights", _read_only(w[0]))
 
     @property
     def n(self) -> int:

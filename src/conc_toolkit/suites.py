@@ -12,10 +12,15 @@ from a single seed sequence, so reports are byte-identical across runs and
 independent of how ``run_suites`` spreads the suites over worker processes
 (up to min(jobs, CPU count, number of suites); in-process for one).
 
-The finite-space suites work on arrays where their instances allow it:
-te-jensen-pointwise solves all its plans in one simplex call, bg-duality
-bisects each round's instances in lockstep, and going-down-exact takes
-each instance's margins at all radii at once.
+The finite-space suites work on stacks of same-size instances where they
+allow it.  w1-fm-exact, te-jensen-pointwise and each bg-duality round
+draw all their instances first, each from its own seed-sequence child.
+w1-fm-exact checks each point count's spaces as one stack and walks their
+polytopes once; bg-duality walks each round's polytopes once per point
+count and bisects the round in lockstep; te-jensen-pointwise checks,
+prices, solves and chains each (p, n) stack in one pass, with all its
+plans in one simplex call.  going-down-exact takes each instance's
+margins at all radii at once.
 """
 
 from __future__ import annotations
@@ -40,12 +45,12 @@ from .laplace import (
     _sup_scorer,
     herbst_laplace,
     laplace_sup_discrete,
-    mean_zero_lipschitz_vertices,
 )
 from .functional import logsob_constant_1d, poincare_constant_1d
 from .measures import (
     DiscreteSpace,
     Measure1D,
+    _checked_spaces,
     atomize_1d,
     build_discrete_space,
     build_measure_1d,
@@ -109,12 +114,25 @@ class SuiteReport:
 # shared generators
 # ---------------------------------------------------------------------------
 
-def _random_space(rng: np.random.Generator, n: int) -> DiscreteSpace:
+def _random_metric(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(dist, weights) of n random planar points under random weights."""
     pts = rng.normal(size=(n, 2))
     d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1))
     w = rng.random(n) + 0.05
-    w /= w.sum()
-    return build_discrete_space(d, w)
+    return d, w / w.sum()
+
+
+def _random_space(rng: np.random.Generator, n: int) -> DiscreteSpace:
+    return build_discrete_space(*_random_metric(rng, n))
+
+
+def _stacks(drawn: list):
+    """Per point count, the indices of the draws with it and, stacked in
+    that order, each field of the drawn tuples, the first an n x n metric."""
+    sizes = np.array([len(fields[0]) for fields in drawn])
+    for n in np.unique(sizes):
+        members = np.flatnonzero(sizes == n)
+        yield members, *map(np.stack, zip(*(drawn[t] for t in members)))
 
 
 def _random_probability(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -271,55 +289,68 @@ def _going_down_instance(rng: np.random.Generator, n_max: int) -> dict:
             "worst_margin": worst}
 
 
-def _w1_fm_instance(rng: np.random.Generator, n_max: int) -> dict:
-    n = int(rng.integers(2, n_max + 1))
-    space = _random_space(rng, n)
-    mu2 = _random_probability(rng, n)
-    # one vertex enumeration serves both first-moment values and W_1
-    pinned = _pinned_lipschitz_vertices(space)
-    verts = _recentred(pinned, space.weights)
-    inv1, _ = _first_moment_exact(verts, space.weights)
-    inv2, _ = _first_moment_exact(_recentred(pinned, mu2), mu2)
-    # W_1 by Kantorovich-Rubinstein duality, as in bg-duality's _te_margins
-    w1 = float(np.max(verts @ (mu2 - space.weights)))
-    gap = abs(inv2 - inv1) - w1
-    return {"n": n, "one_over_d_1": inv1, "one_over_d_2": inv2,
-            "w1": w1, "slack": -gap, "violations": int(gap > 1e-9)}
+def _suite_w1_fm(config, seed):
+    """Per trial, on its own child of the seed's sequence, a random space and
+    a second weight vector: their first-moment constants differ by at most
+    W_1.  All trials are drawn first; each point count's spaces are checked
+    as one stack and walked once."""
+    drawn = []
+    for s in np.random.SeedSequence(seed).spawn(config["trials"]):
+        rng = np.random.default_rng(s)
+        n = int(rng.integers(2, config["n_max"] + 1))
+        drawn.append((*_random_metric(rng, n), _random_probability(rng, n)))
+    instances = [None] * len(drawn)
+    for members, dist, weights, mus in _stacks(drawn):
+        dist, weights = _checked_spaces(dist, weights)
+        for t, pinned, mu1, mu2 in zip(members, _pinned_lipschitz_vertices(dist), weights, mus):
+            # one vertex enumeration serves both first-moment values and W_1
+            verts = _recentred(pinned, mu1)
+            inv1, _ = _first_moment_exact(verts, mu1)
+            inv2, _ = _first_moment_exact(_recentred(pinned, mu2), mu2)
+            # W_1 by Kantorovich-Rubinstein duality, as in bg-duality's _te_margins
+            w1 = float(np.max(verts @ (mu2 - mu1)))
+            gap = abs(inv2 - inv1) - w1
+            instances[t] = {"n": mu1.size, "one_over_d_1": inv1, "one_over_d_2": inv2,
+                            "w1": w1, "slack": -gap, "violations": int(gap > 1e-9)}
+    violations = sum(i["violations"] for i in instances)
+    return instances, {"violations": violations, "trials": len(drawn)}, violations == 0
 
 
 def _suite_te_jensen(config, seed):
-    p_grid = config["p_grid"]
-    trials = config["trials_per_p"]
+    """Per instance, W_1 and the phi_s costs for s in {1, (1 + p) / 2, p}:
+    phi_p(W_1) <= phi_p(phi_s^{-1}(W_s)) must rise along s.  All instances
+    are drawn before any LP is solved; each (p, n) stack is checked, priced
+    with one ``phi_p_eval`` per s, solved in one ``_transport_lps`` call
+    with the others and chained with one ``phi_inverse`` per s."""
+    p_grid, trials = config["p_grid"], config["trials_per_p"]
     seeds = iter(np.random.SeedSequence(seed).spawn(len(p_grid) * trials))
-    s_grid = {p: sorted({1.0, 0.5 * (1.0 + p), p}) for p in p_grid}
-    instances, lps = [], []  # every instance is drawn before any LP is solved
+    instances, stacks, problems = [], [], []
     for p in p_grid:
+        s_grid, drawn = sorted({1.0, 0.5 * (1.0 + p), p}), []
         for _ in range(trials):
             rng = np.random.default_rng(next(seeds))
             n = int(rng.integers(2, 7))
-            space = _random_space(rng, n)
-            nu = _random_probability(rng, n)
-            scale = float(rng.uniform(0.2, 3.0))
-            costs = [space.dist] + [phi_p_eval(CostSpec(s), scale * space.dist)
-                                    for s in s_grid[p]]
-            instances.append({"p": p, "n": n, "scale": scale})
-            lps.append((space, [nu] * len(costs), space.weights, costs))
-    solved = _transport_lps(lps)
+            drawn.append((*_random_metric(rng, n), _random_probability(rng, n),
+                          float(rng.uniform(0.2, 3.0))))
+            instances.append({"p": p, "n": n, "scale": drawn[-1][3]})
+        for members, dist, weights, nus, scales in _stacks(drawn):
+            dist, weights = _checked_spaces(dist, weights)
+            costs = np.stack([dist] + [phi_p_eval(CostSpec(s), scales[:, None, None] * dist)
+                                       for s in s_grid], axis=1)  # (instance, cost, n, n)
+            k, n = costs.shape[1:3]
+            problems.append((n, nus.repeat(k, 0), weights.repeat(k, 0), costs.reshape(-1, n, n)))
+            stacks.append((p, s_grid, len(instances) - trials + members, scales))
     violations = 0
-    for inst, (_, lp_costs, _, _) in zip(instances, solved):
-        p = inst["p"]
-        spec_p = CostSpec(p)
-        w1, *w_costs = lp_costs.tolist()
-        chain = [float(phi_p_eval(spec_p, inst["scale"] * w1))]
-        for s, w_s in zip(s_grid[p], w_costs):
-            # F_{p,s}(W) = phi_p(phi_s^{-1}(W)) is the comparable scale
-            chain.append(float(phi_p_eval(spec_p, phi_inverse(CostSpec(s), w_s))))
-        bad = int(np.any(np.diff(chain) < -1e-9))
-        violations += bad
-        inst.update(chain=chain, violations=bad)
-    summary = {"violations": violations,
-               "instances": len(p_grid) * trials}
-    return instances, summary, violations == 0
+    for (p, s_grid, members, scales), (_, w, _, _) in zip(stacks, _transport_lps(problems)):
+        w = w.reshape(len(members), -1)  # W_1, then W_s per s
+        # F_{p,s}(W) = phi_p(phi_s^{-1}(W)) is the comparable scale
+        chain = phi_p_eval(CostSpec(p), np.column_stack([scales * w[:, 0]] + [
+            phi_inverse(CostSpec(s), w[:, j]) for j, s in enumerate(s_grid, 1)]))
+        bad = np.any(np.diff(chain, axis=1) < -1e-9, axis=1)
+        violations += int(bad.sum())
+        for t, row, b in zip(members, chain.tolist(), bad.tolist()):
+            instances[t].update(chain=row, violations=int(b))
+    return instances, {"violations": violations, "instances": len(instances)}, violations == 0
 
 
 def _suite_iso_stability_shape(config, seed):
@@ -588,9 +619,11 @@ def _gain_order(verts: np.ndarray, tilts: np.ndarray, mu: np.ndarray,
                 rate: float) -> np.ndarray:
     """Flat (v, l) indices of the Gibbs tilts nu = tilts[v, l] by transport
     gain rate <verts[v], nu - mu>, largest first, ties in index order.  The
-    gains take one ``np.dot`` per tilt: a batched matmul rounds differently
-    and could reorder near-ties."""
-    gain = np.array([np.dot(f, nu - mu) for f, row in zip(verts, tilts) for nu in row])
+    gains are one stacked (1, n) @ (n, 1) matmul, which takes the same
+    ``ddot`` per pair as ``np.dot``; a plain (V, n) @ (n, L) gemm does not
+    (it differed from per-pair ``ddot`` in about half the entries on random
+    n <= 8 shapes) and could reorder near-ties."""
+    gain = (verts[:, None, None, :] @ (tilts - mu)[..., None]).ravel()
     return np.argsort(-(rate * gain), kind="stable")
 
 
@@ -599,22 +632,23 @@ def _te_margins(nus, mu: np.ndarray, verts: np.ndarray, rate: float,
     """Margins rate W_1(nu, mu) - Phi^{-1}(H + delta) - eps of the witnesses
     nu (probability vectors) with finite H = H(nu | mu), in witness order,
     and those H.  W_1 is the Kantorovich-Rubinstein max of <f, nu - mu> over
-    the vertices, one matvec per witness: a batched matmul rounds differently."""
+    the vertices, from one broadcast (V, n) @ (n, 1) matmul, which takes the
+    same ``gemv`` per witness as ``verts @ (nu - mu)``; a plain gemm over
+    all witnesses does not."""
     h = np.array([_kl_discrete(nu, mu) for nu in nus])
     finite = np.isfinite(h)
-    w1 = np.array([np.max(verts @ (nu - mu)) for nu, keep in zip(nus, finite) if keep])
+    w1 = (verts @ (nus[finite] - mu)[:, :, None]).max(axis=(1, 2))
     return rate * w1 - base.phi_inv_at(h[finite] + base.delta) - base.eps, h[finite]
 
 
 def _bg_draw(rng: np.random.Generator, lam_grid: np.ndarray, config) -> tuple:
-    """A bg-duality instance up to its critical rate, as (rng, space, verts,
-    a, quadratic, base, rhs): the generator, which draws the rest, a random
-    space and its mean-zero Lipschitz vertices, a random convex Phi, a x^2
-    (quadratic) or a x on a generous window, its LaplaceBound ``base`` and
-    that bound's rhs on ``lam_grid``."""
+    """A bg-duality instance up to its vertices, as (rng, space, a,
+    quadratic, base, rhs): the generator, which draws the rest, a random
+    space, a random convex Phi, a x^2 (quadratic) or a x on a generous
+    window, its LaplaceBound ``base`` and that bound's rhs on
+    ``lam_grid``."""
     n = int(rng.integers(3, config["n_max"] + 1))
     space = _random_space(rng, n)
-    verts = mean_zero_lipschitz_vertices(space, space.weights)
     a = float(rng.uniform(0.3, 2.0))
     quadratic = bool(rng.random() < 0.5)
     xs = np.linspace(0.0, 50.0 if not quadratic else 15.0, 2049)
@@ -623,12 +657,12 @@ def _bg_draw(rng: np.random.Generator, lam_grid: np.ndarray, config) -> tuple:
     delta = float(rng.uniform(0.0, 0.7))
     base = LaplaceBound(phi_x=xs, phi_vals=phi_vals, rate=1.0, eps=eps,
                         delta=delta)
-    return rng, space, verts, a, quadratic, base, base.rhs_log(lam_grid)
+    return rng, space, a, quadratic, base, base.rhs_log(lam_grid)
 
 
-def _bg_instance(drawn: tuple, d_crit: float, lam_grid: np.ndarray,
+def _bg_instance(drawn: tuple, verts: np.ndarray, d_crit: float, lam_grid: np.ndarray,
                  config) -> dict[str, Any]:
-    rng, space, verts, a, quadratic, base, rhs = drawn
+    rng, space, a, quadratic, base, rhs = drawn
     n, mu, delta = space.n, space.weights, base.delta
     factor = float(rng.uniform(0.6, 1.6))
     rate = d_crit * factor
@@ -688,17 +722,22 @@ def _suite_bg_duality(config, seed):
     seeds = np.random.SeedSequence(seed).spawn(4 * trials)
     instances = []
     draw = 0
-    # each round draws as many instances as still lack a verdict, bisects
-    # them in lockstep and judges them in draw order; razor-edge instances
-    # are re-drawn in the next round, not judged
+    # each round draws as many instances as still lack a verdict, walks
+    # each point count's polytopes once, bisects them in lockstep and judges
+    # them in draw order; razor-edge instances are re-drawn in the next
+    # round, not judged
     while len(instances) < trials and draw < 4 * trials:
         batch = [_bg_draw(np.random.default_rng(s), lam_grid, config)
                  for s in seeds[draw:draw + trials - len(instances)]]
         draw += len(batch)
-        _, spaces, verts, _, _, _, rhs = zip(*batch)
+        _, spaces, _, _, _, rhs = zip(*batch)
+        verts = [None] * len(batch)
+        for members, dist, weights in _stacks([(s.dist, s.weights) for s in spaces]):
+            for t, pinned, mu in zip(members, _pinned_lipschitz_vertices(dist), weights):
+                verts[t] = _recentred(pinned, mu)
         rates = _critical_rates([s.weights for s in spaces], verts, np.array(rhs), lam_grid)
-        for drawn, d_crit in zip(batch, rates.tolist()):
-            inst = _bg_instance(drawn, d_crit, lam_grid, config)
+        for drawn, v, d_crit in zip(batch, verts, rates.tolist()):
+            inst = _bg_instance(drawn, v, d_crit, lam_grid, config)
             if not inst["near_tie"]:
                 instances.append(inst)
     disagreements = sum(not inst["agree"] for inst in instances)
@@ -737,21 +776,20 @@ SUITE_DEFAULTS: dict[str, dict[str, Any]] = {
                    "tie_tol": 1e-4},
 }
 
-# per suite: its function and its seconds at seed 7 on a 2-vCPU VM, each
-# run in a fresh process, imports on first use included (median of 5;
-# run_suites starts the longest first); the finite suites' times date from
-# their array rewrite, the line suites' from Brent's root for the tilts
+# per suite: its function and its seconds at seed 7 on a 2-vCPU VM, warm
+# (in-process after one run, min of 3, one BLAS thread as the CLI runs);
+# run_suites starts the longest first
 _SUITES: dict[str, tuple[Callable, float]] = {
-    "going-down-exact": (partial(_exact_trials, _going_down_instance), 0.21),
-    "w1-fm-exact": (partial(_exact_trials, _w1_fm_instance), 0.17),
-    "te-jensen-pointwise": (_suite_te_jensen, 0.26),
-    "iso-stability-shape": (_suite_iso_stability_shape, 0.27),
-    "logsob-stability": (_suite_logsob_stability, 0.28),
-    "w1-stability-chain": (_suite_w1_stability_chain, 0.20),
-    "conc-te-equiv": (_suite_conc_te_equiv, 0.20),
-    "te-equiv-shape": (_suite_te_equiv_shape, 0.39),
-    "hierarchy-gamma-p": (_suite_hierarchy, 0.21),
-    "bg-duality": (_suite_bg_duality, 0.43),
+    "going-down-exact": (partial(_exact_trials, _going_down_instance), 0.077),
+    "w1-fm-exact": (_suite_w1_fm, 0.040),
+    "te-jensen-pointwise": (_suite_te_jensen, 0.041),
+    "iso-stability-shape": (_suite_iso_stability_shape, 0.124),
+    "logsob-stability": (_suite_logsob_stability, 0.116),
+    "w1-stability-chain": (_suite_w1_stability_chain, 0.052),
+    "conc-te-equiv": (_suite_conc_te_equiv, 0.054),
+    "te-equiv-shape": (_suite_te_equiv_shape, 0.176),
+    "hierarchy-gamma-p": (_suite_hierarchy, 0.088),
+    "bg-duality": (_suite_bg_duality, 0.124),
 }
 
 SUITE_IDS = tuple(_SUITES)

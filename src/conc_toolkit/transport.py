@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .costs import CostSpec, _count, _float_array, _real, phi_inverse, phi_p_eval
+from .costs import CostSpec, _count, _float_array, _real, _typed, phi_inverse, phi_p_eval
 from .errors import DomainError, UnsupportedSizeError, ValidationError
 from .laplace import _checked_weights, log_laplace, mean_zero_lipschitz_vertices
 from .measures import _SPACE_TOL, DiscreteSpace, Measure1D, derive_measure
@@ -93,37 +93,39 @@ def _reduced_costs(costs: np.ndarray, duals: np.ndarray) -> np.ndarray:
     return costs - (y[:, 0, :, None] + y[:, 1, None, :])
 
 
-def _transport_problem(space: DiscreteSpace, nus, mu, costs):
-    """Checked and cleaned (nus, mu, costs) of K transportation LPs on one
-    space, coupling row ``nus[k]`` with ``mu`` under cost matrix ``costs[k]``."""
-    nus, mu = _float_array(nus, "nus"), _float_array(mu, "mu")
+def _transport_problem(n: int, nus, mus, costs):
+    """Checked and cleaned (nus, mus, costs) of K transportation LPs on n
+    points, coupling row ``nus[k]`` with ``mus[k]``, or with one shared
+    ``mus`` of shape (n,), under cost matrix ``costs[k]``."""
+    nus, mus = _float_array(nus, "nus"), _float_array(mus, "mu")
     costs = _float_array(costs, "costs")
-    n = space.n
-    if nus.ndim != 2 or nus.shape[1:] != (n,) or mu.shape != (n,):
+    if nus.ndim != 2 or nus.shape[1:] != (n,) or mus.shape not in ((n,), nus.shape):
         raise ValidationError("marginals must be length-n vectors on the space")
-    if not (np.isfinite(nus).all() and np.isfinite(mu).all() and np.isfinite(costs).all()):
+    mus = np.broadcast_to(mus, nus.shape)
+    if not (np.isfinite(nus).all() and np.isfinite(mus).all() and np.isfinite(costs).all()):
         raise ValidationError("marginals and costs must be finite")
-    if np.any(nus < -1e-12) or np.any(mu < -1e-12):
+    if np.any(nus < -1e-12) or np.any(mus < -1e-12):
         raise ValidationError("marginals must be nonnegative")
-    gaps = np.abs(nus.sum(axis=1) - mu.sum())
+    mass = mus.sum(axis=1, keepdims=True)
+    gaps = np.abs(nus.sum(axis=1, keepdims=True) - mass)
     if np.any(gaps > 1e-9):
         k = int(np.argmax(gaps))
         raise ValidationError(
-            f"infeasible marginals: sums differ ({nus[k].sum():.12g} vs {mu.sum():.12g})")
+            f"infeasible marginals: sums differ ({nus[k].sum():.12g} vs {mus[k].sum():.12g})")
     if costs.shape != (nus.shape[0], n, n):
         raise ValidationError("need one n x n cost matrix per marginal")
     if n > _MAX_LP_POINTS:
         raise UnsupportedSizeError(f"transport LP capped at n = {_MAX_LP_POINTS}")
-    return _clean_marginal(nus) * mu.sum(), _clean_marginal(mu) * mu.sum(), costs
+    return _clean_marginal(nus) * mass, _clean_marginal(mus) * mass, costs
 
 
 def _plans(problem, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(plans, costs <c_k, x_k>, marginal residuals) of a problem's plans x."""
-    nus, mu, costs = problem
+    nus, mus, costs = problem
     plans = x.reshape(costs.shape)
     return plans, (costs * plans).sum(axis=(1, 2)), np.maximum(
         np.abs(plans.sum(axis=2) - nus).max(axis=1),
-        np.abs(plans.sum(axis=1) - mu).max(axis=1))
+        np.abs(plans.sum(axis=1) - mus).max(axis=1))
 
 
 def _unsound(problem, x: np.ndarray, duals: np.ndarray) -> list[str | None]:
@@ -131,9 +133,9 @@ def _unsound(problem, x: np.ndarray, duals: np.ndarray) -> list[str | None]:
     None where it is.  A plan is optimal when it is feasible, no reduced
     cost c - u - v is negative and the plan is zero wherever the reduced
     cost is not (complementary slackness); each check is scaled by the
-    plan's own max |c| and the problem's mass, and a NaN fails its check."""
+    plan's own max |c| and mass, and a NaN fails its check."""
     plans, _, resid = _plans(problem, x)
-    costs, mass = problem[2], problem[1].sum()
+    costs, mass = problem[2], problem[1].sum(axis=1)
     reduced = _reduced_costs(costs, duals)
     scale = 1e-12 * np.max(np.abs(costs), axis=(1, 2))
     checks = (  # the first check a plan fails names its fault
@@ -203,14 +205,11 @@ def _transport_simplex(problems) -> list[tuple[np.ndarray, np.ndarray]]:
     """(plans, duals) per problem, all plans of one size n in one
     ``_simplex_group``."""
     out = [None] * len(problems)
-    for n in {mu.size for _, mu, _ in problems}:
-        group = [t for t, (_, mu, _) in enumerate(problems) if mu.size == n]
-        nus, mus, costs = zip(*(problems[t] for t in group))
-        plans, duals = _simplex_group(
-            np.concatenate(nus),
-            np.concatenate([np.broadcast_to(mu, nu.shape) for nu, mu in zip(nus, mus)]),
-            np.concatenate(costs))
-        cuts = np.cumsum([len(nu) for nu in nus])[:-1]
+    for n in {costs.shape[-1] for _, _, costs in problems}:
+        group = [t for t, (_, _, costs) in enumerate(problems) if costs.shape[-1] == n]
+        nus, mus, costs = (np.concatenate(part) for part in zip(*(problems[t] for t in group)))
+        plans, duals = _simplex_group(nus, mus, costs)
+        cuts = np.cumsum([len(problems[t][0]) for t in group])[:-1]
         for t, x, y in zip(group, np.split(plans, cuts), np.split(duals, cuts)):
             out[t] = (x, y)
     return out
@@ -288,43 +287,45 @@ def _tree_simplex(a: np.ndarray, b: np.ndarray, c: np.ndarray,
 
 
 def _transport_lps(problems) -> list[tuple[np.ndarray, ...]]:
-    """Transportation LPs given as problems (space, nus, mu, costs), each
-    on its own space: ``_plans`` per problem, then the certified duals
-    (K, 2n), u of the rows (``nus``) and v of the columns (``mu``).  A batch
-    plan (n <= ``_SIMPLEX_MAX_N``) that fails ``_unsound``, and every larger
-    plan, is solved alone by ``_tree_simplex``, and must pass or raise."""
+    """Transportation LPs given as problems (n, nus, mus, costs), K plans
+    each (see ``_transport_problem``): ``_plans`` per problem, then the
+    certified duals (K, 2n), u of the rows (``nus``) and v of the columns
+    (``mus``).  A batch plan (n <= ``_SIMPLEX_MAX_N``) that fails
+    ``_unsound``, and every larger plan, is solved alone by
+    ``_tree_simplex``, and must pass or raise."""
     problems = [_transport_problem(*p) for p in problems]
-    solved = iter(_transport_simplex([p for p in problems if p[1].size <= _SIMPLEX_MAX_N]))
+    solved = iter(_transport_simplex([p for p in problems if p[2].shape[-1] <= _SIMPLEX_MAX_N]))
     out = []
     for p in problems:
-        nus, mu, costs = p
-        if mu.size <= _SIMPLEX_MAX_N:
+        nus, mus, costs = p
+        n = costs.shape[-1]
+        if n <= _SIMPLEX_MAX_N:
             x, duals = next(solved)
             redo = [k for k, why in enumerate(_unsound(p, x, duals)) if why is not None]
         else:
-            x, duals = np.empty(costs.shape), np.empty((len(nus), 2 * mu.size))
+            x, duals = np.empty(costs.shape), np.empty((len(nus), 2 * n))
             redo = range(len(nus))
         for k in redo:
-            x[k], duals[k] = _tree_simplex(nus[k], mu, costs[k])
-            why = _unsound((nus[k:k + 1], mu, costs[k:k + 1]), x[k:k + 1], duals[k:k + 1])[0]
+            x[k], duals[k] = _tree_simplex(nus[k], mus[k], costs[k])
+            why = _unsound((nus[[k]], mus[[k]], costs[[k]]), x[[k]], duals[[k]])[0]
             if why is not None:
                 raise ValidationError(f"transport LP failed: {why}")
-        out.append((*_plans(p, x), duals.reshape(len(nus), 2 * mu.size)))
+        out.append((*_plans(p, x), duals.reshape(len(nus), 2 * n)))
     return out
 
 
 def transport_costs(space: DiscreteSpace, nus, mu, costs) -> np.ndarray:
     """Optimal costs (K,) of coupling each ``nus[k]`` with ``mu`` under
     cost matrix ``costs[k]``, all K in one ``_transport_lps`` call."""
-    return _transport_lps([(space, nus, mu, costs)])[0][1]
+    return _transport_lps([(_typed(space, "space", DiscreteSpace).n, nus, mu, costs)])[0][1]
 
 
 def wc_discrete_lp(space: DiscreteSpace, nu, mu, cost: np.ndarray | None = None,
                    ) -> TransportPlan:
     """Exact optimum of the transportation LP for an arbitrary cost matrix
     (defaults to the metric itself, i.e. W_1)."""
-    c = space.dist if cost is None else cost
-    plans, costs, resid, _ = _transport_lps([(space, [nu], mu, [c])])[0]
+    c = _typed(space, "space", DiscreteSpace).dist if cost is None else cost
+    plans, costs, resid, _ = _transport_lps([(space.n, [nu], mu, [c])])[0]
     plan = plans[0]
     rows, cols = np.nonzero(plan > 1e-15)
     return TransportPlan(rows=rows, cols=cols, mass=plan[rows, cols],
@@ -339,8 +340,9 @@ def kr_dual(space: DiscreteSpace, nu, mu) -> KRDualResult:
     potential (Villani, Optimal Transport: Old and New, ch. 5).  A
     potential off the Lipschitz bound by more than the triangle slack a
     DiscreteSpace accepts, plus 1e-12 x diameter, raises ValidationError."""
-    _, costs, _, duals = _transport_lps([(space, [nu], mu, [space.dist])])[0]
-    f = np.min(space.dist - duals[0, space.n:], axis=1)
+    n = _typed(space, "space", DiscreteSpace).n
+    _, costs, _, duals = _transport_lps([(n, [nu], mu, [space.dist])])[0]
+    f = np.min(space.dist - duals[0, n:], axis=1)
     f -= f[0]
     worst = float(np.max(f[:, None] - f[None, :] - space.dist))
     if not worst <= _SPACE_TOL + 1e-12 * space.diameter:
@@ -664,10 +666,10 @@ def _witness_table(source, mu, witnesses, max_witnesses: int):
             w1 = transport_costs(source, family, base, [source.dist] * len(family))
         else:  # sum of |F_nu - F_mu| x gap in line order, F the cumulative
             # mass of the marginals the LP would check and clean
-            nus, mu_clean, _ = _transport_problem(source, family, base,
-                                                  [source.dist] * len(family))
+            nus, mus, _ = _transport_problem(source.n, family, base,
+                                             [source.dist] * len(family))
             order, gaps = line
-            w1 = np.abs(np.cumsum(nus[:, order] - mu_clean[order], axis=1)[:, :-1]) @ gaps
+            w1 = np.abs(np.cumsum(nus[:, order] - mus[:, order], axis=1)[:, :-1]) @ gaps
         w1 = w1.tolist()
         h = [_kl_discrete(np.asarray(nu), base) for nu in family]
     elif isinstance(source, Measure1D):

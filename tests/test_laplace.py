@@ -1,13 +1,19 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conc_toolkit import laplace
 
 from conc_toolkit.errors import DomainError, UnsupportedSizeError, ValidationError
 from conc_toolkit.laplace import (
     ConcBound,
     LaplaceBound,
     _exp_neg_phi_integral,
+    _pinned_lipschitz_vertices,
     conc_to_laplace,
     gibbs_check,
     herbst_laplace,
@@ -24,6 +30,7 @@ from conc_toolkit.measures import (
     discrete_space_from_atoms,
 )
 from conc_toolkit.profiles import LOG2
+from conc_toolkit.suites import _random_metric
 from conc_toolkit.transport import (
     first_moment_constant,
     psi1_metric_bound,
@@ -276,6 +283,31 @@ class TestLipschitzVertices:
         assert scaled.shape == base.shape
         np.testing.assert_allclose(_sorted_rows(scaled / c), _sorted_rows(base),
                                    rtol=0.0, atol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), count=st.integers(1, 30),
+           entries=st.sampled_from([None, 3, 50]))
+    def test_stacked_walk_equals_each_single_walk(self, seed, n, count, entries):
+        """K metrics of one n, each planar, a path or uniform (ties the
+        tie-break must settle), walked as one stack in blocks of the default
+        size or of ``entries`` (one or a few bases per block, so a frontier
+        straddles many): each metric gets the array, bit for bit, that a
+        walk on it alone gives."""
+        rng = np.random.default_rng(seed)
+        metrics = []
+        for _ in range(count):
+            kind = rng.integers(3)
+            x = rng.permutation(n).astype(float)
+            metrics.append(_random_metric(rng, n)[0] if kind == 0 else
+                           np.abs(x[:, None] - x) if kind == 1 else 1.0 - np.eye(n))
+        dist = np.stack(metrics)
+        alone = [_pinned_lipschitz_vertices(d[None])[0] for d in dist]
+        block = laplace._WALK_BLOCK if entries is None else entries * (n - 1) * n * n
+        with mock.patch.object(laplace, "_WALK_BLOCK", block):
+            stacked = _pinned_lipschitz_vertices(dist)
+        assert len(stacked) == count
+        for got, want in zip(stacked, alone):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_enumeration_capped_at_one_size(self):
         """n = 8 is enumerated; n = 9 raises from the enumeration itself,

@@ -199,9 +199,9 @@ def test_failed_vertex_enumeration_raises(monkeypatch):
         raise np.linalg.LinAlgError("Singular matrix")
 
     def outside(d):
-        f = real(d)
+        f, owners = real(d)
         f[np.argmax(f[:, 1]), 1] += 1.0  # one diameter past f_1 - f_0 <= d(1, 0)
-        return f
+        return f, owners
 
     space = _random_space(np.random.default_rng(3), 5)
     for module, name, fault in ((np.linalg, "inv", singular),
@@ -390,7 +390,7 @@ def test_reduced_costs_equal_sparse_transpose_product(seed, k, n):
     space = _random_space(rng, n)
     nus = [_random_probability(rng, n) for _ in range(k)]
     costs = np.array([space.dist ** rng.uniform(1.0, 2.0) for _ in range(k)])
-    duals = transport._transport_lps([(space, nus, space.weights, costs)])[0][3]
+    duals = transport._transport_lps([(n, nus, space.weights, costs)])[0][3]
     a_eq = _kron_marginal_rows(k, n)
     for y in (duals.ravel(), rng.normal(scale=10.0 ** rng.uniform(-3, 3), size=2 * n * k)):
         want = (costs.ravel() - a_eq.T @ y).reshape(k, n, n)
@@ -447,11 +447,11 @@ def test_simplex_costs_equal_lone_highs_lps(seed, n, nu_kinds, mu_kind, scale):
     mu = _marginal(rng, n, mu_kind)
     nus = [_marginal(rng, n, kind) for kind in nu_kinds]
     costs = [scale * space.dist ** rng.uniform(1.0, 3.0) for _ in nus]
-    problem = transport._transport_problem(space, nus, mu, costs)
+    problem = transport._transport_problem(n, nus, mu, costs)
     if n <= transport._SIMPLEX_MAX_N:
         x, duals = transport._transport_simplex([problem])[0]
         assert transport._unsound(problem, x, duals) == [None] * len(nus)
-    np.testing.assert_allclose(transport._transport_lps([(space, nus, mu, costs)])[0][1],
+    np.testing.assert_allclose(transport._transport_lps([(n, nus, mu, costs)])[0][1],
                                _highs_costs(problem), rtol=1e-12, atol=1e-15 * scale)
 
 
@@ -557,7 +557,7 @@ def test_certificate_names_each_fault():
     rng = np.random.default_rng(4)
     space = _random_space(rng, 4)
     nu = _random_probability(rng, 4)
-    problem = transport._transport_problem(space, [nu] * 5, space.weights, [space.dist] * 5)
+    problem = transport._transport_problem(4, [nu] * 5, space.weights, [space.dist] * 5)
     x, duals = transport._transport_simplex([problem])[0]
     assert transport._unsound(problem, x, duals) == [None] * 5
     x, duals = x.copy(), duals.copy()
@@ -577,8 +577,8 @@ def test_certificate_names_each_fault():
 
 
 def _mixed_problems(seed, sizes, n_costs):
-    """One (space, nus, mu, costs) problem per size, on its own random
-    space, with ``n_costs`` cost matrices each (W_1 first)."""
+    """One (n, nus, mu, costs) problem per size, on its own random space,
+    with ``n_costs`` cost matrices each (W_1 first)."""
     rng = np.random.default_rng(seed)
     problems = []
     for n in sizes:
@@ -586,7 +586,7 @@ def _mixed_problems(seed, sizes, n_costs):
         nu = _random_probability(rng, n)
         costs = [space.dist] + [space.dist ** rng.uniform(1.0, 2.5)
                                 for _ in range(n_costs - 1)]
-        problems.append((space, [nu] * n_costs, space.weights, costs))
+        problems.append((n, [nu] * n_costs, space.weights, costs))
     return problems
 
 
@@ -603,7 +603,7 @@ def test_cross_space_batch_equals_per_problem_lps(seed, sizes, n_costs):
     batched = transport._transport_lps(problems)
     assert len(batched) == len(problems)
     for problem, (plans, costs, resid, duals) in zip(problems, batched):
-        n = problem[0].n
+        n = problem[0]
         assert plans.shape == (n_costs, n, n) and duals.shape == (n_costs, 2 * n)
         assert np.all(resid <= 1e-9)
         np.testing.assert_allclose(costs, _highs_costs(transport._transport_problem(*problem)),
@@ -660,8 +660,8 @@ def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
     the tree simplex, the other plans keep their batch costs bit for bit,
     and a fault that persists raises."""
     problems = _mixed_problems(5, [3, 4, 5], 2)
-    space, nus, mu, costs = problems[2]
-    problems[2] = (space, nus, mu, [1e6 * c for c in costs])
+    n, nus, mu, costs = problems[2]
+    problems[2] = (n, nus, mu, [1e6 * c for c in costs])
     want = [_highs_costs(transport._transport_problem(*problem)) for problem in problems]
     kept = transport._transport_lps(problems)
 
@@ -688,10 +688,11 @@ def test_only_the_unsound_problem_is_solved_alone(monkeypatch):
 
 
 def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
-    """te-jensen-pointwise at seed 12 hands all 400 instances to one
-    ``_transport_lps`` call, which the batch solves with no tree solve;
-    when instance 393's W_1 plan is spoiled (half its mass), that plan
-    alone is solved by the tree simplex and every cost is unchanged."""
+    """te-jensen-pointwise at seed 12 hands all 400 instances, one problem
+    per (p, n) stack, to one ``_transport_lps`` call, which the batch solves
+    with no tree solve; when instance 393's W_1 plan is spoiled (half its
+    mass), that plan alone is solved by the tree simplex and every cost is
+    unchanged."""
     batches = []
     real = suites._transport_lps
     monkeypatch.setattr(suites, "_transport_lps",
@@ -699,12 +700,19 @@ def test_seed_12_batch_solves_its_unsound_instance_alone(monkeypatch):
     calls = _recording_tree(monkeypatch)
     summary = suites.run_suite("te-jensen-pointwise", seed=12).summary
     (batch,) = batches
-    assert len(batch) == 400 and batch[393][0].n == 5
+    # 100 instances per p, each with W_1 and one phi_s plan per s: {1} at p = 1, three past it
+    assert sum(len(costs) for _, _, _, costs in batch) == 100 * (2 + 4 + 4 + 4)
+    # instance 393's W_1 cost matrix is its metric, which no other plan has
+    rng = np.random.default_rng(np.random.SeedSequence(12).spawn(400)[393])
+    dist = suites._random_metric(rng, int(rng.integers(2, 7)))[0]
+    ((problem, row),) = [(t, k) for t, (_, _, _, costs) in enumerate(batch)
+                         for k, c in enumerate(costs) if np.array_equal(c, dist)]
+    assert batch[problem][0] == 5
     assert calls == []
     clean = real(batch)
 
     def halve(out):
-        out[393][0][0] *= 0.5
+        out[problem][0][row] *= 0.5
 
     _spoiled_simplex(monkeypatch, halve)
     out = real(batch)

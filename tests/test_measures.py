@@ -14,6 +14,7 @@ from conc_toolkit.errors import DomainError, ValidationError
 from conc_toolkit.measures import (
     _cell_partial_mass,
     _cell_partial_moment,
+    _checked_spaces,
     _e2,
     _scaled_target,
     DiscreteSpace,
@@ -383,6 +384,78 @@ class TestDiscreteSpace:
     def test_nan_distance_rejected_as_non_finite(self):
         with pytest.raises(ValidationError, match="dist must hold finite"):
             DiscreteSpace(dist=[[0.0, math.nan], [math.nan, 0.0]], weights=[0.5, 0.5])
+
+
+def _spoiled(fault):
+    """A three-point path space with weights (0.2, 0.3, 0.5), spoiled by
+    ``fault`` (a key of SPACE_FAULTS) or left valid for None."""
+    d = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    w = np.array([0.2, 0.3, 0.5])
+    if fault == "nonfinite dist":
+        d[0, 1] = d[1, 0] = math.inf
+    elif fault == "nonfinite weight":
+        w[1] = math.nan
+    elif fault == "asymmetric":
+        d[0, 1] = 1.5
+    elif fault == "diagonal":
+        d[1, 1] = 0.1
+    elif fault == "nonpositive":
+        d[0, 1] = d[1, 0] = 0.0
+    elif fault == "negative weight":
+        w[:] = [0.5, -0.1, 0.6]
+    elif fault == "weight sum":
+        w[2] = 0.6
+    elif fault == "triangle":
+        d[0, 2] = d[2, 0] = 2.5
+    return d, w
+
+
+# each fault a space can have -> the message DiscreteSpace raises for it
+SPACE_FAULTS = {
+    "nonfinite dist": "dist must hold finite numbers only",
+    "nonfinite weight": "weights must hold finite numbers only",
+    "asymmetric": "distance matrix must be symmetric",
+    "diagonal": "dist(i, i) must be 0",
+    "nonpositive": "dist(0, 1) must be positive for i != j",
+    "negative weight": "negative weight at point 1",
+    "weight sum": "weights sum to 1.1, expected 1",
+    "triangle": "triangle inequality violated by triple (0, 1, 2): d(0,2) = 2.5 > 2",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(SPACE_FAULTS))
+def test_discrete_space_names_each_fault(fault):
+    with pytest.raises(ValidationError) as err:
+        DiscreteSpace(*_spoiled(fault))
+    assert str(err.value) == SPACE_FAULTS[fault]
+
+
+@pytest.mark.parametrize("fault", sorted(SPACE_FAULTS))
+def test_stack_check_names_the_first_space_at_fault(fault):
+    """Spaces 2 and 3 of a stack of five have the fault: the message is
+    DiscreteSpace's, prefixed with the first of them."""
+    spaces = [_spoiled(fault if k in (2, 3) else None) for k in range(5)]
+    with pytest.raises(ValidationError) as err:
+        _checked_spaces(*map(np.stack, zip(*spaces)))
+    assert str(err.value) == f"space 2: {SPACE_FAULTS[fault]}"
+
+
+def test_stack_check_names_the_first_space_across_blocks():
+    """Three 150-point path metrics, at 3 x 150^2 entries one k per block
+    of the triangle check: space 2's stretched d(0, 2) fails at k = 1, in
+    an early block, space 1's stretched d(140, 149) only at k = 141 to 148,
+    later; space 1 is named, with the triple the k-loop names."""
+    x = np.arange(150.0)
+    d = np.stack([np.abs(x[:, None] - x)] * 3)
+    w = np.full((3, 150), 1 / 150)
+    d[1, 140, 149] = d[1, 149, 140] = 9.5
+    d[2, 0, 2] = d[2, 2, 0] = 2.5
+    with pytest.raises(ValidationError) as err:
+        _checked_spaces(d, w)
+    assert str(err.value) == f"space 1: {_triangle_k_loop(d[1])}"
+    assert "(140, 141, 149)" in str(err.value)
+    checked, weights = _checked_spaces(d[:1], w[:1])
+    assert np.array_equal(checked, d[:1]) and np.array_equal(weights, w[:1])
 
 
 def _e2_both_branches(u):

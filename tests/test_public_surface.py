@@ -2,7 +2,8 @@
 keyword default of a public function is pinned here, so a new knob edits
 this table in the change that adds it.  Every parameter of a public
 function is either in the scalar contract's table (``SCALARS`` in
-test_array_contract) or named here as one that is not a scalar.  A
+test_array_contract) or named here as one that is not a scalar; an object
+argument of the wrong type raises ValidationError naming it.  A
 module-level function or class that is neither public nor used in the
 package is dead code."""
 
@@ -11,9 +12,11 @@ import inspect
 from importlib import import_module
 from pathlib import Path
 
-from test_array_contract import SCALARS
+import pytest
+from test_array_contract import NU, SCALARS, SPACE, WEIGHTS
 
 import conc_toolkit
+from conc_toolkit.errors import ValidationError
 
 # public function -> {parameter: default}
 KNOBS = {
@@ -85,6 +88,31 @@ NOT_SCALARS = {
     "wc_monotone_1d": "mu nu spec",
     "ws_1d": "mu nu",
 }
+
+
+# public function -> (its object argument, a call that hands that argument
+# ``a``, and the type it must have)
+OBJECT_ARGUMENTS = {
+    "kr_dual": ("space", lambda a: conc_toolkit.kr_dual(a, NU, WEIGHTS), "DiscreteSpace"),
+    "laplace_sup_discrete": ("space", lambda a: conc_toolkit.laplace_sup_discrete(
+        a, WEIGHTS, [1.0]), "DiscreteSpace"),
+    "mean_zero_lipschitz_vertices": ("space", lambda a: conc_toolkit.mean_zero_lipschitz_vertices(
+        a, WEIGHTS), "DiscreteSpace"),
+    "transport_costs": ("space", lambda a: conc_toolkit.transport_costs(
+        a, [NU], WEIGHTS, [SPACE.dist]), "DiscreteSpace"),
+    "w1_discrete": ("space", lambda a: conc_toolkit.w1_discrete(a, NU, WEIGHTS), "DiscreteSpace"),
+    "wc_discrete_lp": ("space", lambda a: conc_toolkit.wc_discrete_lp(a, NU, WEIGHTS),
+                       "DiscreteSpace"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OBJECT_ARGUMENTS))
+def test_object_argument_of_the_wrong_type_raises_naming_it(name):
+    param, call, kind = OBJECT_ARGUMENTS[name]
+    assert param in inspect.signature(getattr(conc_toolkit, name)).parameters
+    call(SPACE)  # the right type passes
+    with pytest.raises(ValidationError, match=f"^{param} must be a {kind}, got str$"):
+        call("x")
 
 
 def test_every_keyword_default_is_in_the_table():

@@ -7,6 +7,7 @@ import pytest
 
 from conc_toolkit import functional, suites
 from conc_toolkit.errors import DomainError, ValidationError
+from conc_toolkit.laplace import mean_zero_lipschitz_vertices
 from conc_toolkit.measures import DiscreteSpace, Measure1D, build_measure_1d
 from conc_toolkit.profiles import LOG2, conc_profile
 from conc_toolkit.suites import SUITE_DEFAULTS, SUITE_IDS, run_suite, run_suites
@@ -318,9 +319,10 @@ def _bg_one_draw_at_a_time(config, seed):
     while len(instances) < trials and draw < 4 * trials:
         drawn = suites._bg_draw(np.random.default_rng(seeds[draw]), lam_grid, config)
         draw += 1
-        d_crit = suites._critical_rates([drawn[1].weights], [drawn[2]], drawn[-1][None],
-                                        lam_grid)[0]
-        inst = suites._bg_instance(drawn, float(d_crit), lam_grid, config)
+        space = drawn[1]
+        verts = mean_zero_lipschitz_vertices(space, space.weights)
+        d_crit = suites._critical_rates([space.weights], [verts], drawn[-1][None], lam_grid)[0]
+        inst = suites._bg_instance(drawn, verts, float(d_crit), lam_grid, config)
         if not inst["near_tie"]:
             instances.append(inst)
     return instances, draw
@@ -361,7 +363,8 @@ def test_te_margins_equal_the_per_witness_loop(seed):
     and on an empty witness set: the same margins and H, bit for bit."""
     config = SUITE_DEFAULTS["bg-duality"]
     rng = np.random.default_rng(seed)
-    _, space, verts, _, _, base, _ = suites._bg_draw(rng, np.array([1.0]), config)
+    _, space, _, _, base, _ = suites._bg_draw(rng, np.array([1.0]), config)
+    verts = mean_zero_lipschitz_vertices(space, space.weights)
     n = space.n
     mu = space.weights.copy()
     mu[int(rng.integers(n))] = 0.0
